@@ -158,18 +158,9 @@ inline std::vector<KnowledgeLevel> knowledge_ladder() {
   };
 }
 
-/// A fresh strategy instance by name (strategies are stateful per run).
-/// Unknown names are an error — a typo must not silently mislabel a bench
-/// row as some other attack.
-inline std::unique_ptr<sim::AdversaryStrategy> make_strategy(const std::string& name,
-                                                             std::uint64_t seed) {
-  if (name == "silent") return std::make_unique<sim::SilentStrategy>();
-  if (name == "value-flip") return std::make_unique<sim::ValueFlipStrategy>();
-  if (name == "random-lies") return std::make_unique<sim::RandomLieStrategy>(Rng{seed}, 4);
-  if (name == "phantom-world") return std::make_unique<sim::FictitiousWorldStrategy>();
-  if (name == "two-faced") return std::make_unique<sim::TwoFacedStrategy>();
-  throw std::invalid_argument("make_strategy: unknown adversary strategy '" + name + "'");
-}
+/// A fresh strategy instance by name; unknown names throw, so a typo
+/// cannot silently mislabel a bench row as some other attack.
+using sim::make_strategy;
 
 inline std::vector<std::string> all_strategies() {
   return {"silent", "value-flip", "random-lies", "phantom-world", "two-faced"};

@@ -16,9 +16,9 @@ AdversaryStructure AdversaryStructure::trivial() {
   return z;
 }
 
-AdversaryStructure AdversaryStructure::from_sets(const std::vector<NodeSet>& sets) {
+AdversaryStructure AdversaryStructure::from_sets(std::vector<NodeSet> sets) {
   AdversaryStructure z;
-  z.maximal_ = sets;
+  z.maximal_ = std::move(sets);
   z.prune_and_sort();
   return z;
 }
@@ -175,8 +175,10 @@ std::string AdversaryStructure::to_string() const {
 }
 
 void AdversaryStructure::prune_and_sort() {
-  // Remove any set contained in another; canonicalize order.
-  std::sort(maximal_.begin(), maximal_.end());
+  // Remove any set contained in another; canonicalize order. Input that
+  // is already canonical (a parsed canonical text) skips the sort.
+  if (!std::is_sorted(maximal_.begin(), maximal_.end()))
+    std::sort(maximal_.begin(), maximal_.end());
   maximal_.erase(std::unique(maximal_.begin(), maximal_.end()), maximal_.end());
   // Domination pass, popcount-bucketed: duplicates are gone, so containment
   // between distinct entries is strict and only a strictly *larger* set can

@@ -34,7 +34,7 @@ class AdversaryStructure {
 
   /// Build from any generating collection; the result is the monotone
   /// closure (non-maximal and duplicate generators are pruned away).
-  static AdversaryStructure from_sets(const std::vector<NodeSet>& sets);
+  static AdversaryStructure from_sets(std::vector<NodeSet> sets);
 
   /// Add one admissible set (and implicitly all its subsets).
   void add(const NodeSet& s);

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "adversary/threshold.hpp"
+#include "check/reference_parser.hpp"
 #include "store/format.hpp"
 #include "exec/campaign.hpp"
 #include "exec/thread_pool.hpp"
@@ -405,6 +406,31 @@ std::string mutate(const std::string& text, Rng& rng) {
   return rng.chance(0.5) ? mutate_bytes(text, rng) : mutate_tokens(text, rng);
 }
 
+namespace {
+
+/// Where the parser under test and the reference parser disagree on
+/// `text`, or "" when they agree: accept vs. reject, the exact rejection
+/// message, and the canonical text of an accepted instance. `parsed` /
+/// `error` are the parser-under-test's outcome.
+std::string parser_divergence(const std::string& text, const std::optional<Instance>& parsed,
+                              const std::string& error) {
+  std::optional<Instance> ref;
+  std::string ref_error;
+  try {
+    ref = reference_parse_instance(text);
+  } catch (const std::exception& e) {
+    ref_error = e.what();
+  }
+  if (ref && !parsed) return "reference accepted, parser rejected: " + error;
+  if (!ref && parsed) return "reference rejected (" + ref_error + "), parser accepted";
+  if (!ref) return ref_error == error ? "" : "reference: " + ref_error + " | parser: " + error;
+  if (io::serialize_instance(*ref) != io::serialize_instance(*parsed))
+    return "accepted instances serialize differently";
+  return "";
+}
+
+}  // namespace
+
 FuzzReport run_fuzz(const FuzzOptions& opts) {
   RMT_REQUIRE(opts.max_exact_nodes <= analysis::kMaxExactNodes,
               "run_fuzz: max_exact_nodes above the exact-decider guard");
@@ -420,6 +446,9 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
   const auto zpp_decider =
       opts.zpp_decider ? opts.zpp_decider
                        : [](const Instance& i) { return analysis::find_rmt_zpp_cut(i); };
+  const auto parser = opts.parser ? opts.parser : [](const std::string& t) {
+    return io::parse_instance_string(t);
+  };
 
   // --- loop 1: parser robustness over mutated corpus entries ---------------
   // Accepted small mutants feed the differential loop below, so fuzzing the
@@ -434,15 +463,23 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
 
     report.parser_mutants += 1;
     std::optional<Instance> inst;
+    std::string error;
     try {
-      inst = io::parse_instance_string(text);
-    } catch (const std::invalid_argument&) {
-      report.rejected += 1;  // the contract: clean, typed rejection
-      continue;
+      inst = parser(text);
+    } catch (const std::invalid_argument& e) {
+      error = e.what();  // the contract: clean, typed rejection
     } catch (const std::exception& e) {
       report.findings.push_back(FuzzFinding{
           "parser-crash", std::string("parser threw non-invalid_argument: ") + e.what(),
           text, seed, i});
+      continue;
+    }
+    if (const std::string diff = parser_divergence(text, inst, error); !diff.empty()) {
+      report.findings.push_back(FuzzFinding{"parser-diverged", diff, text, seed, i});
+      continue;
+    }
+    if (!inst) {
+      report.rejected += 1;
       continue;
     }
     report.parsed_ok += 1;
@@ -452,7 +489,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
     // first serialization) and survive the deep audit.
     try {
       const std::string s1 = io::serialize_instance(*inst);
-      const Instance again = io::parse_instance_string(s1);
+      const Instance again = parser(s1);
       const std::string s2 = io::serialize_instance(again);
       report.roundtrip_checks += 1;
       if (s1 != s2) {

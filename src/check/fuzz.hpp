@@ -9,7 +9,10 @@
 //     std::invalid_argument (a clean, line-numbered rejection) or accept —
 //     never crash, never throw anything else, and never accept-then-
 //     diverge (an accepted mutant must serialize to a round-trip fixed
-//     point and pass the deep audit validators).
+//     point and pass the deep audit validators). Every mutant also goes
+//     through reference_parse_instance (check/reference_parser.hpp), the
+//     stream-based original: both must accept or both reject, with the
+//     same message, and accepted instances must serialize identically.
 //
 //   * Differential deciders: parsed mutants (topped up with seeded random
 //     instances so the check count is deterministic) are pushed through
@@ -32,10 +35,10 @@
 //     records without tearing again (repair is idempotent — the exact
 //     recovery a restarted server performs).
 //
-// The deciders under test are injectable (FuzzOptions::rmt_decider /
-// zpp_decider) so the harness can prove it *catches* a deliberately broken
-// decider — that self-test is wired as the fuzz_selftest ctest and
-// `rmt_fuzz --self-test`.
+// The parser and deciders under test are injectable (FuzzOptions::parser /
+// rmt_decider / zpp_decider) so the harness can prove it *catches* a
+// deliberately broken one — that self-test is wired as the fuzz_selftest
+// ctest and `rmt_fuzz --self-test`.
 //
 // Every divergence becomes a FuzzFinding carrying the offending serialized
 // instance: rmt_fuzz writes them to the artifact directory, and minimized
@@ -67,6 +70,9 @@ struct FuzzOptions {
   std::size_t svc_workers = 2;  ///< engine pool width (0 = sequential)
   /// Extra corpus entries (serialized instances) on top of builtin_corpus().
   std::vector<std::string> corpus;
+  /// Parser under differential test against reference_parse_instance;
+  /// null = io::parse_instance_string. The self-test injects a broken one.
+  std::function<Instance(const std::string&)> parser;
   /// Deciders under differential test; null = the optimized find_rmt_cut /
   /// find_rmt_zpp_cut. Tests inject broken ones to prove detection.
   std::function<std::optional<analysis::RmtCutWitness>(const Instance&)> rmt_decider;
@@ -75,8 +81,9 @@ struct FuzzOptions {
 
 /// One divergence/contract violation, with everything needed to reproduce.
 struct FuzzFinding {
-  std::string kind;    ///< parser-crash | roundtrip-diverged | audit-violation
-                       ///< | decider-diverged | kernel-diverged | svc-diverged
+  std::string kind;    ///< parser-crash | parser-diverged | roundtrip-diverged
+                       ///< | audit-violation | decider-diverged
+                       ///< | kernel-diverged | svc-diverged
                        ///< | generator-invalid | store-crash
                        ///< | store-roundtrip-diverged | store-audit-violation
                        ///< | store-repair-diverged

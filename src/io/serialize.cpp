@@ -1,15 +1,13 @@
 #include "io/serialize.hpp"
 
-#include <algorithm>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
-#include <set>
-#include <sstream>
+#include <stdexcept>
 #include <utility>
 #include <vector>
-
-#include "util/check.hpp"
 
 namespace rmt::io {
 
@@ -19,6 +17,65 @@ namespace {
   throw std::invalid_argument("instance parse error at line " + std::to_string(line) + ": " +
                               msg);
 }
+
+/// The C locale's isspace set — exactly what `operator>>` skips.
+constexpr bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
+
+/// Reads one comment-stripped line with `std::istream >>` semantics, minus
+/// the stream: a word is a maximal run of non-space bytes; an integer is a
+/// `long long` with an optional sign, read up to the first non-digit (not
+/// consumed), and a read with no digits or out of range fails. A failed
+/// read is sticky, like a stream's failbit.
+class Cursor {
+ public:
+  explicit Cursor(std::string_view line) : s_(line) {}
+
+  bool word(std::string_view& out) {
+    if (!skip_space()) return false;
+    const std::size_t start = pos_;
+    while (pos_ < s_.size() && !is_space(s_[pos_])) ++pos_;
+    out = s_.substr(start, pos_ - start);
+    return true;
+  }
+
+  bool integer(long long& out) {
+    if (!skip_space()) return false;
+    const bool negative = s_[pos_] == '-';
+    if (negative || s_[pos_] == '+') ++pos_;
+    // |LLONG_MIN| = LLONG_MAX + 1 is in range only with the minus sign.
+    const unsigned long long max =
+        static_cast<unsigned long long>(std::numeric_limits<long long>::max()) + negative;
+    const std::size_t first_digit = pos_;
+    unsigned long long acc = 0;
+    bool overflow = false;
+    for (; pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9'; ++pos_) {
+      const unsigned digit = unsigned(s_[pos_] - '0');
+      if (overflow || acc > (max - digit) / 10) overflow = true;
+      else acc = acc * 10 + digit;
+    }
+    if (pos_ == first_digit || overflow) {
+      failed_ = true;
+      return false;
+    }
+    out = negative ? static_cast<long long>(0ull - acc) : static_cast<long long>(acc);
+    return true;
+  }
+
+ private:
+  /// Skips spaces; false (and failed from now on) when the line is done.
+  bool skip_space() {
+    if (failed_) return false;
+    while (pos_ < s_.size() && is_space(s_[pos_])) ++pos_;
+    if (pos_ == s_.size()) failed_ = true;
+    return !failed_;
+  }
+
+  std::string_view s_;
+  std::size_t pos_ = 0;
+  bool failed_ = false;
+};
 
 /// A node-id mention whose range check must wait until `nodes` is known
 /// (directives may come in any order); `line` keeps the diagnostic exact.
@@ -35,7 +92,9 @@ struct Builder {
   std::vector<std::size_t> edge_lines;  ///< source line of each edge, for diagnostics
   std::optional<NodeId> dealer, receiver;
   std::size_t dealer_line = 0, receiver_line = 0, knowledge_line = 0;
-  std::vector<NodeSet> sets;
+  /// Admissible sets; ∅ first, so the sets of a canonical text (listed in
+  /// AdversaryStructure's sorted order) reach from_sets already sorted.
+  std::vector<NodeSet> sets{NodeSet{}};
   enum class Knowledge { kUnset, kAdHoc, kFull, kKHop, kCustom } knowledge = Knowledge::kUnset;
   std::size_t k = 0;
   std::size_t khop_line = 0;
@@ -45,37 +104,48 @@ struct Builder {
   std::vector<IdRef> id_refs;  ///< deferred range checks (see IdRef)
 };
 
-/// Read one node id with the absolute cap applied immediately — ids are
-/// inserted into NodeSets during parsing, so an uncapped id would allocate
-/// before any end-of-parse validation runs.
-NodeId parse_node(std::istringstream& ss, std::size_t line) {
-  long long v = -1;
-  if (!(ss >> v) || v < 0) fail(line, "expected a node id");
+/// Range-check one id read from a list (corruptible, view) with the
+/// absolute cap applied immediately — ids are inserted into NodeSets during
+/// parsing, so an uncapped id would allocate before any end-of-parse
+/// validation runs.
+NodeId capped_id(long long v, std::size_t line) {
+  if (v < 0) fail(line, "negative node id");
   if (std::size_t(v) >= kMaxParseNodes)
     fail(line, "node id " + std::to_string(v) + " out of range (ids must be < " +
                    std::to_string(kMaxParseNodes) + ")");
   return NodeId(v);
 }
 
+/// Read one required node id (same cap as capped_id).
+NodeId parse_node(Cursor& cur, std::size_t line) {
+  long long v = -1;
+  if (!cur.integer(v) || v < 0) fail(line, "expected a node id");
+  return capped_id(v, line);
+}
+
 }  // namespace
 
-Instance parse_instance(std::istream& in) {
+Instance parse_instance_string(std::string_view text) {
   Builder b;
-  std::string line;
   std::size_t lineno = 0;
   bool header = false;
-  while (std::getline(in, line)) {
+  // Lines split on '\n' like std::getline: no empty line after a final
+  // newline, and a last line without one still counts.
+  for (std::size_t pos = 0; pos < text.size();) {
+    std::size_t end = text.find('\n', pos);
+    if (end == std::string_view::npos) end = text.size();
+    std::string_view line = text.substr(pos, end - pos);
+    pos = end + 1;
     ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ss(line);
-    std::string word;
-    if (!(ss >> word)) continue;  // blank / comment-only
+    line = line.substr(0, line.find('#'));
+    Cursor cur(line);
+    std::string_view word;
+    if (!cur.word(word)) continue;  // blank / comment-only
     if (!header) {
       if (word != "rmt-instance") fail(lineno, "missing 'rmt-instance v1' header");
-      std::string version;
-      ss >> version;
-      if (version != "v1") fail(lineno, "unsupported version '" + version + "'");
+      std::string_view version;
+      cur.word(version);
+      if (version != "v1") fail(lineno, "unsupported version '" + std::string(version) + "'");
       header = true;
       continue;
     }
@@ -84,42 +154,40 @@ Instance parse_instance(std::istream& in) {
         fail(lineno, "duplicate 'nodes' directive (first at line " +
                          std::to_string(b.nodes_line) + ")");
       long long n = -1;
-      if (!(ss >> n) || n <= 0) fail(lineno, "expected a positive node count");
+      if (!cur.integer(n) || n <= 0) fail(lineno, "expected a positive node count");
       if (std::size_t(n) > kMaxParseNodes)
         fail(lineno, "node count " + std::to_string(n) + " out of range (max " +
                          std::to_string(kMaxParseNodes) + ")");
       b.n = std::size_t(n);
       b.nodes_line = lineno;
     } else if (word == "edge") {
-      const NodeId u = parse_node(ss, lineno), v = parse_node(ss, lineno);
+      const NodeId u = parse_node(cur, lineno), v = parse_node(cur, lineno);
       b.edges.push_back({u, v});
       b.edge_lines.push_back(lineno);
     } else if (word == "dealer") {
       if (b.dealer_line != 0)
         fail(lineno, "duplicate 'dealer' directive (first at line " +
                          std::to_string(b.dealer_line) + ")");
-      b.dealer = parse_node(ss, lineno);
+      b.dealer = parse_node(cur, lineno);
       b.dealer_line = lineno;
       b.id_refs.push_back({*b.dealer, lineno, "dealer"});
     } else if (word == "receiver") {
       if (b.receiver_line != 0)
         fail(lineno, "duplicate 'receiver' directive (first at line " +
                          std::to_string(b.receiver_line) + ")");
-      b.receiver = parse_node(ss, lineno);
+      b.receiver = parse_node(cur, lineno);
       b.receiver_line = lineno;
       b.id_refs.push_back({*b.receiver, lineno, "receiver"});
     } else if (word == "corruptible") {
+      // The list ends at the first token that is not an integer.
       NodeSet s;
-      long long v;
-      while (ss >> v) {
-        if (v < 0) fail(lineno, "negative node id");
-        if (std::size_t(v) >= kMaxParseNodes)
-          fail(lineno, "node id " + std::to_string(v) + " out of range (ids must be < " +
-                           std::to_string(kMaxParseNodes) + ")");
-        if (s.contains(NodeId(v)))
+      long long raw;
+      while (cur.integer(raw)) {
+        const NodeId v = capped_id(raw, lineno);
+        if (s.contains(v))
           fail(lineno, "duplicate node id " + std::to_string(v) + " in corruptible set");
-        s.insert(NodeId(v));
-        b.id_refs.push_back({NodeId(v), lineno, "corruptible set"});
+        s.insert(v);
+        b.id_refs.push_back({v, lineno, "corruptible set"});
       }
       b.sets.push_back(std::move(s));
     } else if (word == "knowledge") {
@@ -127,46 +195,43 @@ Instance parse_instance(std::istream& in) {
         fail(lineno, "duplicate 'knowledge' directive (first at line " +
                          std::to_string(b.knowledge_line) + ")");
       b.knowledge_line = lineno;
-      std::string kind;
-      if (!(ss >> kind)) fail(lineno, "expected a knowledge kind");
+      std::string_view kind;
+      if (!cur.word(kind)) fail(lineno, "expected a knowledge kind");
       if (kind == "adhoc") b.knowledge = Builder::Knowledge::kAdHoc;
       else if (kind == "full") b.knowledge = Builder::Knowledge::kFull;
       else if (kind == "custom") b.knowledge = Builder::Knowledge::kCustom;
       else if (kind == "k-hop") {
         b.knowledge = Builder::Knowledge::kKHop;
         long long k = -1;
-        if (!(ss >> k) || k < 0) fail(lineno, "k-hop needs a radius");
+        if (!cur.integer(k) || k < 0) fail(lineno, "k-hop needs a radius");
         b.k = std::size_t(k);
         b.khop_line = lineno;
       } else
-        fail(lineno, "unknown knowledge kind '" + kind + "'");
+        fail(lineno, "unknown knowledge kind '" + std::string(kind) + "'");
     } else if (word == "view" || word == "view-edge") {
-      const NodeId owner = parse_node(ss, lineno);
+      const NodeId owner = parse_node(cur, lineno);
       b.id_refs.push_back({owner, lineno, "view owner"});
-      std::string colon;
-      if (!(ss >> colon) || colon != ":") fail(lineno, "expected ':' after view owner");
+      std::string_view colon;
+      if (!cur.word(colon) || colon != ":") fail(lineno, "expected ':' after view owner");
       if (word == "view") {
-        long long v;
-        while (ss >> v) {
-          if (v < 0) fail(lineno, "negative node id");
-          if (std::size_t(v) >= kMaxParseNodes)
-            fail(lineno, "node id " + std::to_string(v) + " out of range (ids must be < " +
-                             std::to_string(kMaxParseNodes) + ")");
-          NodeSet& extras = b.extra_nodes[owner];
-          if (extras.contains(NodeId(v)))
+        NodeSet& extras = b.extra_nodes[owner];
+        long long raw;
+        while (cur.integer(raw)) {
+          const NodeId v = capped_id(raw, lineno);
+          if (extras.contains(v))
             fail(lineno, "duplicate node id " + std::to_string(v) + " in view of node " +
                              std::to_string(owner));
-          extras.insert(NodeId(v));
-          b.id_refs.push_back({NodeId(v), lineno, "view"});
+          extras.insert(v);
+          b.id_refs.push_back({v, lineno, "view"});
         }
       } else {
-        const NodeId u = parse_node(ss, lineno), v = parse_node(ss, lineno);
+        const NodeId u = parse_node(cur, lineno), v = parse_node(cur, lineno);
         b.extra_edges[owner].push_back({u, v});
         b.id_refs.push_back({u, lineno, "view-edge"});
         b.id_refs.push_back({v, lineno, "view-edge"});
       }
     } else {
-      fail(lineno, "unknown directive '" + word + "'");
+      fail(lineno, "unknown directive '" + std::string(word) + "'");
     }
   }
   if (!header) fail(lineno, "empty input");
@@ -184,19 +249,15 @@ Instance parse_instance(std::istream& in) {
                           " nodes (a radius above n adds nothing)");
 
   Graph g(b.n);
-  std::set<std::pair<NodeId, NodeId>> seen_edges;
   for (std::size_t i = 0; i < b.edges.size(); ++i) {
     const Edge& e = b.edges[i];
     const std::size_t at = b.edge_lines[i];
     if (e.a >= b.n || e.b >= b.n) fail(at, "edge endpoint out of range");
-    const auto normalized = std::minmax(e.a, e.b);
-    if (!seen_edges.insert({normalized.first, normalized.second}).second)
+    if (g.has_edge(e.a, e.b))
       fail(at, "duplicate edge " + std::to_string(e.a) + " " + std::to_string(e.b));
     g.add_edge(e.a, e.b);
   }
-  std::vector<NodeSet> sets = b.sets;
-  sets.push_back(NodeSet{});
-  AdversaryStructure z = AdversaryStructure::from_sets(sets);
+  AdversaryStructure z = AdversaryStructure::from_sets(std::move(b.sets));
 
   ViewFunction gamma = [&] {
     switch (b.knowledge) {
@@ -228,15 +289,11 @@ Instance parse_instance(std::istream& in) {
   return Instance(std::move(g), std::move(z), std::move(gamma), *b.dealer, *b.receiver);
 }
 
-Instance parse_instance_string(const std::string& text) {
-  std::istringstream ss(text);
-  return parse_instance(ss);
-}
-
 Instance load_instance(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw std::invalid_argument("cannot open " + path);
-  return parse_instance(in);
+  const std::string text{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  return parse_instance_string(text);
 }
 
 std::string serialize_instance(const Instance& inst) {
@@ -272,20 +329,25 @@ std::string serialize_instance(const Instance& inst) {
     });
     out += '\n';
   }
-  // Emit custom views as extras over the ad hoc floor.
-  const ViewFunction floor = ViewFunction::ad_hoc(inst.graph());
+  // Emit custom views as extras over the ad hoc floor, the owner's star:
+  // N[v] and the deg(v) edges at v. Every view contains its star
+  // (ViewFunction::set_view enforces it), so a view is the star iff its
+  // nodes are N[v] and it has deg(v) edges, and its extras are the nodes
+  // outside N[v] and the edges not incident to v.
+  const Graph& g = inst.graph();
   bool is_adhoc = true;
-  inst.graph().nodes().for_each([&](NodeId v) {
-    if (!(inst.gamma().view(v) == floor.view(v))) is_adhoc = false;
+  g.nodes().for_each([&](NodeId v) {
+    const Graph& view = inst.gamma().view(v);
+    if (!(view.nodes() == g.closed_neighborhood(v) && view.num_edges() == g.degree(v)))
+      is_adhoc = false;
   });
   if (is_adhoc) {
     out += "knowledge adhoc\n";
   } else {
     out += "knowledge custom\n";
-    inst.graph().nodes().for_each([&](NodeId v) {
+    g.nodes().for_each([&](NodeId v) {
       const Graph& view = inst.gamma().view(v);
-      const Graph& base = floor.view(v);
-      NodeSet extra_nodes = view.nodes() - base.nodes();
+      NodeSet extra_nodes = view.nodes() - g.closed_neighborhood(v);
       if (!extra_nodes.empty()) {
         out += "view ";
         append_num(v);
@@ -297,7 +359,7 @@ std::string serialize_instance(const Instance& inst) {
         out += '\n';
       }
       for (const Edge& e : view.edges())
-        if (!base.has_edge(e.a, e.b)) {
+        if (e.a != v && e.b != v) {
           out += "view-edge ";
           append_num(v);
           out += " : ";

@@ -15,10 +15,18 @@
 //                       #   nodes of node 2 (beyond its star)
 //   view-edge 2 : 0 1   # optional extra known edge of node 2's view
 //
-// parse_instance throws std::invalid_argument with a line-number message
-// on malformed input; serialize_instance(parse_instance(s)) round-trips.
-// The format assumes contiguous node ids 0..n-1 (what every generator in
-// this library produces).
+// parse_instance_string throws std::invalid_argument with a line-number
+// message on malformed input; serialize_instance(parse_instance_string(s))
+// round-trips. The format assumes contiguous node ids 0..n-1 (what every
+// generator in this library produces).
+//
+// Tokens are read as `std::istream >>` would read them in the C locale,
+// in one pass over the text and without a stream: words split on the
+// C-locale space set (so CRLF line ends are harmless), an integer takes
+// an optional sign and stops at the first non-digit, and an id list
+// (corruptible, view) ends at the first token that is not an integer.
+// check/reference_parser.hpp keeps the stream-based original as the
+// differential oracle rmt_fuzz holds this parser to, message for message.
 //
 // Hostile-input hardening (the parser is a fuzz target — see
 // check/fuzz.hpp): every node id, the node count, and the k-hop radius are
@@ -30,8 +38,8 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "instance/instance.hpp"
 
@@ -43,16 +51,16 @@ namespace rmt::io {
 inline constexpr std::size_t kMaxParseNodes = 512;
 
 /// Parse the text format above.
-Instance parse_instance(std::istream& in);
-Instance parse_instance_string(const std::string& text);
+Instance parse_instance_string(std::string_view text);
 
-/// Open `path` and parse it ("cannot open <path>" when unreadable). The
-/// one loader every consumer shares — rmt_cli, rmt_serve clients, the
-/// examples — so diagnostics stay uniform.
+/// Read `path` whole, then parse it ("cannot open <path>" when
+/// unreadable). The one loader every consumer shares — rmt_cli, rmt_serve
+/// clients, the examples — so diagnostics stay uniform.
 Instance load_instance(const std::string& path);
 
 /// Write an instance in the same format (custom views are emitted as
-/// view / view-edge lines relative to the ad hoc floor).
+/// view / view-edge lines relative to the ad hoc floor). This text is the
+/// canonical form svc::instance_key hashes.
 std::string serialize_instance(const Instance& inst);
 
 }  // namespace rmt::io

@@ -18,7 +18,7 @@
 //
 // NUL bytes are rejected at the framing layer rather than left for the
 // JSON parser because the wire protocol stores lines in std::string on
-// the way to svc::wire::parse_request — an embedded NUL would silently
+// the way to svc::wire::parse_line — an embedded NUL would silently
 // truncate error messages built from C strings and confuse best-effort id
 // extraction. A frame either is a complete NUL-free line under the cap,
 // or it is a typed rejection.

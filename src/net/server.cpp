@@ -246,9 +246,9 @@ struct Server::Impl {
     obs::trace::emit(rec);
   }
 
-  std::string overloaded_response(const std::string& line, const std::string& why) {
+  std::string overloaded_response(const std::string& id, const std::string& why) {
     shed.fetch_add(1, std::memory_order_relaxed);
-    return svc::wire::format_parse_error(svc::wire::extract_id(line), "overloaded: " + why);
+    return svc::wire::format_parse_error(id, "overloaded: " + why);
   }
 
   void drain_slots(Conn& conn) {
@@ -318,55 +318,54 @@ struct Server::Impl {
   // -- request path ---------------------------------------------------------
 
   void handle_request_line(Conn& conn, const std::string& line) {
-    const std::string probe = svc::wire::probe_kind(line);
-    if (!probe.empty()) {
+    svc::wire::Envelope env = svc::wire::parse_line(line);
+    Slot slot;
+    if (env.kind == svc::wire::Envelope::Kind::kStats ||
+        env.kind == svc::wire::Envelope::Kind::kTrace) {
       flush_pending();  // probes report the state after everything queued
-      Slot slot;
-      slot.kind = probe == "stats" ? Slot::Kind::kStats : Slot::Kind::kTrace;
+      slot.kind = env.kind == svc::wire::Envelope::Kind::kStats ? Slot::Kind::kStats
+                                                                : Slot::Kind::kTrace;
       slot.seq = submitted;
-      slot.id = svc::wire::extract_id(line);
+      slot.id = std::move(env.id);
       conn.slots.push_back(std::move(slot));
       return;
     }
     // Admission control: shed instead of queueing work for a connection
-    // (or a server) that is already past its budget. The response is
+    // (or a server) that is already past its budget. Shedding is checked
+    // before a malformed line's parse error is reported. The response is
     // immediate and the connection stays usable.
-    Slot slot;
     if (conn.inflight >= opts.max_inflight_per_conn) {
       ++conn.shed;
       slot.preformatted = overloaded_response(
-          line, "connection has " + std::to_string(conn.inflight) +
-                    " requests in flight (budget " +
-                    std::to_string(opts.max_inflight_per_conn) + ")");
+          env.id, "connection has " + std::to_string(conn.inflight) +
+                      " requests in flight (budget " +
+                      std::to_string(opts.max_inflight_per_conn) + ")");
     } else if (inflight_total >= opts.max_inflight_total) {
       ++conn.shed;
       slot.preformatted = overloaded_response(
-          line, "server has " + std::to_string(inflight_total) +
-                    " requests in flight (budget " +
-                    std::to_string(opts.max_inflight_total) + ")");
+          env.id, "server has " + std::to_string(inflight_total) +
+                      " requests in flight (budget " +
+                      std::to_string(opts.max_inflight_total) + ")");
     } else if (conn.queued() > opts.write_budget_bytes) {
       ++conn.shed;
       slot.preformatted = overloaded_response(
-          line, "write queue at " + std::to_string(conn.queued()) + " bytes (budget " +
-                    std::to_string(opts.write_budget_bytes) + ")");
+          env.id, "write queue at " + std::to_string(conn.queued()) + " bytes (budget " +
+                      std::to_string(opts.write_budget_bytes) + ")");
+    } else if (env.kind == svc::wire::Envelope::Kind::kError) {
+      slot.preformatted = svc::wire::format_parse_error(env.id, env.error);
     } else {
-      try {
-        svc::wire::ParsedRequest parsed = svc::wire::parse_request(line);
-        slot.kind = Slot::Kind::kEngine;
-        slot.seq = submitted;  // the pending batch's future sequence number
-        slot.index = pending.size();
-        slot.id = std::move(parsed.id);
-        if (pending.empty()) pending_since = clock_t_::now();
-        pending.push_back(std::move(parsed.request));
-        ++conn.inflight;
-        ++inflight_total;
-        ++conn.requests;
-        conn.slots.push_back(std::move(slot));
-        if (pending.size() >= opts.batch_limit) flush_pending();
-        return;
-      } catch (const std::exception& e) {
-        slot.preformatted = svc::wire::format_parse_error(svc::wire::extract_id(line), e.what());
-      }
+      slot.kind = Slot::Kind::kEngine;
+      slot.seq = submitted;  // the pending batch's future sequence number
+      slot.index = pending.size();
+      slot.id = std::move(env.id);
+      if (pending.empty()) pending_since = clock_t_::now();
+      pending.push_back(std::move(*env.request));
+      ++conn.inflight;
+      ++inflight_total;
+      ++conn.requests;
+      conn.slots.push_back(std::move(slot));
+      if (pending.size() >= opts.batch_limit) flush_pending();
+      return;
     }
     conn.slots.push_back(std::move(slot));
   }

@@ -224,7 +224,24 @@ class Parser {
     }
   }
 
+  /// Counts one level of container nesting for its lifetime. The parser
+  /// recurses once per level, so the cap bounds its stack on hostile input.
+  class Nesting {
+   public:
+    explicit Nesting(Parser& p) : p_(p) {
+      if (++p_.depth_ > kMaxParseDepth)
+        p_.fail("nesting deeper than " + std::to_string(kMaxParseDepth));
+    }
+    ~Nesting() { --p_.depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
   Value object() {
+    const Nesting level(*this);
     expect('{');
     Value v;
     v.kind_ = Value::Kind::kObject;
@@ -250,6 +267,7 @@ class Parser {
   }
 
   Value array() {
+    const Nesting level(*this);
     expect('[');
     Value v;
     v.kind_ = Value::Kind::kArray;
@@ -274,13 +292,13 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
+      // Copy the run up to the next quote or backslash in one append.
+      std::size_t end = pos_;
+      while (end < s_.size() && s_[end] != '"' && s_[end] != '\\') ++end;
+      out.append(s_, pos_, end - pos_);
+      pos_ = end;
       if (pos_ >= s_.size()) fail("unterminated string");
-      const char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (s_[pos_++] == '"') return out;
       if (pos_ >= s_.size()) fail("unterminated escape");
       const char e = s_[pos_++];
       switch (e) {
@@ -349,6 +367,7 @@ class Parser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< containers open at pos_
 };
 
 Value Value::parse(const std::string& text) { return Parser(text).document(); }

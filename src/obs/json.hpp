@@ -8,6 +8,7 @@
 // malformed output short of unbalanced begin/end calls, which it checks.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -70,6 +71,13 @@ class Writer {
 
 /// JSON string escaping per RFC 8259 (quotes, backslash, control chars).
 std::string escape(const std::string& s);
+
+/// Deepest container nesting Value::parse accepts; one level deeper is
+/// rejected with "json::parse: nesting deeper than <kMaxParseDepth> at
+/// offset K". Every document this repository reads (requests, campaign
+/// manifests, bench reports, trace dumps) nests at most a handful of
+/// levels; the cap bounds the recursive parser's stack on hostile input.
+inline constexpr std::size_t kMaxParseDepth = 64;
 
 /// Minimal document model for *reading back* the artifacts this module
 /// writes (campaign manifests, bench reports in tests). Numbers keep

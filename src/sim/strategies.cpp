@@ -1,6 +1,7 @@
 #include "sim/strategies.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "knowledge/local_knowledge.hpp"
@@ -175,6 +176,15 @@ std::vector<Message> TwoFacedStrategy::act(const AdversaryView& view) {
     std::visit(Relay{out, g, c, m.from, lie}, m.payload);
   }
   return out;
+}
+
+std::unique_ptr<AdversaryStrategy> make_strategy(const std::string& name, std::uint64_t seed) {
+  if (name == "silent") return std::make_unique<SilentStrategy>();
+  if (name == "value-flip") return std::make_unique<ValueFlipStrategy>();
+  if (name == "random-lies") return std::make_unique<RandomLieStrategy>(Rng{seed}, 4);
+  if (name == "phantom-world") return std::make_unique<FictitiousWorldStrategy>();
+  if (name == "two-faced") return std::make_unique<TwoFacedStrategy>();
+  throw std::invalid_argument("unknown adversary strategy '" + name + "'");
 }
 
 }  // namespace rmt::sim

@@ -11,6 +11,10 @@
 // form of Theorem 4.
 #pragma once
 
+#include <cstdint>
+#include <memory>
+#include <string>
+
 #include "sim/network.hpp"
 #include "util/rng.hpp"
 
@@ -82,5 +86,12 @@ class TwoFacedStrategy final : public AdversaryStrategy {
  private:
   Value offset_;
 };
+
+/// A fresh strategy by name (strategies are stateful per run): "silent",
+/// "value-flip", "random-lies" (seeded by `seed`, 4 lies per round),
+/// "phantom-world" or "two-faced". Unknown names throw
+/// std::invalid_argument("unknown adversary strategy '<name>'") — a typo
+/// must fail loudly, not silently run a different attack.
+std::unique_ptr<AdversaryStrategy> make_strategy(const std::string& name, std::uint64_t seed);
 
 }  // namespace rmt::sim

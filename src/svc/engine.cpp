@@ -21,30 +21,6 @@ namespace rmt::svc {
 
 namespace {
 
-/// Same vocabulary as bench_util's make_strategy; duplicated here because
-/// bench/ headers are not part of the library. Unknown names throw — a
-/// typo'd request must fail loudly, not silently run a different attack.
-std::unique_ptr<sim::AdversaryStrategy> make_strategy(const std::string& name,
-                                                      std::uint64_t seed) {
-  if (name == "silent") return std::make_unique<sim::SilentStrategy>();
-  if (name == "value-flip") return std::make_unique<sim::ValueFlipStrategy>();
-  if (name == "random-lies") return std::make_unique<sim::RandomLieStrategy>(Rng{seed}, 4);
-  if (name == "phantom-world") return std::make_unique<sim::FictitiousWorldStrategy>();
-  if (name == "two-faced") return std::make_unique<sim::TwoFacedStrategy>();
-  throw std::invalid_argument("unknown adversary strategy '" + name + "'");
-}
-
-/// Span-attribute spelling of a response status. Deliberately duplicates
-/// wire::to_string: the engine must not depend on the wire layer above it.
-const char* status_name(Response::Status status) {
-  switch (status) {
-    case Response::Status::kOk: return "ok";
-    case Response::Status::kDeadlineExceeded: return "deadline_exceeded";
-    case Response::Status::kError: return "error";
-  }
-  return "unknown";
-}
-
 void write_witness(obs::json::Writer& w, const NodeSet& c1, const NodeSet& c2,
                    const NodeSet& b) {
   w.begin_object();
@@ -62,6 +38,15 @@ const char* to_string(QueryKind kind) {
     case QueryKind::kDecideZpp: return "decide_zpp";
     case QueryKind::kAnalyze: return "analyze";
     case QueryKind::kSimulate: return "simulate";
+  }
+  return "unknown";
+}
+
+const char* to_string(Response::Status status) {
+  switch (status) {
+    case Response::Status::kOk: return "ok";
+    case Response::Status::kDeadlineExceeded: return "deadline_exceeded";
+    case Response::Status::kError: return "error";
   }
   return "unknown";
 }
@@ -154,7 +139,7 @@ std::string Engine::compute(const Request& req, const InstanceKey& key) const {
                                     " is not admissible under Z");
       const std::uint64_t seed =
           p.seed ? *p.seed : exec::derive_seed(opts_.root_seed, key.lo);
-      const auto strategy = make_strategy(p.strategy, seed);
+      const auto strategy = sim::make_strategy(p.strategy, seed);
       const protocols::Outcome out = protocols::run_rmt(
           inst, protocols::RmtPka{}, p.value, p.corrupted, strategy.get(), p.max_rounds);
       w.field("value", p.value);
@@ -211,7 +196,7 @@ std::vector<Response> Engine::run(const std::vector<Request>& requests) {
     rec.start_ns = rtr[i].start_ns;
     rec.end_ns = obs::trace::now_ns();
     rec.add_attr("kind", to_string(requests[i].kind));
-    rec.add_attr("status", status_name(out[i].status));
+    rec.add_attr("status", to_string(out[i].status));
     rec.add_attr("cache", cache_tag);
     if (join_tag != nullptr) rec.add_attr("join", join_tag);
     rec.add_attr("coalesced", out[i].coalesced);

@@ -70,7 +70,7 @@ std::optional<QueryKind> parse_query_kind(const std::string& name);
 struct SimParams {
   std::uint64_t value = 42;          ///< the dealer's input
   NodeSet corrupted;                 ///< must be admissible under Z
-  std::string strategy = "two-faced";  ///< sim strategy name (see make_strategy)
+  std::string strategy = "two-faced";  ///< a sim::make_strategy name
   /// Seed for randomized strategies. Absent = derived from the engine
   /// root seed and the instance key — deterministic in content.
   std::optional<std::uint64_t> seed;
@@ -104,6 +104,10 @@ struct Response {
   /// spans to it so a response's transport leg links into the trace.
   std::uint64_t root_span = 0;
 };
+
+/// "ok" / "deadline_exceeded" / "error" — the rmt.response/1 status field
+/// and the "status" attribute of svc.request spans.
+const char* to_string(Response::Status status);
 
 class Engine {
  public:

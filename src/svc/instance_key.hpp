@@ -19,6 +19,8 @@
 //   lo = FNV-1a-64 over the canonical text (offset basis
 //        0xcbf29ce484222325, prime 0x100000001b3);
 //   hi = splitmix64 finalizer of lo (the exec::derive_seed mix).
+// The key is 128 bits wide but carries only lo's 64 bits of information:
+// splitmix64 is a bijection, so hi is a function of lo.
 // Worked example, also asserted by tests/test_svc_key.cpp: the 3-path
 // instance "rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\n
 // receiver 2\nknowledge adhoc\n" has key bc6adf4f00f0be648b62687f484b0ff8.
@@ -31,10 +33,10 @@
 
 namespace rmt::svc {
 
-/// 128-bit content key; hi/lo as documented above. Collision of two
-/// *distinct* canonical texts is possible in principle (it is a hash, not
-/// an injection) but at 128 mixed bits is not a practical concern for the
-/// cache sizes this process serves.
+/// Content key; hi/lo as documented above. Two distinct canonical texts
+/// get equal keys exactly when their FNV-1a-64 values collide — a 64-bit,
+/// non-cryptographic hash, so collisions are possible, and the cache and
+/// the store compare keys only, never the canonical text.
 struct InstanceKey {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;

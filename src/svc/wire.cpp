@@ -16,35 +16,41 @@ const obs::json::Value& require(const obs::json::Value& doc, const std::string& 
   return *v;
 }
 
-std::string require_string(const obs::json::Value& doc, const std::string& key) {
+const std::string& require_string(const obs::json::Value& doc, const std::string& key) {
   const obs::json::Value& v = require(doc, key);
   if (v.kind() != obs::json::Value::Kind::kString)
     throw std::invalid_argument("rmt.request/1: field '" + key + "' must be a string");
   return v.as_string();
 }
 
-}  // namespace
-
-const char* to_string(Response::Status status) {
-  switch (status) {
-    case Response::Status::kOk: return "ok";
-    case Response::Status::kDeadlineExceeded: return "deadline_exceeded";
-    case Response::Status::kError: return "error";
-  }
-  return "unknown";
+std::string oversized(std::size_t bytes) {
+  return "rmt.request/1: line exceeds " + std::to_string(kMaxRequestBytes) + " bytes (got " +
+         std::to_string(bytes) + ")";
 }
 
-ParsedRequest parse_request(const std::string& line) {
-  if (line.size() > kMaxRequestBytes)
-    throw std::invalid_argument("rmt.request/1: line exceeds " +
-                                std::to_string(kMaxRequestBytes) + " bytes (got " +
-                                std::to_string(line.size()) + ")");
-  const obs::json::Value doc = obs::json::Value::parse(line);
+/// The object's string "id" member, else "".
+std::string id_of(const obs::json::Value& doc) {
+  if (!doc.is_object()) return "";
+  const obs::json::Value* v = doc.find("id");
+  return v && v->kind() == obs::json::Value::Kind::kString ? v->as_string() : "";
+}
+
+/// "stats" / "trace" when the document is a probe, else "".
+std::string probe_of(const obs::json::Value& doc) {
+  if (!doc.is_object()) return "";
+  const obs::json::Value* kind = doc.find("kind");
+  if (!kind || kind->kind() != obs::json::Value::Kind::kString) return "";
+  const std::string& name = kind->as_string();
+  return (name == "stats" || name == "trace") ? name : "";
+}
+
+/// Everything parse_request checks after the JSON parse, in its order.
+ParsedRequest request_of(const obs::json::Value& doc) {
   if (!doc.is_object()) throw std::invalid_argument("rmt.request/1: not a JSON object");
   if (require_string(doc, "schema") != kRequestSchema)
     throw std::invalid_argument("rmt.request/1: unexpected schema value");
-  const std::string id = require_string(doc, "id");
-  const std::string kind_name = require_string(doc, "kind");
+  const std::string& id = require_string(doc, "id");
+  const std::string& kind_name = require_string(doc, "kind");
   const std::optional<QueryKind> kind = parse_query_kind(kind_name);
   if (!kind)
     throw std::invalid_argument("rmt.request/1: unknown kind '" + kind_name + "'");
@@ -74,16 +80,46 @@ ParsedRequest parse_request(const std::string& line) {
   return ParsedRequest{id, Request{*kind, std::move(inst), params, deadline_ms, no_cache}};
 }
 
+}  // namespace
+
+Envelope parse_line(const std::string& line) {
+  Envelope env;
+  if (line.size() > kMaxRequestBytes) {
+    env.error = oversized(line.size());
+    return env;
+  }
+  obs::json::Value doc;
+  try {
+    doc = obs::json::Value::parse(line);
+  } catch (const std::exception& e) {
+    env.error = e.what();
+    return env;
+  }
+  env.id = id_of(doc);
+  if (const std::string probe = probe_of(doc); !probe.empty()) {
+    env.kind = probe == "stats" ? Envelope::Kind::kStats : Envelope::Kind::kTrace;
+    return env;
+  }
+  try {
+    env.request = request_of(doc).request;
+    env.kind = Envelope::Kind::kRequest;
+  } catch (const std::exception& e) {
+    env.error = e.what();
+  }
+  return env;
+}
+
+ParsedRequest parse_request(const std::string& line) {
+  if (line.size() > kMaxRequestBytes) throw std::invalid_argument(oversized(line.size()));
+  return request_of(obs::json::Value::parse(line));
+}
+
 std::string extract_id(const std::string& line) {
   try {
-    const obs::json::Value doc = obs::json::Value::parse(line);
-    if (!doc.is_object()) return "";
-    const obs::json::Value* v = doc.find("id");
-    if (v && v->kind() == obs::json::Value::Kind::kString) return v->as_string();
+    return id_of(obs::json::Value::parse(line));
   } catch (const std::invalid_argument&) {
-    // fall through: the line is not even JSON
+    return "";  // the line is not even JSON
   }
-  return "";
 }
 
 std::string format_response(const std::string& id, const Response& resp) {
@@ -121,12 +157,7 @@ std::string format_parse_error(const std::string& id, const std::string& message
 std::string probe_kind(const std::string& line) {
   if (line.size() > kMaxRequestBytes) return "";
   try {
-    const obs::json::Value doc = obs::json::Value::parse(line);
-    if (!doc.is_object()) return "";
-    const obs::json::Value* kind = doc.find("kind");
-    if (!kind || kind->kind() != obs::json::Value::Kind::kString) return "";
-    const std::string name = kind->as_string();
-    return (name == "stats" || name == "trace") ? name : "";
+    return probe_of(obs::json::Value::parse(line));
   } catch (const std::invalid_argument&) {
     return "";
   }

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 
 #include "svc/engine.hpp"
@@ -38,13 +39,32 @@ inline constexpr const char* kRequestSchema = "rmt.request/1";
 inline constexpr const char* kResponseSchema = "rmt.response/1";
 
 /// Upper bound on one request line. A line over the limit is rejected
-/// before JSON parsing — the parser is recursive and the server reads
-/// untrusted stdin, so "one absurd line" must cost O(limit), not O(line).
+/// before JSON parsing and its id is not salvaged — the server reads
+/// untrusted input, so "one absurd line" must cost O(limit), not O(line).
 /// 4 MiB comfortably fits every realistic embedded instance text.
 inline constexpr std::size_t kMaxRequestBytes = 4u << 20;
 
-/// "ok" / "deadline_exceeded" / "error".
-const char* to_string(Response::Status status);
+/// One request line, JSON-parsed exactly once: the tagged envelope both
+/// transports switch on.
+struct Envelope {
+  enum class Kind {
+    kStats,    ///< a "stats" probe (any JSON object whose "kind" is "stats")
+    kTrace,    ///< a "trace" probe
+    kRequest,  ///< a well-formed rmt.request/1; `request` is filled
+    kError,    ///< anything else; `error` is the message to answer with
+  };
+  Kind kind = Kind::kError;
+  /// The id to echo: the object's string "id" member, else "". An
+  /// oversized line is never parsed, so its id is always "".
+  std::string id;
+  std::optional<Request> request;  ///< set iff kRequest
+  std::string error;               ///< kError only
+};
+
+/// Classify and parse one line. Never throws on bad input: a line over
+/// kMaxRequestBytes, invalid JSON, or a malformed request is a kError
+/// envelope whose message is exactly what parse_request would throw.
+Envelope parse_line(const std::string& line);
 
 struct ParsedRequest {
   std::string id;
@@ -52,8 +72,8 @@ struct ParsedRequest {
 };
 
 /// Parse one rmt.request/1 line. Throws std::invalid_argument naming the
-/// offending field on malformed input — the server turns that into an
-/// "error" response carrying the same id when one could be extracted.
+/// offending field on malformed input. Servers use parse_line;
+/// parse_request, extract_id and probe_kind remain for tools and tests.
 ParsedRequest parse_request(const std::string& line);
 
 /// Best-effort id extraction from a line that failed parse_request, so
@@ -69,7 +89,7 @@ std::string format_response(const std::string& id, const Response& resp);
 std::string format_parse_error(const std::string& id, const std::string& message);
 
 /// "stats" / "trace" for a probe line the engine must never see, "" for
-/// everything else (including lines that are not valid JSON).
+/// everything else (including lines that are not valid JSON or oversized).
 std::string probe_kind(const std::string& line);
 
 /// Format the "stats" probe response: the engine and cache counters as the

@@ -4,11 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/feasibility.hpp"
+#include "check/reference_parser.hpp"
 #include "graph/generators.hpp"
 #include "tests/test_util.hpp"
 
@@ -253,18 +258,266 @@ TEST(IoParse, ParseCapsRejectAllocationBombs) {
       "instance parse error at line 7: node id 600 out of range (ids must be < 512)");
 }
 
+// --- Tokenizer edge cases. parse_instance_string reads tokens in one pass
+// --- with operator>>'s C-locale semantics. Each expectation is what the
+// --- stream-based parser (check/reference_parser.hpp) produces: the
+// --- canonical text of an accepted instance, or the rejection message
+// --- (what() text, so it ends at an embedded NUL). Both parsers are held
+// --- to every row.
+
+/// A string literal's bytes, embedded NULs included.
+template <std::size_t N>
+std::string bytes(const char (&literal)[N]) {
+  return std::string(literal, N - 1);
+}
+
+struct TokenCase {
+  const char* name;
+  std::string text;
+  bool accepted;
+  const char* expected;
+};
+
+std::vector<TokenCase> token_cases() {
+  return {
+      {"plus sign",
+       bytes("rmt-instance v1\nnodes +3\nedge +0 +1\nedge 1 2\ndealer 0\nreceiver +2\n"
+             "corruptible +1\n"),
+       true,
+       "rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\ncorruptible 1\n"
+       "knowledge adhoc\n"},
+      {"minus zero is id 0",
+       bytes("rmt-instance v1\nnodes 3\nedge -0 1\nedge 1 2\ndealer -0\nreceiver 2\n"),
+       true,
+       "rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\nknowledge adhoc\n"},
+      {"minus zero node count",
+       bytes("rmt-instance v1\nnodes -0\n"),
+       false,
+       "instance parse error at line 2: expected a positive node count"},
+      {"sign without digits",
+       bytes("rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\nedge +-1 2\n"),
+       false,
+       "instance parse error at line 7: expected a node id"},
+      {"20-digit id in edge",
+       bytes("rmt-instance v1\nnodes 3\nedge 0 18446744073709551616\n"),
+       false,
+       "instance parse error at line 3: expected a node id"},
+      {"20-digit id ends corruptible list",
+       bytes("rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\n"
+             "corruptible 1 99999999999999999999\n"),
+       true,
+       "rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\ncorruptible 1\n"
+       "knowledge adhoc\n"},
+      {"20-digit node count",
+       bytes("rmt-instance v1\nnodes 99999999999999999999\n"),
+       false,
+       "instance parse error at line 2: expected a positive node count"},
+      {"20-digit k-hop radius",
+       bytes("rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\n"
+             "knowledge k-hop 99999999999999999999\n"),
+       false,
+       "instance parse error at line 7: k-hop needs a radius"},
+      {"int64 min id",
+       bytes("rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\n"
+             "edge -9223372036854775808 1\n"),
+       false,
+       "instance parse error at line 7: expected a node id"},
+      {"int64 min in corruptible",
+       bytes("rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\n"
+             "corruptible -9223372036854775808\n"),
+       false,
+       "instance parse error at line 7: negative node id"},
+      {"digit run then letter in edge",
+       bytes("rmt-instance v1\nnodes 3\nedge 1x 2\n"),
+       false,
+       "instance parse error at line 3: expected a node id"},
+      {"digit run then letter in corruptible",
+       bytes("rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\n"
+             "corruptible 1x 2\n"),
+       true,
+       "rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\ncorruptible 1\n"
+       "knowledge adhoc\n"},
+      {"digit run then letter in nodes",
+       bytes("rmt-instance v1\nnodes 3x\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\n"),
+       true,
+       "rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\nknowledge adhoc\n"},
+      {"digit run then letter in k-hop",
+       bytes("rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\n"
+             "knowledge k-hop 1x\n"),
+       true,
+       "rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\nknowledge adhoc\n"},
+      {"colon glued to view owner",
+       bytes("rmt-instance v1\nnodes 4\nedge 0 1\nedge 1 2\nedge 2 3\ndealer 0\nreceiver 3\n"
+             "corruptible 1\ncorruptible 2\nknowledge custom\nview 1: 3\n"),
+       true,
+       "rmt-instance v1\nnodes 4\nedge 0 1\nedge 1 2\nedge 2 3\ndealer 0\nreceiver 3\n"
+       "corruptible 1\ncorruptible 2\nknowledge custom\nview 1 : 3\n"},
+      {"colon glued to view node",
+       bytes("rmt-instance v1\nnodes 4\nedge 0 1\nedge 1 2\nedge 2 3\ndealer 0\nreceiver 3\n"
+             "corruptible 1\ncorruptible 2\nknowledge custom\nview 1 :3\n"),
+       false,
+       "instance parse error at line 11: expected ':' after view owner"},
+      {"view-edge trailing letter",
+       bytes("rmt-instance v1\nnodes 4\nedge 0 1\nedge 1 2\nedge 2 3\ndealer 0\nreceiver 3\n"
+             "corruptible 1\ncorruptible 2\nknowledge custom\nview-edge 0 : 2 3x\n"),
+       true,
+       "rmt-instance v1\nnodes 4\nedge 0 1\nedge 1 2\nedge 2 3\ndealer 0\nreceiver 3\n"
+       "corruptible 1\ncorruptible 2\nknowledge custom\nview 0 : 2 3\nview-edge 0 : 2 3\n"},
+      {"tab vt ff cr separators",
+       bytes("rmt-instance\tv1\nnodes\v3\nedge\f0 1\r\nedge 1\t2\ndealer 0\r\n"
+             "receiver\t\v2\f\r\ncorruptible\t1\r\n"),
+       true,
+       "rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\ncorruptible 1\n"
+       "knowledge adhoc\n"},
+      {"crlf lines",
+       bytes("rmt-instance v1\r\nnodes 3\r\nedge 0 1\r\nedge 1 2\r\ndealer 0\r\nreceiver 2\r\n"
+             "corruptible 1\r\nknowledge full\r\n"),
+       true,
+       "rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\ncorruptible 1\n"
+       "knowledge custom\nview 0 : 2\nview-edge 0 : 1 2\nview 2 : 0\nview-edge 2 : 0 1\n"},
+      {"crlf blank line",
+       bytes("rmt-instance v1\r\n\r\nnodes 3\r\n"),
+       false,
+       "instance parse error at line 3: missing dealer/receiver"},
+      {"hash glued to tokens",
+       bytes("rmt-instance v1#hdr\nnodes 3#n\nedge 0 1#e\nedge 1 2\ndealer 0\nreceiver 2#\n"
+             "corruptible 1#2\n"),
+       true,
+       "rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\ncorruptible 1\n"
+       "knowledge adhoc\n"},
+      {"hash glued to directive",
+       bytes("rmt-instance v1\nnodes 3\nedge#0 1\n"),
+       false,
+       "instance parse error at line 3: expected a node id"},
+      {"hash glued to header word",
+       bytes("rmt-instance#v1\n"),
+       false,
+       "instance parse error at line 1: unsupported version ''"},
+      {"nul ends an edge line",
+       bytes("rmt-instance v1\nnodes 3\nedge 0 1\0"
+             " junk\nedge 1 2\ndealer 0\nreceiver 2\n"),
+       true,
+       "rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\nknowledge adhoc\n"},
+      {"nul glued to directive",
+       bytes("rmt-instance v1\nnodes\0"
+             " 3\n"),
+       false,
+       "instance parse error at line 2: unknown directive 'nodes"},
+      {"nul ends corruptible list",
+       bytes("rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\n"
+             "corruptible 1\0"
+             " 2\n"),
+       true,
+       "rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\ncorruptible 1\n"
+       "knowledge adhoc\n"},
+      {"trailing garbage after corruptible ids",
+       bytes("rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\n"
+             "corruptible 1 junk 2\n"),
+       true,
+       "rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\ncorruptible 1\n"
+       "knowledge adhoc\n"},
+      {"trailing dash after corruptible ids",
+       bytes("rmt-instance v1\nnodes 4\nedge 0 1\nedge 1 2\nedge 2 3\ndealer 0\nreceiver 3\n"
+             "corruptible 1\ncorruptible 2\ncorruptible 1 2 -\n"),
+       true,
+       "rmt-instance v1\nnodes 4\nedge 0 1\nedge 1 2\nedge 2 3\ndealer 0\nreceiver 3\n"
+       "corruptible 1 2\nknowledge adhoc\n"},
+      {"trailing garbage after directives",
+       bytes("rmt-instance v1 extra\nnodes 3 4\nedge 0 1 2\nedge 1 2\ndealer 0 9\nreceiver 2 x\n"
+             "knowledge full please\n"),
+       true,
+       "rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\nknowledge custom\n"
+       "view 0 : 2\nview-edge 0 : 1 2\nview 2 : 0\nview-edge 2 : 0 1\n"},
+      {"last line without newline",
+       bytes("rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2"),
+       true,
+       "rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\nknowledge adhoc\n"},
+      {"bad last line without newline",
+       bytes("rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\nfrobnicate"),
+       false,
+       "instance parse error at line 7: unknown directive 'frobnicate'"},
+      {"empty text",
+       bytes(""),
+       false,
+       "instance parse error at line 0: empty input"},
+      {"blank and comment lines only",
+       bytes("  \n\t# just a comment\n"),
+       false,
+       "instance parse error at line 2: empty input"},
+      {"header without version",
+       bytes("rmt-instance\n"),
+       false,
+       "instance parse error at line 1: unsupported version ''"},
+      {"missing nodes counts trailing blank lines",
+       bytes("rmt-instance v1\n\n\n"),
+       false,
+       "instance parse error at line 3: missing 'nodes'"},
+      {"reversed duplicate edge",
+       bytes("rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 0\ndealer 0\nreceiver 2\n"),
+       false,
+       "instance parse error at line 4: duplicate edge 1 0"},
+  };
+}
+
+/// serialize_instance of the parse, or the rejection's what() text.
+std::pair<bool, std::string> outcome(Instance (*parse)(const std::string&),
+                                     const std::string& text) {
+  try {
+    return {true, serialize_instance(parse(text))};
+  } catch (const std::invalid_argument& e) {
+    return {false, e.what()};
+  }
+}
+
+Instance single_pass(const std::string& text) { return parse_instance_string(text); }
+
+TEST(IoParse, TokenizerEdgeCasesMatchTheStreamParser) {
+  for (const TokenCase& c : token_cases()) {
+    SCOPED_TRACE(c.name);
+    for (const auto parse : {&single_pass, &propcheck::reference_parse_instance}) {
+      const auto [accepted, text] = outcome(parse, c.text);
+      EXPECT_EQ(accepted, c.accepted);
+      EXPECT_EQ(text, c.expected);
+    }
+  }
+}
+
 // Every minimized crash artifact promoted into tests/fuzz_corpus/regressions/
 // must stay *rejected* (cleanly, with std::invalid_argument — never a crash
-// or silent acceptance).
+// or silent acceptance), with the message the stream parser gave it.
 TEST(IoParse, RegressionCorpusStaysRejected) {
+  const std::map<std::string, std::string> expected = {
+      {"corruptible_id_out_of_range.rmt",
+       "instance parse error at line 9: corruptible set node id 9 out of range (nodes 4)"},
+      {"dup_corruptible_id.rmt",
+       "instance parse error at line 10: duplicate node id 1 in corruptible set"},
+      {"dup_dealer_directive.rmt",
+       "instance parse error at line 10: duplicate 'dealer' directive (first at line 9)"},
+      {"dup_view_extra_id.rmt",
+       "instance parse error at line 15: duplicate node id 3 in view of node 1"},
+      {"khop_radius_overflow.rmt",
+       "instance parse error at line 13: k-hop radius 4294967295 out of range for 5 nodes "
+       "(a radius above n adds nothing)"},
+      {"nodes_allocation_bomb.rmt",
+       "instance parse error at line 6: node count 4294967295 out of range (max 512)"},
+  };
   const std::filesystem::path dir =
       std::filesystem::path(RMT_FUZZ_CORPUS_DIR) / "regressions";
   std::size_t files = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() != ".rmt") continue;
     ++files;
-    SCOPED_TRACE(entry.path().filename().string());
+    const std::string name = entry.path().filename().string();
+    SCOPED_TRACE(name);
     EXPECT_THROW(load_instance(entry.path().string()), std::invalid_argument);
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::string text{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+    const auto [accepted, message] = outcome(&single_pass, text);
+    EXPECT_FALSE(accepted);
+    EXPECT_EQ(message, outcome(&propcheck::reference_parse_instance, text).second);
+    if (const auto it = expected.find(name); it != expected.end()) {
+      EXPECT_EQ(message, it->second);
+    }
   }
   EXPECT_GE(files, 6u) << "tests/fuzz_corpus/regressions/ lost its repro files?";
 }

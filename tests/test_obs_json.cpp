@@ -10,6 +10,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "obs/bench_report.hpp"
 #include "obs/metrics.hpp"
@@ -79,6 +80,52 @@ TEST(JsonWriter, ValueWithoutKeyInObjectThrows) {
   json::Writer w;
   w.begin_object();
   EXPECT_THROW(w.value(1), std::logic_error);
+}
+
+// The reader recurses once per container level, so nesting is capped:
+// exactly kMaxParseDepth levels parse, one more is a precise rejection
+// (offset = the opening bracket that went too deep) instead of a stack
+// overflow.
+TEST(JsonValue, NestingDepthIsCapped) {
+  const std::size_t n = json::kMaxParseDepth;
+  const std::string arrays = std::string(n, '[') + std::string(n, ']');
+  const json::Value ok = json::Value::parse(arrays);
+  const json::Value* v = &ok;
+  for (std::size_t d = 1; d < n; ++d) {
+    ASSERT_TRUE(v->is_array());
+    ASSERT_EQ(v->array().size(), 1u);
+    v = &v->array()[0];
+  }
+  EXPECT_TRUE(v->is_array() && v->array().empty());
+
+  std::string objects;
+  for (std::size_t d = 0; d < n; ++d) objects += R"({"k":)";
+  objects += "1" + std::string(n, '}');
+  EXPECT_NO_THROW(json::Value::parse(objects));
+
+  const std::string expected = "json::parse: nesting deeper than " + std::to_string(n) +
+                               " at offset " + std::to_string(n);
+  for (const std::string& deep :
+       {std::string(n + 1, '[') + std::string(n + 1, ']'), std::string(n, '[') + "{}" +
+                                                                std::string(n, ']')}) {
+    try {
+      json::Value::parse(deep);
+      ADD_FAILURE() << "depth " << n + 1 << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), expected);
+    }
+  }
+  // The line that used to overflow the stack is now an ordinary rejection.
+  EXPECT_THROW(json::Value::parse(std::string(100000, '[')), std::invalid_argument);
+}
+
+TEST(JsonValue, StringsKeepEscapesBetweenPlainRuns) {
+  const json::Value v = json::Value::parse(R"(["plain", "a\nb\"c\\d\u0001e", ""])");
+  EXPECT_EQ(v.array()[0].as_string(), "plain");
+  EXPECT_EQ(v.array()[1].as_string(), std::string("a\nb\"c\\d\x01" "e"));
+  EXPECT_EQ(v.array()[2].as_string(), "");
+  EXPECT_THROW(json::Value::parse(R"("unterminated)"), std::invalid_argument);
+  EXPECT_THROW(json::Value::parse(R"("dangling\)"), std::invalid_argument);
 }
 
 TEST(JsonSnapshot, ContainsAllSections) {

@@ -5,9 +5,11 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "net/framing.hpp"
 #include "obs/json.hpp"
+#include "svc/instance_key.hpp"
 
 namespace rmt::svc::wire {
 namespace {
@@ -123,6 +125,103 @@ TEST(SvcWire, ExtractIdIsBestEffort) {
   EXPECT_EQ(extract_id(R"({"schema":"nope"})"), "");
   EXPECT_EQ(extract_id(R"({"id":17})"), "");  // non-string id
   EXPECT_EQ(extract_id("garbage {{{"), "");
+}
+
+// -- parse_line: one JSON parse per line, four outcomes ----------------------
+
+TEST(SvcWire, ParseLineRecognizesProbes) {
+  // Any JSON object whose "kind" is "stats" / "trace" is a probe; its id
+  // is the string "id" member when there is one.
+  const Envelope stats = parse_line(R"({"schema":"rmt.request/1","id":"s","kind":"stats"})");
+  EXPECT_EQ(stats.kind, Envelope::Kind::kStats);
+  EXPECT_EQ(stats.id, "s");
+  EXPECT_FALSE(stats.request.has_value());
+  const Envelope trace = parse_line(R"({"kind":"trace","id":17})");
+  EXPECT_EQ(trace.kind, Envelope::Kind::kTrace);
+  EXPECT_EQ(trace.id, "");
+}
+
+TEST(SvcWire, ParseLineParsesRequests) {
+  const std::string line = request_line(R"(,"deadline_ms":250,"no_cache":true)");
+  Envelope env = parse_line(line);
+  ASSERT_EQ(env.kind, Envelope::Kind::kRequest);
+  EXPECT_EQ(env.id, "q1");
+  ASSERT_TRUE(env.request.has_value());
+  const ParsedRequest expected = parse_request(line);
+  EXPECT_EQ(env.request->kind, expected.request.kind);
+  EXPECT_EQ(env.request->deadline_ms, expected.request.deadline_ms);
+  EXPECT_EQ(env.request->no_cache, expected.request.no_cache);
+  EXPECT_EQ(instance_key(env.request->instance), instance_key(expected.request.instance));
+  EXPECT_TRUE(env.error.empty());
+}
+
+TEST(SvcWire, ParseLineErrorsCarryParseRequestsMessageAndSalvagedId) {
+  // Every malformed line becomes an error envelope whose message is
+  // exactly what parse_request throws and whose id is what extract_id
+  // salvages — the bytes of the served error response are unchanged.
+  const std::vector<std::string> lines = {
+      "not json at all",
+      "[1,2,3]",
+      R"({"id":"q1"})",
+      R"({"schema":"rmt.bench/1","id":"q2"})",
+      R"({"schema":"rmt.request/1","id":"q3","kind":"warp"})",
+      R"({"schema":"rmt.request/1","id":"q4","kind":"decide_rmt","instance":"bogus"})",
+      R"({"schema":"rmt.request/1","id":17,"kind":"decide_rmt"})",
+      request_line(R"(,"params":[1])"),
+      request_line(R"(,"deadline_ms":"soon")"),
+      request_line(R"(,"params":{"corrupted":[-1]})"),
+  };
+  for (const std::string& line : lines) {
+    SCOPED_TRACE(line);
+    const Envelope env = parse_line(line);
+    EXPECT_EQ(env.kind, Envelope::Kind::kError);
+    EXPECT_FALSE(env.request.has_value());
+    EXPECT_EQ(env.id, extract_id(line));
+    try {
+      parse_request(line);
+      ADD_FAILURE() << "parse_request accepted a line parse_line rejected";
+    } catch (const std::exception& e) {
+      EXPECT_EQ(env.error, e.what());
+    }
+  }
+  EXPECT_EQ(parse_line(R"({"schema":"rmt.bench/1","id":"q2"})").id, "q2");
+}
+
+TEST(SvcWire, ParseLineNeverParsesAnOversizedLine) {
+  // One byte over the limit, otherwise a valid request: the line is
+  // refused unread, so no id is salvaged (the TCP framer's answer too).
+  std::string line = request_line();
+  line.insert(line.size() - 1, std::string(kMaxRequestBytes + 1 - line.size(), ' '));
+  const Envelope env = parse_line(line);
+  EXPECT_EQ(env.kind, Envelope::Kind::kError);
+  EXPECT_EQ(env.id, "");
+  EXPECT_EQ(env.error, "rmt.request/1: line exceeds " + std::to_string(kMaxRequestBytes) +
+                           " bytes (got " + std::to_string(kMaxRequestBytes + 1) + ")");
+  // An oversized probe is no probe either.
+  std::string probe = R"({"id":"s","kind":"stats")";
+  probe.append(kMaxRequestBytes, ' ');
+  probe += "}";
+  EXPECT_EQ(parse_line(probe).kind, Envelope::Kind::kError);
+  EXPECT_EQ(parse_line(probe).id, "");
+}
+
+TEST(SvcWire, DeeplyNestedLineIsAnErrorResponse) {
+  // 100 000 nested arrays used to overflow the recursive JSON parser's
+  // stack and kill the server; now the line is one error response.
+  const Envelope env = parse_line(std::string(100000, '['));
+  ASSERT_EQ(env.kind, Envelope::Kind::kError);
+  EXPECT_EQ(env.id, "");
+  EXPECT_EQ(env.error, "json::parse: nesting deeper than " +
+                           std::to_string(obs::json::kMaxParseDepth) + " at offset " +
+                           std::to_string(obs::json::kMaxParseDepth));
+  const obs::json::Value doc = obs::json::Value::parse(format_parse_error(env.id, env.error));
+  EXPECT_EQ(doc.find("status")->as_string(), "error");
+  EXPECT_EQ(doc.find("error")->as_string(), env.error);
+  // Deep nesting inside an otherwise valid request is rejected the same way.
+  const Envelope nested = parse_line(request_line(
+      R"(,"params":{"corrupted":)" + std::string(100000, '[') + "}"));
+  EXPECT_EQ(nested.kind, Envelope::Kind::kError);
+  EXPECT_NE(nested.error.find("nesting deeper than"), std::string::npos);
 }
 
 TEST(SvcWire, FormatsOkResponse) {

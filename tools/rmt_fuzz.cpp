@@ -12,9 +12,12 @@
 //
 // --self-test proves the harness *detects* divergence: it runs a short
 // differential pass with a deliberately-broken RMT decider (inverts the
-// reference's answer) and expects decider-diverged findings, then a clean
-// pass with the real deciders and expects none. Wired as the fuzz_selftest
-// ctest — the fuzz gate is only trustworthy while this stays green.
+// reference's answer) and expects decider-diverged findings, a parser pass
+// with a deliberately-broken parser (it forgets the '#' comment rule) and
+// expects parser-diverged findings, then a clean pass with the real parser
+// and deciders and expects none. Wired as the fuzz_selftest ctest — the
+// fuzz gate is only trustworthy while this stays green.
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -24,6 +27,7 @@
 
 #include "analysis/rmt_cut.hpp"
 #include "check/fuzz.hpp"
+#include "io/serialize.hpp"
 #include "obs/trace.hpp"
 
 namespace {
@@ -79,14 +83,32 @@ int self_test(FuzzOptions opts) {
     std::cerr << "self-test: broken decider was NOT caught (" << caught.summary() << ")\n";
     return 1;
   }
+  FuzzOptions broken_parser = opts;
+  broken_parser.diff_checks = 0;
+  broken_parser.store_checks = 0;
+  broken_parser.parser = [](const std::string& text) {
+    // Deliberately wrong: '#' separates tokens instead of starting a comment.
+    std::string uncommented = text;
+    std::replace(uncommented.begin(), uncommented.end(), '#', ' ');
+    return rmt::io::parse_instance_string(uncommented);
+  };
+  const FuzzReport parser_caught = rmt::propcheck::run_fuzz(broken_parser);
+  bool saw_parser_finding = false;
+  for (const auto& f : parser_caught.findings) saw_parser_finding |= f.kind == "parser-diverged";
+  if (!saw_parser_finding) {
+    std::cerr << "self-test: broken parser was NOT caught (" << parser_caught.summary()
+              << ")\n";
+    return 1;
+  }
   const FuzzReport clean = rmt::propcheck::run_fuzz(opts);
   if (!clean.ok()) {
-    std::cerr << "self-test: real deciders produced findings:\n";
+    std::cerr << "self-test: real parser and deciders produced findings:\n";
     print_findings(clean);
     return 1;
   }
   std::cout << "self-test: broken decider caught (" << caught.findings.size()
-            << " findings), real deciders clean\n";
+            << " findings), broken parser caught (" << parser_caught.findings.size()
+            << " findings), real parser and deciders clean\n";
   return 0;
 }
 

@@ -120,23 +120,25 @@ class StdioServer {
       flush();
       return;
     }
-    const std::string probe = svc::wire::probe_kind(line);
-    if (!probe.empty()) {
-      flush();  // probes report the state *after* everything queued so far
-      const std::string id = svc::wire::extract_id(line);
-      const std::string out = probe == "stats" ? svc::wire::format_stats_response(id, engine_)
-                                               : svc::wire::format_trace_response(id);
-      std::printf("%s\n", out.c_str());
-      std::fflush(stdout);
-      return;
-    }
-    try {
-      svc::wire::ParsedRequest parsed = svc::wire::parse_request(line);
-      slots_.push_back(Slot{true, batch_.size(), parsed.id, ""});
-      batch_.push_back(std::move(parsed.request));
-    } catch (const std::exception& e) {
-      slots_.push_back(
-          Slot{false, 0, "", svc::wire::format_parse_error(svc::wire::extract_id(line), e.what())});
+    svc::wire::Envelope env = svc::wire::parse_line(line);
+    switch (env.kind) {
+      case svc::wire::Envelope::Kind::kStats:
+      case svc::wire::Envelope::Kind::kTrace: {
+        flush();  // probes report the state *after* everything queued so far
+        const std::string out = env.kind == svc::wire::Envelope::Kind::kStats
+                                    ? svc::wire::format_stats_response(env.id, engine_)
+                                    : svc::wire::format_trace_response(env.id);
+        std::printf("%s\n", out.c_str());
+        std::fflush(stdout);
+        return;
+      }
+      case svc::wire::Envelope::Kind::kRequest:
+        slots_.push_back(Slot{true, batch_.size(), std::move(env.id), ""});
+        batch_.push_back(std::move(*env.request));
+        break;
+      case svc::wire::Envelope::Kind::kError:
+        slots_.push_back(Slot{false, 0, "", svc::wire::format_parse_error(env.id, env.error)});
+        break;
     }
     if (batch_.size() >= batch_limit_) flush();
   }

@@ -25,7 +25,12 @@ asserts the serving semantics from the outside:
     span — with each response's trace_id resolving to its root span;
   * every response line validates against the rmt.response/1 schema, and
     the trace probe's dump against the rmt.trace/1 forest rules, via
-    tools/check_bench_json.py (when --checker is given).
+    tools/check_bench_json.py (when --checker is given);
+  * stdio_hostile_lines — a line of 100 000 nested '[' (it used to
+    overflow the JSON parser's stack) and a line one byte over the 4 MiB
+    request cap each get an "error" response with id "" (the oversized
+    line is refused unread, so its id is not salvaged), and the request
+    after them is answered exactly as a fresh server answers it.
 
 Persistence (`--store-dir`) is exercised in BOTH transports:
 
@@ -90,6 +95,7 @@ INSTANCE_A = ("rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\n"
 INSTANCE_B = ("rmt-instance v1\nnodes 6\nedge 0 1\nedge 1 2\nedge 2 5\n"
               "edge 0 3\nedge 3 4\nedge 4 5\ndealer 0\nreceiver 5\n"
               "corruptible 1\ncorruptible 3\nknowledge k-hop 2\n")
+MAX_REQUEST_BYTES = 4 << 20  # svc::wire::kMaxRequestBytes
 
 
 def request(rid, instance, **extra):
@@ -128,6 +134,34 @@ def build_input():
     lines.append(json.dumps({"schema": "rmt.request/1", "id": "tr",
                              "kind": "trace", "instance": ""}))
     return "\n".join(lines) + "\n"
+
+
+def stdio_hostile_lines(server, jobs, failures):
+    def expect(cond, msg):
+        if not cond:
+            failures.append(f"stdio_hostile_lines: {msg}")
+
+    after = request("after", INSTANCE_B)
+    big = json.dumps({"schema": "rmt.request/1", "id": "big", "kind": "decide_rmt",
+                      "instance": INSTANCE_A})
+    big = big[:-1] + " " * (MAX_REQUEST_BYTES + 1 - len(big)) + "}"
+    text = "\n".join(["[" * 100000, "", big, "", after, ""]) + "\n"
+    got = run_server(server, jobs, text)
+    want = run_server(server, jobs, after + "\n")
+    expect(len(got) == 3, f"expected 3 responses, got {len(got)}")
+    if len(got) != 3:
+        return
+    deep, oversized, answer = got
+    expect(deep["id"] == "" and deep["status"] == "error" and
+           deep["error"].startswith("json::parse: nesting deeper than"),
+           f"deep line answered {deep}")
+    expect(oversized["id"] == "" and oversized["status"] == "error" and
+           oversized["error"] == f"rmt.request/1: line exceeds {MAX_REQUEST_BYTES} bytes "
+           f"(got {MAX_REQUEST_BYTES + 1})",
+           f"oversized line answered {oversized['id']!r} {oversized['error']!r}")
+    expect(answer["id"] == "after" and answer["status"] == "ok", f"next request: {answer}")
+    expect(all(answer[k] == want[0][k] for k in ("status", "key", "result", "error")),
+           "the request after the hostile lines was answered differently")
 
 
 def run_server(server, jobs, text):
@@ -976,7 +1010,9 @@ def main():
             if trace_lines:
                 schema_check(args.checker, trace_lines, "trace probe dump",
                              failures)
-        scenarios = [("store_restart[stdio]",
+        scenarios = [("stdio_hostile_lines",
+                      lambda: stdio_hostile_lines(args.server, args.jobs, failures)),
+                     ("store_restart[stdio]",
                       lambda: store_restart(args.server, args.jobs, failures,
                                             "stdio"))]
         if args.cli:
