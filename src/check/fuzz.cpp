@@ -13,7 +13,9 @@
 #include "exec/thread_pool.hpp"
 #include "graph/generators.hpp"
 #include "io/serialize.hpp"
+#include "obs/json.hpp"
 #include "svc/engine.hpp"
+#include "svc/wire.hpp"
 #include "util/audit.hpp"
 #include "util/check.hpp"
 #include "util/simd.hpp"
@@ -429,6 +431,46 @@ std::string parser_divergence(const std::string& text, const std::optional<Insta
   return "";
 }
 
+/// Where resolving `text` inside a request line through `memo` — cold,
+/// then warm — disagrees with the memo-free wire::parse_request, or "" when
+/// all three agree on accept or reject, the message and the key, and the
+/// warm lookup of an accepted text was a hit.
+std::string memo_divergence(const std::string& text, svc::InstanceMemo& memo) {
+  obs::json::Writer w;
+  w.begin_object();
+  w.field("schema", svc::wire::kRequestSchema);
+  w.field("id", "m");
+  w.field("kind", "decide_rmt");
+  w.field("instance", text);
+  w.end_object();
+  const std::string line = w.take();
+
+  std::optional<svc::InstanceKey> want;
+  std::string want_error;
+  try {
+    want = svc::instance_key(svc::wire::parse_request(line).request.instance);
+  } catch (const std::exception& e) {
+    want_error = e.what();
+  }
+  for (const bool warm : {false, true}) {
+    const std::string pass = warm ? "warm" : "cold";
+    const svc::wire::Envelope env = svc::wire::parse_line(line, &memo);
+    const bool accepted = env.kind == svc::wire::Envelope::Kind::kRequest;
+    if (accepted && !want)
+      return pass + ": memo accepted, parse_request rejected (" + want_error + ")";
+    if (!accepted && want)
+      return pass + ": memo rejected (" + env.error + "), parse_request accepted";
+    if (!accepted && env.error != want_error)
+      return pass + ": memo: " + env.error + " | parse_request: " + want_error;
+    if (accepted && env.request->instance.key() != *want)
+      return pass + ": memo key " + env.request->instance.key().to_hex() +
+             " | parse_request key " + want->to_hex();
+    if (accepted && warm && env.request->instance.parsed())
+      return "warm: an accepted text was parsed again instead of hitting";
+  }
+  return "";
+}
+
 }  // namespace
 
 FuzzReport run_fuzz(const FuzzOptions& opts) {
@@ -449,6 +491,11 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
   const auto parser = opts.parser ? opts.parser : [](const std::string& t) {
     return io::parse_instance_string(t);
   };
+  // One memo for the whole loop, at the serving default budget, so later
+  // mutants meet the entries earlier texts left behind.
+  constexpr std::size_t kMemoBytes = 1u << 20;
+  const std::unique_ptr<svc::InstanceMemo> memo =
+      opts.memo ? opts.memo(kMemoBytes) : std::make_unique<svc::InstanceMemo>(kMemoBytes);
 
   // --- loop 1: parser robustness over mutated corpus entries ---------------
   // Accepted small mutants feed the differential loop below, so fuzzing the
@@ -474,6 +521,9 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
           text, seed, i});
       continue;
     }
+    report.memo_checks += 1;
+    if (const std::string diff = memo_divergence(text, *memo); !diff.empty())
+      report.findings.push_back(FuzzFinding{"memo-diverged", diff, text, seed, i});
     if (const std::string diff = parser_divergence(text, inst, error); !diff.empty()) {
       report.findings.push_back(FuzzFinding{"parser-diverged", diff, text, seed, i});
       continue;
@@ -685,7 +735,8 @@ std::size_t write_artifacts(const std::string& dir, const std::vector<FuzzFindin
 std::string FuzzReport::summary() const {
   return "fuzz: " + std::to_string(parser_mutants) + " parser mutants (" +
          std::to_string(parsed_ok) + " parsed, " + std::to_string(rejected) +
-         " rejected), " + std::to_string(roundtrip_checks) + " round-trips, " +
+         " rejected), " + std::to_string(memo_checks) + " memo checks, " +
+         std::to_string(roundtrip_checks) + " round-trips, " +
          std::to_string(audit_checks) + " audits, " + std::to_string(diff_checks) +
          " differential checks, " + std::to_string(kernel_probes) +
          " kernel probes, " + std::to_string(store_checks) + " store images (" +

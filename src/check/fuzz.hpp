@@ -14,6 +14,14 @@
 //     stream-based original: both must accept or both reject, with the
 //     same message, and accepted instances must serialize identically.
 //
+//     Each mutant is also embedded in an rmt.request/1 line and resolved
+//     through one svc::InstanceMemo twice (cold, then as a hit) via
+//     wire::parse_line, and once through the memo-free parse_request: all
+//     three must accept or reject alike, with the same message and the
+//     same instance key, and an accepted text must hit on its second
+//     lookup (memo-diverged). Mutants one byte away from corpus texts are
+//     exactly what a hash- or prefix-only memo would answer wrongly.
+//
 //   * Differential deciders: parsed mutants (topped up with seeded random
 //     instances so the check count is deterministic) are pushed through
 //     the optimized deciders vs the find_*_reference oracles — existence
@@ -35,10 +43,10 @@
 //     records without tearing again (repair is idempotent — the exact
 //     recovery a restarted server performs).
 //
-// The parser and deciders under test are injectable (FuzzOptions::parser /
-// rmt_decider / zpp_decider) so the harness can prove it *catches* a
-// deliberately broken one — that self-test is wired as the fuzz_selftest
-// ctest and `rmt_fuzz --self-test`.
+// The parser, memo and deciders under test are injectable
+// (FuzzOptions::parser / memo / rmt_decider / zpp_decider) so the harness
+// can prove it *catches* a deliberately broken one — that self-test is
+// wired as the fuzz_selftest ctest and `rmt_fuzz --self-test`.
 //
 // Every divergence becomes a FuzzFinding carrying the offending serialized
 // instance: rmt_fuzz writes them to the artifact directory, and minimized
@@ -48,6 +56,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,6 +64,7 @@
 #include "analysis/rmt_cut.hpp"
 #include "analysis/zpp_cut.hpp"
 #include "instance/instance.hpp"
+#include "svc/instance_memo.hpp"
 #include "util/rng.hpp"
 
 namespace rmt::propcheck {
@@ -73,6 +83,10 @@ struct FuzzOptions {
   /// Parser under differential test against reference_parse_instance;
   /// null = io::parse_instance_string. The self-test injects a broken one.
   std::function<Instance(const std::string&)> parser;
+  /// Makes the memo under differential test against parse_request, given
+  /// its byte budget; null = svc::InstanceMemo. The self-test injects an
+  /// inexact one.
+  std::function<std::unique_ptr<svc::InstanceMemo>(std::size_t max_bytes)> memo;
   /// Deciders under differential test; null = the optimized find_rmt_cut /
   /// find_rmt_zpp_cut. Tests inject broken ones to prove detection.
   std::function<std::optional<analysis::RmtCutWitness>(const Instance&)> rmt_decider;
@@ -81,7 +95,8 @@ struct FuzzOptions {
 
 /// One divergence/contract violation, with everything needed to reproduce.
 struct FuzzFinding {
-  std::string kind;    ///< parser-crash | parser-diverged | roundtrip-diverged
+  std::string kind;    ///< parser-crash | parser-diverged | memo-diverged
+                       ///< | roundtrip-diverged
                        ///< | audit-violation | decider-diverged
                        ///< | kernel-diverged | svc-diverged
                        ///< | generator-invalid | store-crash
@@ -97,6 +112,7 @@ struct FuzzReport {
   std::size_t parser_mutants = 0;    ///< mutants fed to the parser
   std::size_t parsed_ok = 0;         ///< accepted by the parser
   std::size_t rejected = 0;          ///< clean std::invalid_argument rejections
+  std::size_t memo_checks = 0;       ///< mutants resolved through the memo
   std::size_t roundtrip_checks = 0;  ///< serialize∘parse fixed-point checks run
   std::size_t audit_checks = 0;      ///< deep-validator passes over accepted mutants
   std::size_t diff_checks = 0;       ///< differential decider/svc checks run
@@ -109,8 +125,8 @@ struct FuzzReport {
 
   bool ok() const { return findings.empty(); }
   /// One-line outcome, e.g.
-  /// "fuzz: 10000 parser mutants (812 parsed, 9188 rejected), 500
-  ///  differential checks, 0 findings".
+  /// "fuzz: 10000 parser mutants (812 parsed, 9188 rejected), 10000 memo
+  ///  checks, ..., 500 differential checks, ..., 0 findings".
   std::string summary() const;
 };
 

@@ -318,7 +318,7 @@ struct Server::Impl {
   // -- request path ---------------------------------------------------------
 
   void handle_request_line(Conn& conn, const std::string& line) {
-    svc::wire::Envelope env = svc::wire::parse_line(line);
+    svc::wire::Envelope env = svc::wire::parse_line(line, &engine.memo());
     Slot slot;
     if (env.kind == svc::wire::Envelope::Kind::kStats ||
         env.kind == svc::wire::Envelope::Kind::kTrace) {

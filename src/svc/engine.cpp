@@ -21,6 +21,9 @@ namespace rmt::svc {
 
 namespace {
 
+/// The instance memo's share of the result cache budget.
+constexpr std::size_t kMemoBudgetDivisor = 64;
+
 void write_witness(obs::json::Writer& w, const NodeSet& c1, const NodeSet& c2,
                    const NodeSet& b) {
   w.begin_object();
@@ -74,7 +77,10 @@ struct Engine::Inflight {
 Engine::Engine(exec::ThreadPool* pool) : Engine(pool, Options{}) {}
 
 Engine::Engine(exec::ThreadPool* pool, Options opts)
-    : pool_(pool), opts_(opts), cache_(opts.cache) {
+    : pool_(pool),
+      opts_(opts),
+      cache_(opts.cache),
+      memo_(opts.cache.max_bytes / kMemoBudgetDivisor) {
   // The disk tier opens (and recovers) eagerly: a hostile store file
   // rejects at construction, not on the first served request.
   if (!opts_.store.dir.empty()) store_ = std::make_unique<store::Store>(opts_.store);
@@ -98,7 +104,7 @@ std::string Engine::composite_key(const Request& req, const InstanceKey& key) co
 }
 
 std::string Engine::compute(const Request& req, const InstanceKey& key) const {
-  const Instance& inst = req.instance;
+  const Instance& inst = req.instance.get();  // a memo hit's text parses here, once
   obs::json::Writer w;
   w.begin_object();
   w.field("kind", to_string(req.kind));
@@ -226,7 +232,7 @@ std::vector<Response> Engine::run(const std::vector<Request>& requests) {
   // rest by composite key and claim/join the in-flight slot per group.
   for (std::size_t i = 0; i < n; ++i) {
     const Request& req = requests[i];
-    const InstanceKey key = instance_key(req.instance);
+    const InstanceKey key = req.instance.key();
     out[i].key = key.to_hex();
     if (tracing) {
       rtr[i].ctx = obs::trace::new_root_context();
@@ -466,6 +472,13 @@ void Engine::publish_stats() {
   reg.counter("svc.errors").inc(now.errors - published_.errors);
   reg.counter("svc.disk_hits").inc(now.disk_hits - published_.disk_hits);
   published_ = now;
+  const InstanceMemo::Stats memo = memo_.stats();
+  reg.counter("svc.memo.hits").inc(memo.hits - published_memo_.hits);
+  reg.counter("svc.memo.misses").inc(memo.misses - published_memo_.misses);
+  reg.counter("svc.memo.evictions").inc(memo.evictions - published_memo_.evictions);
+  reg.gauge("svc.memo.bytes").set(double(memo.bytes));
+  reg.gauge("svc.memo.entries").set(double(memo.entries));
+  published_memo_ = memo;
 }
 
 }  // namespace rmt::svc

@@ -25,6 +25,15 @@
 // run() entry; 0 is therefore already expired — a deterministic way to
 // exercise the rejection path.
 //
+// Instances: Request::instance is an InstanceHandle (svc/instance_memo.hpp)
+// — a built Instance, or the exact text and key of one the engine's memo
+// parsed before. run() keys every request from the handle, and only a
+// request that misses the cache and the store and is computed calls
+// InstanceHandle::get(); a memo hit answered from the cache therefore
+// builds no Instance and serializes nothing. The transports resolve
+// instance texts through memo() (wire::parse_line), whose budget is 1/64
+// of Options::cache.max_bytes.
+//
 // Coalescing: within one run() batch, duplicate keys share one
 // computation (svc.coalesced). Across concurrent run() calls, a key
 // already being computed by another batch is joined, not recomputed
@@ -47,6 +56,7 @@
 #include "instance/instance.hpp"
 #include "store/store.hpp"
 #include "svc/instance_key.hpp"
+#include "svc/instance_memo.hpp"
 #include "svc/result_cache.hpp"
 
 namespace rmt::exec {
@@ -79,7 +89,8 @@ struct SimParams {
 
 struct Request {
   QueryKind kind = QueryKind::kDecideRmt;
-  Instance instance;
+  /// Built, or a memo hit's exact text + key (parsed only if computed).
+  InstanceHandle instance;
   SimParams params;  ///< simulate only
   /// Deadline in milliseconds from run() entry; nullopt = none. 0 is
   /// already expired (see header comment).
@@ -133,6 +144,9 @@ class Engine {
   std::vector<Response> run(const std::vector<Request>& requests);
 
   ResultCache& cache() { return cache_; }
+  /// The raw-text → key memo the transports hand to wire::parse_line;
+  /// its budget is 1/64 of Options::cache.max_bytes (1 MiB at 64 MiB).
+  InstanceMemo& memo() { return memo_; }
   /// The disk tier, or null when Options::store.dir was empty.
   store::Store* store() { return store_.get(); }
   const store::Store* store() const { return store_.get(); }
@@ -150,8 +164,10 @@ class Engine {
 
   /// Push counter deltas into the global obs registry (svc.requests,
   /// svc.computed, svc.coalesced, svc.inflight_joins,
-  /// svc.deadline_exceeded, svc.errors, svc.disk_hits) and forward to
-  /// cache().publish_stats() and the store tier's publish_stats().
+  /// svc.deadline_exceeded, svc.errors, svc.disk_hits, and the memo's
+  /// svc.memo.{hits,misses,evictions} with svc.memo.{bytes,entries}
+  /// gauges) and forward to cache().publish_stats() and the store tier's
+  /// publish_stats().
   /// No-op while observability is disabled.
   void publish_stats();
 
@@ -168,6 +184,7 @@ class Engine {
   exec::ThreadPool* pool_;
   Options opts_;
   ResultCache cache_;
+  InstanceMemo memo_;
   std::unique_ptr<store::Store> store_;  ///< null = no disk tier
 
   std::mutex inflight_m_;
@@ -183,6 +200,7 @@ class Engine {
 
   std::mutex publish_m_;  // serializes delta accounting only
   Stats published_;
+  InstanceMemo::Stats published_memo_;
 };
 
 }  // namespace rmt::svc

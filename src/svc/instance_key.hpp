@@ -24,6 +24,12 @@
 // Worked example, also asserted by tests/test_svc_key.cpp: the 3-path
 // instance "rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\n
 // receiver 2\nknowledge adhoc\n" has key bc6adf4f00f0be648b62687f484b0ff8.
+//
+// Cost: instance_key serializes and hashes, which on a few KB of views and
+// `corruptible` lines takes tens of µs. The serving path computes it once
+// per distinct raw request text: svc/instance_memo.hpp keeps text → key,
+// matching texts byte for byte (never by this hash), so a repeated request
+// reuses the key without building the instance.
 #pragma once
 
 #include <cstdint>

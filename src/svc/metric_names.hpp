@@ -18,7 +18,7 @@
 namespace rmt::svc {
 
 // lint:svc-metric-registry-begin
-inline constexpr std::array<std::string_view, 13> kSvcMetricNames = {
+inline constexpr std::array<std::string_view, 18> kSvcMetricNames = {
     "svc.cache.bytes",
     "svc.cache.entries",
     "svc.cache.evictions",
@@ -30,6 +30,11 @@ inline constexpr std::array<std::string_view, 13> kSvcMetricNames = {
     "svc.disk_hits",
     "svc.errors",
     "svc.inflight_joins",
+    "svc.memo.bytes",
+    "svc.memo.entries",
+    "svc.memo.evictions",
+    "svc.memo.hits",
+    "svc.memo.misses",
     "svc.request_us",
     "svc.requests",
 };

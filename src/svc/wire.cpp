@@ -45,7 +45,8 @@ std::string probe_of(const obs::json::Value& doc) {
 }
 
 /// Everything parse_request checks after the JSON parse, in its order.
-ParsedRequest request_of(const obs::json::Value& doc) {
+/// The instance text goes through `memo` when there is one.
+ParsedRequest request_of(const obs::json::Value& doc, InstanceMemo* memo) {
   if (!doc.is_object()) throw std::invalid_argument("rmt.request/1: not a JSON object");
   if (require_string(doc, "schema") != kRequestSchema)
     throw std::invalid_argument("rmt.request/1: unexpected schema value");
@@ -55,7 +56,9 @@ ParsedRequest request_of(const obs::json::Value& doc) {
   if (!kind)
     throw std::invalid_argument("rmt.request/1: unknown kind '" + kind_name + "'");
 
-  Instance inst = io::parse_instance_string(require_string(doc, "instance"));
+  const std::string& text = require_string(doc, "instance");
+  InstanceHandle inst =
+      memo ? memo->resolve(text) : InstanceHandle(io::parse_instance_string(text));
 
   SimParams params;
   if (const obs::json::Value* p = doc.find("params")) {
@@ -63,13 +66,25 @@ ParsedRequest request_of(const obs::json::Value& doc) {
       throw std::invalid_argument("rmt.request/1: 'params' must be an object");
     if (const obs::json::Value* v = p->find("value")) params.value = v->as_u64();
     if (const obs::json::Value* v = p->find("corrupted")) {
-      for (const obs::json::Value& node : v->array())
-        params.corrupted.insert(NodeId(node.as_u64()));
+      for (const obs::json::Value& node : v->array()) {
+        const std::uint64_t node_id = node.as_u64();
+        if (node_id > kMaxCorruptedId)
+          throw std::invalid_argument("rmt.request/1: 'params.corrupted' node id " +
+                                      std::to_string(node_id) + " exceeds " +
+                                      std::to_string(kMaxCorruptedId));
+        params.corrupted.insert(NodeId(node_id));
+      }
     }
     if (const obs::json::Value* v = p->find("strategy")) params.strategy = v->as_string();
     if (const obs::json::Value* v = p->find("seed")) params.seed = v->as_u64();
-    if (const obs::json::Value* v = p->find("max_rounds"))
-      params.max_rounds = std::size_t(v->as_u64());
+    if (const obs::json::Value* v = p->find("max_rounds")) {
+      const std::uint64_t rounds = v->as_u64();
+      if (rounds > kMaxRounds)
+        throw std::invalid_argument("rmt.request/1: 'params.max_rounds' " +
+                                    std::to_string(rounds) + " exceeds " +
+                                    std::to_string(kMaxRounds));
+      params.max_rounds = std::size_t(rounds);
+    }
   }
 
   std::optional<std::uint64_t> deadline_ms;
@@ -82,7 +97,7 @@ ParsedRequest request_of(const obs::json::Value& doc) {
 
 }  // namespace
 
-Envelope parse_line(const std::string& line) {
+Envelope parse_line(const std::string& line, InstanceMemo* memo) {
   Envelope env;
   if (line.size() > kMaxRequestBytes) {
     env.error = oversized(line.size());
@@ -101,7 +116,7 @@ Envelope parse_line(const std::string& line) {
     return env;
   }
   try {
-    env.request = request_of(doc).request;
+    env.request = request_of(doc, memo).request;
     env.kind = Envelope::Kind::kRequest;
   } catch (const std::exception& e) {
     env.error = e.what();
@@ -111,7 +126,7 @@ Envelope parse_line(const std::string& line) {
 
 ParsedRequest parse_request(const std::string& line) {
   if (line.size() > kMaxRequestBytes) throw std::invalid_argument(oversized(line.size()));
-  return request_of(obs::json::Value::parse(line));
+  return request_of(obs::json::Value::parse(line), nullptr);
 }
 
 std::string extract_id(const std::string& line) {
@@ -191,6 +206,7 @@ std::string format_stats_response(const std::string& id, Engine& engine,
                                   const std::string& extra_json) {
   const Engine::Stats e = engine.stats();
   const ResultCache::Stats c = engine.cache().stats();
+  const InstanceMemo::Stats m = engine.memo().stats();
   obs::json::Writer w;
   w.begin_object();
   w.field("kind", "stats");
@@ -209,6 +225,13 @@ std::string format_stats_response(const std::string& id, Engine& engine,
   w.field("evictions", c.evictions);
   w.field("bytes", std::uint64_t(c.bytes));
   w.field("entries", std::uint64_t(c.entries));
+  w.end_object();
+  w.key("memo").begin_object();
+  w.field("hits", m.hits);
+  w.field("misses", m.misses);
+  w.field("evictions", m.evictions);
+  w.field("bytes", std::uint64_t(m.bytes));
+  w.field("entries", std::uint64_t(m.entries));
   w.end_object();
   // The disk tier reports only when configured, so memory-only consumers
   // keep seeing the exact pre-store stats shape.

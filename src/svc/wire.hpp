@@ -25,12 +25,25 @@
 // verbatim so a client may pipeline requests and match answers by id —
 // within one batch the server also preserves order. `trace_id` names the
 // request's span subtree in rmt.trace/1 dumps (null when tracing is off).
+//
+// Caps on untrusted fields, each rejected with an "rmt.request/1: ..."
+// error naming the field: the whole line (kMaxRequestBytes), a
+// `params.corrupted` node id (kMaxCorruptedId) and `params.max_rounds`
+// (kMaxRounds). JSON nesting is capped by the parser (json::kMaxParseDepth).
+//
+// Both transports parse a line with parse_line(line, &engine.memo()): the
+// embedded instance text is resolved through the engine's exact text → key
+// memo (svc/instance_memo.hpp), so a text seen before is neither parsed nor
+// re-keyed — the Request carries the text and its key. parse_request,
+// extract_id and probe_kind never touch a memo.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 
+#include "io/serialize.hpp"
 #include "svc/engine.hpp"
 
 namespace rmt::svc::wire {
@@ -43,6 +56,16 @@ inline constexpr const char* kResponseSchema = "rmt.response/1";
 /// untrusted input, so "one absurd line" must cost O(limit), not O(line).
 /// 4 MiB comfortably fits every realistic embedded instance text.
 inline constexpr std::size_t kMaxRequestBytes = 4u << 20;
+
+/// Largest node id `params.corrupted` may name. An instance the parser
+/// accepts has at most io::kMaxParseNodes nodes, so a larger id can never
+/// be admissible — and a NodeSet grows to hold whatever id it is given.
+inline constexpr std::uint64_t kMaxCorruptedId = io::kMaxParseNodes - 1;
+
+/// Largest `params.max_rounds`. Every protocol decides by round |V| + 1
+/// when it decides at all (Protocol::default_max_rounds), and |V| is at
+/// most io::kMaxParseNodes; a larger bound only holds a worker longer.
+inline constexpr std::uint64_t kMaxRounds = io::kMaxParseNodes + 1;
 
 /// One request line, JSON-parsed exactly once: the tagged envelope both
 /// transports switch on.
@@ -64,7 +87,9 @@ struct Envelope {
 /// Classify and parse one line. Never throws on bad input: a line over
 /// kMaxRequestBytes, invalid JSON, or a malformed request is a kError
 /// envelope whose message is exactly what parse_request would throw.
-Envelope parse_line(const std::string& line);
+/// With a memo, the instance text is resolved through it (a hit builds no
+/// Instance); without one, it is parsed as parse_request parses it.
+Envelope parse_line(const std::string& line, InstanceMemo* memo = nullptr);
 
 struct ParsedRequest {
   std::string id;
@@ -92,8 +117,9 @@ std::string format_parse_error(const std::string& id, const std::string& message
 /// everything else (including lines that are not valid JSON or oversized).
 std::string probe_kind(const std::string& line);
 
-/// Format the "stats" probe response: the engine and cache counters as the
-/// result object ({"kind":"stats","engine":{...},"cache":{...}}). A server
+/// Format the "stats" probe response: the engine, cache and memo counters
+/// as the result object ({"kind":"stats","engine":{...},"cache":{...},
+/// "memo":{...}}, then "store" when a disk tier is configured). A server
 /// may splice one extra section (the TCP front end passes its "net"
 /// counters as an already-serialized JSON object); both empty = none.
 std::string format_stats_response(const std::string& id, Engine& engine,

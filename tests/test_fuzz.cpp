@@ -3,12 +3,16 @@
 // The bounded-time CI gate (fuzz_smoke, 10k mutants + 500 differential
 // checks) runs the rmt_fuzz *binary*; these tests cover the library
 // contracts underneath it: determinism of the mutation streams, detection
-// of a deliberately broken decider, corpus loading, and artifact layout.
+// of a deliberately broken decider or memo, corpus loading, and artifact
+// layout.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -36,6 +40,7 @@ TEST(Fuzz, SmallRunIsCleanAndCountsAddUp) {
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.parser_mutants, 400u);
   EXPECT_EQ(report.parsed_ok + report.rejected, report.parser_mutants);
+  EXPECT_EQ(report.memo_checks, report.parser_mutants);
   EXPECT_GT(report.parsed_ok, 0u) << "no mutant ever parsed — mutators too hot?";
   EXPECT_GT(report.rejected, 0u) << "no mutant ever rejected — mutators too cold?";
   // Every accepted mutant is round-trip- and audit-checked (audits can
@@ -138,6 +143,41 @@ TEST(Fuzz, CatchesBrokenWitness) {
   const FuzzReport report = run_fuzz(opts);
   EXPECT_FALSE(report.ok()) << "corrupted witness slipped through";
   EXPECT_EQ(report.findings.front().kind, "decider-diverged");
+}
+
+/// Deliberately inexact: entries are indexed by a 4-bit digest of the
+/// text, so any text with the same digest hits — a memo trusting a hash.
+class HashOnlyMemo : public svc::InstanceMemo {
+ public:
+  using InstanceMemo::InstanceMemo;
+
+ protected:
+  static std::size_t digest(const std::string& text) {
+    return std::hash<std::string>{}(text) % 16;
+  }
+  std::optional<Entry> find(const std::string& text) override {
+    const auto it = entries_.find(digest(text));
+    if (it == entries_.end()) return std::nullopt;
+    return it->second;
+  }
+  void insert(const std::string& text, svc::InstanceKey key) override {
+    entries_.emplace(digest(text), Entry{std::make_shared<const std::string>(text), key});
+  }
+
+ private:
+  std::map<std::size_t, Entry> entries_;
+};
+
+TEST(Fuzz, CatchesAHashOnlyMemo) {
+  FuzzOptions opts = small_options();
+  opts.diff_checks = 0;
+  opts.store_checks = 0;
+  opts.memo = [](std::size_t max_bytes) -> std::unique_ptr<svc::InstanceMemo> {
+    return std::make_unique<HashOnlyMemo>(max_bytes);
+  };
+  const FuzzReport report = run_fuzz(opts);
+  EXPECT_FALSE(report.ok()) << "hash-only memo slipped through";
+  for (const FuzzFinding& f : report.findings) EXPECT_EQ(f.kind, "memo-diverged");
 }
 
 TEST(Fuzz, MutateIsSeedDeterministicAndEventuallyChanges) {

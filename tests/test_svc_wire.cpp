@@ -27,8 +27,8 @@ TEST(SvcWire, ParsesMinimalRequest) {
   const ParsedRequest parsed = parse_request(request_line());
   EXPECT_EQ(parsed.id, "q1");
   EXPECT_EQ(parsed.request.kind, QueryKind::kDecideRmt);
-  EXPECT_EQ(parsed.request.instance.num_players(), 3u);
-  EXPECT_EQ(parsed.request.instance.receiver(), 2u);
+  EXPECT_EQ(parsed.request.instance.get().num_players(), 3u);
+  EXPECT_EQ(parsed.request.instance.get().receiver(), 2u);
   EXPECT_FALSE(parsed.request.deadline_ms.has_value());
   EXPECT_FALSE(parsed.request.no_cache);
   // params defaults survive when the field is absent
@@ -118,6 +118,35 @@ TEST(SvcWire, RejectsOversizedLinesBeforeParsing) {
   std::string ok = request_line();
   ok.insert(ok.size() - 1, std::string(kMaxRequestBytes - ok.size(), ' '));
   EXPECT_EQ(parse_request(ok).id, "q1");
+}
+
+TEST(SvcWire, CapsSimulateParams) {
+  static_assert(kMaxCorruptedId == 511 && kMaxRounds == 513);
+  // At the caps: accepted, and the values arrive unchanged.
+  const ParsedRequest at =
+      parse_request(request_line(R"(,"params":{"corrupted":[511],"max_rounds":513})"));
+  EXPECT_EQ(at.request.params.corrupted, NodeSet{511});
+  EXPECT_EQ(at.request.params.max_rounds, 513u);
+  // One past either cap: rejected before anything is allocated or run,
+  // naming the field and the value the client sent.
+  expect_rejected(request_line(R"(,"params":{"corrupted":[1,512]})"),
+                  "rmt.request/1: 'params.corrupted' node id 512 exceeds 511");
+  expect_rejected(request_line(R"(,"params":{"max_rounds":514})"),
+                  "rmt.request/1: 'params.max_rounds' 514 exceeds 513");
+  // A 32-bit id used to grow a NodeSet to 4 Gi bits; a 64-bit one was
+  // truncated to another node. Both now name the id that was sent.
+  expect_rejected(request_line(R"(,"params":{"corrupted":[4294967295]})"),
+                  "rmt.request/1: 'params.corrupted' node id 4294967295 exceeds 511");
+  expect_rejected(request_line(R"(,"params":{"corrupted":[99999999999]})"),
+                  "rmt.request/1: 'params.corrupted' node id 99999999999 exceeds 511");
+  // Below the cap the engine answers as before.
+  const std::string sim = std::string(R"({"schema":"rmt.request/1","id":"s","kind":"simulate",)") +
+                          "\"instance\":\"" + kInstanceText + "\"," +
+                          R"("params":{"corrupted":[100]}})";
+  Engine engine(nullptr);
+  const Response r = engine.run({parse_request(sim).request})[0];
+  EXPECT_EQ(r.status, Response::Status::kError);
+  EXPECT_EQ(r.error, "corruption set " + NodeSet{100}.to_string() + " is not admissible under Z");
 }
 
 TEST(SvcWire, ExtractIdIsBestEffort) {

@@ -56,6 +56,7 @@ Wired into ctest so a malformed artifact fails the build's test suite.
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -286,6 +287,13 @@ def _is_uint(v):
 REQUEST_KINDS = ["decide_rmt", "decide_zpp", "analyze", "simulate", "stats", "trace"]
 RESPONSE_STATUSES = ["ok", "deadline_exceeded", "error"]
 KEY_HEX_RE = re.compile(r"^[0-9a-f]{32}$")
+# The caps src/svc/wire.hpp enforces (kMaxCorruptedId, kMaxRounds): both
+# derive from io::kMaxParseNodes = 512.
+MAX_PARSE_NODES = 512
+MAX_CORRUPTED_ID = MAX_PARSE_NODES - 1
+MAX_ROUNDS = MAX_PARSE_NODES + 1
+# The "memo" section of a stats probe's result (svc::InstanceMemo::Stats).
+MEMO_STAT_FIELDS = ["hits", "misses", "evictions", "bytes", "entries"]
 
 
 def check_request(doc, problems, args):
@@ -311,12 +319,19 @@ def check_request(doc, problems, args):
             for field in ("value", "seed", "max_rounds"):
                 if field in params and not _is_uint(params[field]):
                     problems.add(f"params.{field}: not a non-negative integer")
+            if _is_uint(params.get("max_rounds")) and params["max_rounds"] > MAX_ROUNDS:
+                problems.add(f"params.max_rounds: {params['max_rounds']} exceeds {MAX_ROUNDS}")
             if "strategy" in params and not isinstance(params["strategy"], str):
                 problems.add("params.strategy: not a string")
             corrupted = params.get("corrupted")
             if corrupted is not None and not (
                     isinstance(corrupted, list) and all(_is_uint(v) for v in corrupted)):
                 problems.add("params.corrupted: not an array of node ids")
+            elif corrupted is not None:
+                for v in corrupted:
+                    if v > MAX_CORRUPTED_ID:
+                        problems.add(f"params.corrupted: node id {v} exceeds "
+                                     f"{MAX_CORRUPTED_ID}")
 
 
 def check_response(doc, problems, args):
@@ -334,6 +349,15 @@ def check_response(doc, problems, args):
     if status == "ok":
         if not isinstance(result, dict):
             problems.add("result: missing or not an object although status is ok")
+        elif result.get("kind") == "stats":
+            memo = result.get("memo")
+            if not isinstance(memo, dict):
+                problems.add("result.memo: missing or not an object in a stats probe")
+            else:
+                for field in MEMO_STAT_FIELDS:
+                    if not _is_uint(memo.get(field)):
+                        problems.add(f"result.memo.{field}: missing or not a "
+                                     "non-negative integer")
     elif result is not None:
         problems.add(f"result: must be null when status is {status!r}")
     error = doc.get("error", "absent")
@@ -756,6 +780,15 @@ def _selftest_docs():
          "params": {"value": 7, "corrupted": [1], "strategy": "silent",
                     "seed": 9, "max_rounds": 0}},
         {"schema": "rmt.request/1", "id": "st", "kind": "stats", "instance": ""},
+        # At the wire caps: the largest node id and round bound accepted.
+        {"schema": "rmt.request/1", "id": "q3", "kind": "simulate",
+         "instance": "rmt-instance v1\nnodes 3\n",
+         "params": {"corrupted": [MAX_CORRUPTED_ID], "max_rounds": MAX_ROUNDS}},
+        {"schema": "rmt.response/1", "id": "st", "status": "ok", "key": None,
+         "result": {"kind": "stats", "engine": {}, "cache": {},
+                    "memo": {f: 3 for f in MEMO_STAT_FIELDS}},
+         "error": None, "cached": False, "coalesced": False, "wall_us": 0.0,
+         "trace_id": None},
         {"schema": "rmt.response/1", "id": "q1", "status": "ok",
          "key": "bc6adf4f00f0be648b62687f484b0ff8", "result": {"solvable": True},
          "error": None, "cached": False, "coalesced": True, "wall_us": 12.5,
@@ -851,6 +884,26 @@ def _selftest_docs():
         {"schema": "rmt.request/1", "id": "q", "kind": "simulate",
          "instance": "rmt-instance v1\n",
          "params": {"corrupted": "1,2"}},                        # corrupted not a list
+        {"schema": "rmt.request/1", "id": "q", "kind": "simulate",
+         "instance": "rmt-instance v1\n",
+         "params": {"corrupted": [1, MAX_CORRUPTED_ID + 1]}},    # id one past the cap
+        {"schema": "rmt.request/1", "id": "q", "kind": "simulate",
+         "instance": "rmt-instance v1\n",
+         "params": {"max_rounds": MAX_ROUNDS + 1}},              # rounds one past the cap
+        {"schema": "rmt.response/1", "id": "st", "status": "ok", "key": None,
+         "result": {"kind": "stats", "engine": {}, "cache": {}},
+         "error": None, "cached": False, "coalesced": False, "wall_us": 0,
+         "trace_id": None},                                      # stats without memo
+        {"schema": "rmt.response/1", "id": "st", "status": "ok", "key": None,
+         "result": {"kind": "stats", "memo": dict({f: 0 for f in MEMO_STAT_FIELDS},
+                                                  hits=-1)},
+         "error": None, "cached": False, "coalesced": False, "wall_us": 0,
+         "trace_id": None},                                      # negative memo count
+        {"schema": "rmt.response/1", "id": "st", "status": "ok", "key": None,
+         "result": {"kind": "stats", "memo": dict({f: 0 for f in MEMO_STAT_FIELDS},
+                                                  bytes=1.5)},
+         "error": None, "cached": False, "coalesced": False, "wall_us": 0,
+         "trace_id": None},                                      # non-integer memo bytes
         {"schema": "rmt.response/1", "id": "q", "status": "late", "key": None,
          "result": None, "error": None, "cached": False, "coalesced": False,
          "wall_us": 0},                                          # unknown status
@@ -996,6 +1049,31 @@ def _selftest_stores():
     return good, bad
 
 
+def _wire_cap_drift():
+    """Where the caps above disagree with the C++ headers they mirror.
+
+    Only in a source checkout (the headers sit beside tools/); an installed
+    checker has nothing to compare against.
+    """
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    io_hpp = os.path.join(root, "src", "io", "serialize.hpp")
+    wire_hpp = os.path.join(root, "src", "svc", "wire.hpp")
+    if not (os.path.isfile(io_hpp) and os.path.isfile(wire_hpp)):
+        return []
+    with open(io_hpp, encoding="utf-8") as f:
+        m = re.search(r"kMaxParseNodes\s*=\s*(\d+)", f.read())
+    with open(wire_hpp, encoding="utf-8") as f:
+        wire = f.read()
+    drift = []
+    if not m or int(m.group(1)) != MAX_PARSE_NODES:
+        drift.append(f"src/io/serialize.hpp: kMaxParseNodes is not {MAX_PARSE_NODES}")
+    for name, expr in (("kMaxCorruptedId", "io::kMaxParseNodes - 1"),
+                       ("kMaxRounds", "io::kMaxParseNodes + 1")):
+        if not re.search(rf"\b{name}\s*=\s*{re.escape(expr)};", wire):
+            drift.append(f"src/svc/wire.hpp: {name} is no longer {expr}")
+    return drift
+
+
 def self_test():
     args = argparse.Namespace(require_phases=False, require_sim=False)
 
@@ -1087,6 +1165,8 @@ def self_test():
     for i, lines in enumerate(bad_s):
         if not store_problems(lines):
             failures.append(f"bad store[{i}]: unexpectedly accepted")
+
+    failures += _wire_cap_drift()
 
     for f in failures:
         print(f"self-test: {f}", file=sys.stderr)

@@ -14,13 +14,17 @@
 // differential pass with a deliberately-broken RMT decider (inverts the
 // reference's answer) and expects decider-diverged findings, a parser pass
 // with a deliberately-broken parser (it forgets the '#' comment rule) and
-// expects parser-diverged findings, then a clean pass with the real parser
-// and deciders and expects none. Wired as the fuzz_selftest ctest — the
+// expects parser-diverged findings, a parser pass with an inexact memo (it
+// matches texts on their first 32 bytes, as a hash- or prefix-only memo
+// would) and expects memo-diverged findings, then a clean pass with the
+// real parser, memo and deciders and expects none. Wired as the fuzz_selftest ctest — the
 // fuzz gate is only trustworthy while this stays green.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -54,6 +58,26 @@ std::uint64_t parse_u64(const std::string& flag, const std::string& value) {
     usage(flag + " needs a non-negative integer, got '" + value + "'");
   }
 }
+
+/// Deliberately inexact: an entry answers every text that shares its first
+/// 32 bytes — what a memo trusting a hash or a prefix would do.
+class PrefixMemo : public rmt::svc::InstanceMemo {
+ public:
+  using InstanceMemo::InstanceMemo;
+
+ protected:
+  std::optional<Entry> find(const std::string& text) override {
+    const auto it = entries_.find(text.substr(0, 32));
+    if (it == entries_.end()) return std::nullopt;
+    return it->second;
+  }
+  void insert(const std::string& text, rmt::svc::InstanceKey key) override {
+    entries_.emplace(text.substr(0, 32), Entry{std::make_shared<const std::string>(text), key});
+  }
+
+ private:
+  std::map<std::string, Entry> entries_;
+};
 
 void print_findings(const FuzzReport& report) {
   for (std::size_t i = 0; i < report.findings.size(); ++i) {
@@ -100,15 +124,29 @@ int self_test(FuzzOptions opts) {
               << ")\n";
     return 1;
   }
+  FuzzOptions broken_memo = opts;
+  broken_memo.diff_checks = 0;
+  broken_memo.store_checks = 0;
+  broken_memo.memo = [](std::size_t max_bytes) -> std::unique_ptr<rmt::svc::InstanceMemo> {
+    return std::make_unique<PrefixMemo>(max_bytes);
+  };
+  const FuzzReport memo_caught = rmt::propcheck::run_fuzz(broken_memo);
+  bool saw_memo_finding = false;
+  for (const auto& f : memo_caught.findings) saw_memo_finding |= f.kind == "memo-diverged";
+  if (!saw_memo_finding) {
+    std::cerr << "self-test: inexact memo was NOT caught (" << memo_caught.summary() << ")\n";
+    return 1;
+  }
   const FuzzReport clean = rmt::propcheck::run_fuzz(opts);
   if (!clean.ok()) {
-    std::cerr << "self-test: real parser and deciders produced findings:\n";
+    std::cerr << "self-test: real parser, memo and deciders produced findings:\n";
     print_findings(clean);
     return 1;
   }
   std::cout << "self-test: broken decider caught (" << caught.findings.size()
             << " findings), broken parser caught (" << parser_caught.findings.size()
-            << " findings), real parser and deciders clean\n";
+            << " findings), inexact memo caught (" << memo_caught.findings.size()
+            << " findings), real parser, memo and deciders clean\n";
   return 0;
 }
 

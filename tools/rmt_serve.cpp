@@ -19,10 +19,10 @@
 //   * malformed requests — answered with an "error" response echoing the
 //     id when one could be salvaged;
 //   * {"schema":"rmt.request/1","id":"s","kind":"stats"} — flushes the
-//     pending batch, then reports the engine and cache counters as the
-//     result object; the TCP server appends its transport counters as a
-//     "net" section ({"kind":"stats","engine":{...},"cache":{...},
-//     "net":{...}});
+//     pending batch, then reports the engine, cache and instance-memo
+//     counters as the result object; the TCP server appends its transport
+//     counters as a "net" section ({"kind":"stats","engine":{...},
+//     "cache":{...},"memo":{...},"net":{...}});
 //   * {"schema":"rmt.request/1","id":"t","kind":"trace"} — flushes, then
 //     reports the flight recorder as the result object
 //     ({"kind":"trace","header":{...},"spans":[...]}) where header and
@@ -46,7 +46,8 @@
 //   --jobs N        worker threads (default: hardware concurrency; 0 =
 //                   compute sequentially)
 //   --batch N       max requests per engine batch (default 64)
-//   --cache-mb N    result cache budget in MiB (default 64)
+//   --cache-mb N    result cache budget in MiB (default 64); the instance
+//                   memo (svc/instance_memo.hpp) gets 1/64 of it
 //   --store-dir D   persistent result store directory (created if absent;
 //                   recovered on start — a hostile store file refuses to
 //                   serve). Default: memory-only
@@ -120,7 +121,7 @@ class StdioServer {
       flush();
       return;
     }
-    svc::wire::Envelope env = svc::wire::parse_line(line);
+    svc::wire::Envelope env = svc::wire::parse_line(line, &engine_.memo());
     switch (env.kind) {
       case svc::wire::Envelope::Kind::kStats:
       case svc::wire::Envelope::Kind::kTrace: {

@@ -13,9 +13,11 @@ asserts the serving semantics from the outside:
     wedging the server — the retry right after succeeds;
   * a malformed line gets an "error" response (id "" when unreadable)
     while the rest of the stream is answered normally;
-  * the final "stats" probe reports the exact engine/cache counters the
-    script implies — including the exact cache byte total derived from the
-    response keys/results;
+  * the final "stats" probe reports the exact engine/cache/memo counters
+    the script implies — including the exact cache byte total derived from
+    the response keys/results, and memo misses equal to the distinct
+    parseable instance texts plus the lines whose instance fails to parse
+    (those are never stored), every other request line being a memo hit;
   * every decide response carries a distinct 16-hex trace_id; probe and
     unreadable-line responses carry null;
   * the final "trace" probe returns the flight recorder, and the span
@@ -29,8 +31,13 @@ asserts the serving semantics from the outside:
   * stdio_hostile_lines — a line of 100 000 nested '[' (it used to
     overflow the JSON parser's stack) and a line one byte over the 4 MiB
     request cap each get an "error" response with id "" (the oversized
-    line is refused unread, so its id is not salvaged), and the request
-    after them is answered exactly as a fresh server answers it.
+    line is refused unread, so its id is not salvaged); simulate params
+    past the wire caps — a `corrupted` id of 2^32-1 (it used to allocate
+    a 1 GiB NodeSet), one of 99999999999 (it used to be truncated to
+    another node) and a `max_rounds` of 10^7 (it used to hold a worker for
+    a second) — each get an "error" naming the field and the value sent;
+    and every hostile line is followed by a request answered exactly as a
+    fresh server answers it. tcp_hostile_lines repeats this over TCP.
 
 Persistence (`--store-dir`) is exercised in BOTH transports:
 
@@ -55,7 +62,8 @@ the same assertions:
     half-open disconnects) each receive answers whose deterministic
     segment (status/key/result/error) is byte-identical to the stdio-mode
     answer for the same request, in request order, with zero sheds and
-    zero leaked connections in the final net.* stats;
+    zero leaked connections in the final net.* stats, and exact memo
+    counters: one miss per distinct instance text, every repeat a hit;
   * tcp_coalesce — the same key sent from two different sockets lands in
     ONE engine batch (a blank line from either connection flushes) and
     shares one computation: engine.computed==1, engine.coalesced==1, and
@@ -96,6 +104,10 @@ INSTANCE_B = ("rmt-instance v1\nnodes 6\nedge 0 1\nedge 1 2\nedge 2 5\n"
               "edge 0 3\nedge 3 4\nedge 4 5\ndealer 0\nreceiver 5\n"
               "corruptible 1\ncorruptible 3\nknowledge k-hop 2\n")
 MAX_REQUEST_BYTES = 4 << 20  # svc::wire::kMaxRequestBytes
+MAX_CORRUPTED_ID = 511       # svc::wire::kMaxCorruptedId
+MAX_ROUNDS = 513             # svc::wire::kMaxRounds
+BAD_INSTANCE = "rmt-instance v1\nnodes 2\nedge 0 5\n"  # fails to parse
+MEMO_KEY_BYTES = 16  # svc::InstanceMemo charges text + sizeof(InstanceKey)
 
 
 def request(rid, instance, **extra):
@@ -126,6 +138,11 @@ def build_input():
     # A line that is not even JSON still yields a response.
     lines.append("this is not a request")
     lines.append("")
+    # An instance that fails to parse, twice: never memoized, so both are
+    # memo misses, and neither reaches the engine.
+    lines.append(request("badinst1", BAD_INSTANCE))
+    lines.append(request("badinst2", BAD_INSTANCE))
+    lines.append("")
     # Probes (each flushes anything pending first; neither reaches the
     # engine, so the request counters above stay exact).
     lines.append(json.dumps({"schema": "rmt.request/1", "id": "st",
@@ -136,32 +153,93 @@ def build_input():
     return "\n".join(lines) + "\n"
 
 
+def hostile_lines():
+    """(line, id, error check) per hostile line, each answered "error"."""
+    big = json.dumps({"schema": "rmt.request/1", "id": "big", "kind": "decide_rmt",
+                      "instance": INSTANCE_A})
+    big = big[:-1] + " " * (MAX_REQUEST_BYTES + 1 - len(big)) + "}"
+
+    def simulate(rid, **params):
+        return request(rid, INSTANCE_A, kind="simulate",
+                       params={"strategy": "silent", **params})
+
+    def cap(field, value, limit):
+        return f"rmt.request/1: 'params.{field}' {value} exceeds {limit}"
+
+    return [
+        ("[" * 100000, "",
+         lambda e: e.startswith("json::parse: nesting deeper than")),
+        (big, "",
+         lambda e: e == f"rmt.request/1: line exceeds {MAX_REQUEST_BYTES} bytes "
+                        f"(got {MAX_REQUEST_BYTES + 1})"),
+        (simulate("c32", corrupted=[2**32 - 1]), "c32",
+         lambda e: e == cap("corrupted", f"node id {2**32 - 1}", MAX_CORRUPTED_ID)),
+        (simulate("c64", corrupted=[99999999999]), "c64",
+         lambda e: e == cap("corrupted", "node id 99999999999", MAX_CORRUPTED_ID)),
+        (simulate("rounds", max_rounds=10**7), "rounds",
+         lambda e: e == cap("max_rounds", 10**7, MAX_ROUNDS)),
+    ]
+
+
+def check_hostile_answers(got, want, expect):
+    """`got` alternates hostile-line errors and answers to the next request."""
+    cases = hostile_lines()
+    expect(len(got) == 2 * len(cases), f"expected {2 * len(cases)} responses, got {len(got)}")
+    if len(got) != 2 * len(cases):
+        return
+    for k, (_, rid, error_ok) in enumerate(cases):
+        bad, answer = got[2 * k], got[2 * k + 1]
+        expect(bad["id"] == rid and bad["status"] == "error" and error_ok(bad["error"] or ""),
+               f"hostile line {k} answered {bad['id']!r} {bad['status']} {bad['error']!r}")
+        expect(answer["id"] == f"after{k}" and answer["status"] == "ok",
+               f"request after hostile line {k}: {answer['id']!r} {answer['status']}")
+        expect(all(answer[f] == want[f] for f in ("status", "key", "result", "error")),
+               f"the request after hostile line {k} was answered differently")
+
+
+def hostile_stream():
+    parts = []
+    for k, (line, _, _) in enumerate(hostile_lines()):
+        parts += [line, "", request(f"after{k}", INSTANCE_B), ""]
+    return parts
+
+
 def stdio_hostile_lines(server, jobs, failures):
     def expect(cond, msg):
         if not cond:
             failures.append(f"stdio_hostile_lines: {msg}")
 
-    after = request("after", INSTANCE_B)
-    big = json.dumps({"schema": "rmt.request/1", "id": "big", "kind": "decide_rmt",
-                      "instance": INSTANCE_A})
-    big = big[:-1] + " " * (MAX_REQUEST_BYTES + 1 - len(big)) + "}"
-    text = "\n".join(["[" * 100000, "", big, "", after, ""]) + "\n"
-    got = run_server(server, jobs, text)
-    want = run_server(server, jobs, after + "\n")
-    expect(len(got) == 3, f"expected 3 responses, got {len(got)}")
-    if len(got) != 3:
-        return
-    deep, oversized, answer = got
-    expect(deep["id"] == "" and deep["status"] == "error" and
-           deep["error"].startswith("json::parse: nesting deeper than"),
-           f"deep line answered {deep}")
-    expect(oversized["id"] == "" and oversized["status"] == "error" and
-           oversized["error"] == f"rmt.request/1: line exceeds {MAX_REQUEST_BYTES} bytes "
-           f"(got {MAX_REQUEST_BYTES + 1})",
-           f"oversized line answered {oversized['id']!r} {oversized['error']!r}")
-    expect(answer["id"] == "after" and answer["status"] == "ok", f"next request: {answer}")
-    expect(all(answer[k] == want[0][k] for k in ("status", "key", "result", "error")),
-           "the request after the hostile lines was answered differently")
+    want = run_server(server, jobs, request("after", INSTANCE_B) + "\n")[0]
+    got = run_server(server, jobs, "\n".join(hostile_stream()) + "\n")
+    check_hostile_answers(got, want, expect)
+
+
+def tcp_hostile_lines(server, jobs, failures):
+    def expect(cond, msg):
+        if not cond:
+            failures.append(f"tcp_hostile_lines: {msg}")
+
+    want = run_server(server, jobs, request("after", INSTANCE_B) + "\n")[0]
+    with TcpServer(server, jobs) as srv:
+        client = TcpClient(srv.port)
+        got = []
+        for part in hostile_stream():
+            client.send_line(part)
+            if part == "":  # one line, then a flush: one answer
+                line = client.recv_line()
+                if line is None:
+                    failures.append("tcp_hostile_lines: EOF before all responses")
+                    return
+                got.append(json.loads(line))
+        check_hostile_answers(got, want, expect)
+        # The three simulate lines resolve INSTANCE_A through the memo before
+        # their params are rejected; the deep and oversized lines never get
+        # that far. INSTANCE_A then INSTANCE_B: two misses, the rest hits.
+        memo = client.probe("stats", "st")["result"]["memo"]
+        expect(memo["misses"] == 2 and memo["hits"] == 3 + 5 - 2,
+               f"memo hits/misses {memo['hits']}/{memo['misses']} != 6/2")
+        client.close()
+        expect(srv.terminate() == 0, "server exit code != 0 after SIGTERM")
 
 
 def run_server(server, jobs, text):
@@ -215,6 +293,14 @@ def check(responses, failures):
     bad = by_id.get("", [None])[0]
     expect(bad and bad["status"] == "error" and bad["error"],
            "malformed line did not yield an error response")
+    # An unparseable instance: the parser's message, the same both times.
+    badinst = [by_id.get(f"badinst{i}", [None])[0] for i in (1, 2)]
+    expect(all(b and b["status"] == "error" and
+               b["error"].startswith("instance parse error") for b in badinst),
+           f"unparseable instance not rejected by the parser: {badinst}")
+    if all(badinst):
+        expect(badinst[0]["error"] == badinst[1]["error"],
+               "a repeated unparseable instance was answered differently")
 
     # Stats: the exact counters the scripted stream implies.
     st = by_id.get("st", [None])[0]
@@ -232,6 +318,15 @@ def check(responses, failures):
         expect(cache["hits"] == 1, f"cache.hits={cache['hits']} != 1")
         expect(cache["misses"] == 2, f"cache.misses={cache['misses']} != 2")
         expect(cache["entries"] == 2, f"cache.entries={cache['entries']} != 2")
+        # The memo saw INSTANCE_A (dup1-4, late, retry) and INSTANCE_B
+        # (warm, hit): one miss per text, the rest hits. BAD_INSTANCE
+        # missed twice and was never stored; the non-JSON line never
+        # reached it.
+        memo = st["result"]["memo"]
+        want_memo = {"hits": 6, "misses": 2 + 2, "evictions": 0, "entries": 2,
+                     "bytes": len(INSTANCE_A) + len(INSTANCE_B) + 2 * MEMO_KEY_BYTES}
+        for field, value in want_memo.items():
+            expect(memo[field] == value, f"memo.{field}={memo[field]} != {value}")
         # Exact byte accounting: the two entries are warm's and retry's.
         # Each costs its composite cache key ("<instance-key>:<kind>") plus
         # the compact serialized result — svc::ResultCache charges
@@ -257,7 +352,7 @@ def check(responses, failures):
         if isinstance(tid, str):
             tids[rid] = tid
     expect(len(set(tids.values())) == len(tids), "decide trace_ids not distinct")
-    for rid in ("", "st", "tr"):
+    for rid in ("", "badinst1", "badinst2", "st", "tr"):
         r = by_id.get(rid, [None])[0]
         expect(r is not None and r.get("trace_id") is None,
                f"{rid or 'malformed'}: trace_id should be null")
@@ -790,6 +885,13 @@ def tcp_parity_faults(server, jobs, checker, failures):
         want = n_clients * per_client + dup_extra
         expect(net is not None and net["responses_out"] >= want,
                f"net.responses_out={net and net['responses_out']} < {want}")
+        # One event loop parses every line: the first sight of each variant
+        # misses, every later request hits (probes never reach the memo).
+        memo = control.probe("stats", "st2")["result"]["memo"]
+        expect(memo["misses"] == len(VARIANTS) and memo["hits"] == want - len(VARIANTS),
+               f"memo hits/misses {memo['hits']}/{memo['misses']} != "
+               f"{want - len(VARIANTS)}/{len(VARIANTS)}")
+        expect(memo["entries"] == len(VARIANTS), f"memo.entries={memo['entries']}")
         control.close()
         expect(srv.terminate() == 0, "server exit code != 0 after SIGTERM")
 
@@ -976,6 +1078,8 @@ def run_tcp(server, jobs, checker, cli, failures):
                  ("tcp_coalesce",
                   lambda: tcp_coalesce(server, jobs, checker, failures)),
                  ("tcp_shed", lambda: tcp_shed(server, jobs, failures)),
+                 ("tcp_hostile_lines",
+                  lambda: tcp_hostile_lines(server, jobs, failures)),
                  ("tcp_slow_client",
                   lambda: tcp_slow_client(server, jobs, failures)),
                  ("tcp_drain", lambda: tcp_drain(server, jobs, failures)),
