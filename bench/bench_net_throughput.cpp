@@ -54,6 +54,14 @@ Instance hot_instance(std::size_t i) {
   return Instance::ad_hoc(g, AdversaryStructure::trivial(), 0, NodeId(1 + (i % (n - 1))));
 }
 
+/// `prefix` then `n`. Built with +=: `"w" + std::to_string(n)` trips GCC
+/// 12's -Wrestrict false positive in optimized -Werror builds.
+std::string numbered(const std::string& prefix, std::size_t n) {
+  std::string out = prefix;
+  out += std::to_string(n);
+  return out;
+}
+
 std::string request_line(const std::string& id, const std::string& instance_text) {
   return "{\"schema\":\"rmt.request/1\",\"id\":\"" + id +
          "\",\"kind\":\"decide_rmt\",\"instance\":\"" + obs::json::escape(instance_text) + "\"}";
@@ -112,7 +120,7 @@ int main(int argc, char** argv) {
     net::Client warm;
     warm.connect(server.bound_port());
     for (std::size_t i = 0; i < kHotSet; ++i) {
-      warm.send_line(request_line("w" + std::to_string(i), instance_text[i]));
+      warm.send_line(request_line(numbered("w", i), instance_text[i]));
       warm.send_line("");
       std::string line;
       RMT_CHECK(warm.recv_line(line), "bench_net: EOF during warmup");
@@ -141,7 +149,7 @@ int main(int argc, char** argv) {
         std::string line;
         for (std::size_t i = 0; i < kReqsPerClient; ++i) {
           const std::size_t h = (c + i) % kHotSet;
-          const std::string id = "c" + std::to_string(c) + "_" + std::to_string(i);
+          const std::string id = numbered(numbered("c", c) + "_", i);
           const double us = time_us([&] {
             client.send_line(request_line(id, instance_text[h]));
             client.send_line("");

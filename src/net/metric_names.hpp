@@ -18,13 +18,15 @@
 namespace rmt::net {
 
 // lint:net-metric-registry-begin
-inline constexpr std::array<std::string_view, 10> kNetMetricNames = {
+inline constexpr std::array<std::string_view, 12> kNetMetricNames = {
     "net.accepts",
     "net.active",
+    "net.batches",
     "net.bytes_in",
     "net.bytes_out",
     "net.disconnects",
     "net.frame_rejects",
+    "net.inline_hits",
     "net.lines_in",
     "net.responses_out",
     "net.shed",

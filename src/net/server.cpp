@@ -15,6 +15,7 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -51,7 +52,7 @@ struct Server::Impl {
   struct Slot {
     enum class Kind {
       kEngine,  ///< waits for batch `seq`, response at `index`
-      kReady,   ///< preformatted (parse error, shed) — always writable
+      kReady,   ///< preformatted (cache hit, parse error, shed) — writable
       kStats,   ///< stats probe: waits until `seq` batches completed
       kTrace,   ///< trace probe: ditto
     };
@@ -60,6 +61,7 @@ struct Server::Impl {
     std::size_t index = 0;
     std::string id;
     std::string preformatted;
+    std::uint64_t root_span = 0;  ///< kReady cache hit: its svc.request root
   };
 
   struct Conn {
@@ -109,6 +111,7 @@ struct Server::Impl {
   std::atomic<std::uint64_t> bytes_in{0}, bytes_out{0}, lines_in{0};
   std::atomic<std::uint64_t> responses_out{0}, shed{0};
   std::atomic<std::uint64_t> slow_client_disconnects{0}, frame_rejects{0};
+  std::atomic<std::uint64_t> inline_hits{0}, batches{0};
   std::mutex publish_m;
   NetStats published;
 
@@ -165,6 +168,7 @@ struct Server::Impl {
   void flush_pending() {
     if (pending.empty()) return;
     const std::uint64_t seq = submitted++;
+    batches.fetch_add(1, std::memory_order_relaxed);
     refs[seq] = pending.size();
     // shared_ptr keeps the task copyable for std::function; the batch is
     // owned by the runner task from here on.
@@ -231,7 +235,7 @@ struct Server::Impl {
     responses_out.fetch_add(1, std::memory_order_relaxed);
   }
 
-  void emit_write_span(const Conn& conn, const svc::Response& resp, std::size_t bytes) {
+  void emit_write_span(const Conn& conn, std::uint64_t root_span, std::size_t bytes) {
     if (conn.trace_id == 0 || !obs::trace::enabled()) return;
     obs::trace::SpanRecord rec;
     rec.trace_id = conn.trace_id;
@@ -239,7 +243,7 @@ struct Server::Impl {
     rec.set_name(RMT_TRACE_NAME("net.write"));
     // Joined to the response's svc.request root: the transport leg of a
     // request links into the engine's trace forest.
-    rec.join_span_id = resp.root_span;
+    rec.join_span_id = root_span;
     rec.start_ns = obs::trace::now_ns();
     rec.end_ns = rec.start_ns;
     rec.add_attr("bytes", std::uint64_t(bytes));
@@ -256,13 +260,15 @@ struct Server::Impl {
       Slot& slot = conn.slots.front();
       if (slot.kind == Slot::Kind::kReady) {
         enqueue_line(conn, slot.preformatted);
+        if (slot.root_span != 0)
+          emit_write_span(conn, slot.root_span, slot.preformatted.size() + 1);
       } else if (slot.kind == Slot::Kind::kEngine) {
         const auto it = results.find(slot.seq);
         if (it == results.end()) break;  // batch still computing
         const svc::Response& resp = it->second[slot.index];
         const std::string line = svc::wire::format_response(slot.id, resp);
         enqueue_line(conn, line);
-        emit_write_span(conn, resp, line.size() + 1);
+        emit_write_span(conn, resp.root_span, line.size() + 1);
         --conn.inflight;
         --inflight_total;
         consume_ref(slot.seq);
@@ -353,6 +359,14 @@ struct Server::Impl {
                       std::to_string(opts.write_budget_bytes) + ")");
     } else if (env.kind == svc::wire::Envelope::Kind::kError) {
       slot.preformatted = svc::wire::format_parse_error(env.id, env.error);
+    } else if (std::optional<svc::Response> hit = engine.lookup(*env.request)) {
+      // A memory-cache hit is answered here, on the loop thread: no batch,
+      // no runner task, no wake-up. It is never in flight, and it still
+      // waits behind any unanswered slot of its connection.
+      inline_hits.fetch_add(1, std::memory_order_relaxed);
+      ++conn.requests;
+      slot.preformatted = svc::wire::format_response(env.id, *hit);
+      slot.root_span = hit->root_span;
     } else {
       slot.kind = Slot::Kind::kEngine;
       slot.seq = submitted;  // the pending batch's future sequence number
@@ -525,6 +539,8 @@ struct Server::Impl {
     w.field("shed", s.shed);
     w.field("slow_client_disconnects", s.slow_client_disconnects);
     w.field("frame_rejects", s.frame_rejects);
+    w.field("inline_hits", s.inline_hits);
+    w.field("batches", s.batches);
     w.end_object();
     return w.take();
   }
@@ -541,6 +557,8 @@ struct Server::Impl {
     s.shed = shed.load(std::memory_order_relaxed);
     s.slow_client_disconnects = slow_client_disconnects.load(std::memory_order_relaxed);
     s.frame_rejects = frame_rejects.load(std::memory_order_relaxed);
+    s.inline_hits = inline_hits.load(std::memory_order_relaxed);
+    s.batches = batches.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -645,6 +663,8 @@ void Server::publish_stats() {
   reg.counter("net.slow_client_disconnects")
       .inc(now.slow_client_disconnects - last.slow_client_disconnects);
   reg.counter("net.frame_rejects").inc(now.frame_rejects - last.frame_rejects);
+  reg.counter("net.inline_hits").inc(now.inline_hits - last.inline_hits);
+  reg.counter("net.batches").inc(now.batches - last.batches);
   last = now;
 }
 

@@ -7,22 +7,27 @@
 // splits the work across two threads with a single handoff point:
 //
 //  * the event-loop thread (the caller of serve()) owns every socket: it
-//    accepts, reads through per-connection LineFramers, parses requests
-//    into a shared pending batch, formats and writes responses, and
-//    enforces admission + backpressure. It never computes and never
-//    blocks on a socket;
+//    accepts, reads through per-connection LineFramers, parses requests,
+//    formats and writes responses, and enforces admission + backpressure.
+//    Right after admission it answers memory-cache hits itself through
+//    Engine::lookup (one cache shard mutex; no compute, no store read):
+//    a hit is written in the same loop iteration, with no runner task
+//    and no wake-up. Everything else joins a shared pending batch. It
+//    never computes and never blocks on a socket;
 //  * a dedicated one-thread runner pool executes engine batches in
 //    submission order (Engine::run may block on cross-batch inflight
 //    joins and must not run on the engine's own compute pool — see
 //    svc/engine.hpp). Completions come back through a mutex-guarded
 //    queue plus a self-pipe wake-up.
 //
-// Batching: requests from all connections accumulate into one pending
-// batch; a blank line from ANY connection flushes it (stdio parity —
-// that is also what makes cross-socket in-batch coalescing determinis-
-// tic for tests), as does reaching batch_limit or the batch_wait_ms age
-// bound. Responses are slotted per connection in request order even when
-// a connection's requests span multiple batches.
+// Batching: misses, no_cache and deadline requests (and disk-tier hits)
+// from all connections accumulate into one pending batch; a blank line
+// from ANY connection flushes it (stdio parity — that is also what makes
+// cross-socket in-batch coalescing deterministic for tests), as does
+// reaching batch_limit or the batch_wait_ms age bound. A cache hit needs
+// no flush. Responses are slotted per connection in request order even
+// when a connection's requests span multiple batches; a hit behind an
+// unanswered request of its connection waits for it.
 //
 // Backpressure state machine, per connection:
 //
@@ -35,15 +40,17 @@
 // Admission sheds (per-conn/global inflight request counts, or a write
 // queue already past budget) answer immediately instead of queueing work
 // for a client that is not draining — the connection itself stays up.
+// They run before the cache lookup; a hit is never counted in flight.
 // Graceful drain (stop(), async-signal-safe; rmt_serve wires SIGTERM to
 // it): stop accepting and reading, finish every in-flight batch, flush
 // every write queue, then serve() returns.
 //
 // Observability: net.* counters (src/net/metric_names.hpp) mirror the
-// "net" section of the TCP "stats" probe; "net.conn" / "net.read" /
-// "net.write" spans land in the flight recorder when tracing is on, with
-// each engine-backed net.write span *joined* to its response's
-// svc.request root span. DESIGN §15 documents the whole layer.
+// "net" section of the TCP "stats" probe — inline_hits and batches count
+// the two paths; "net.conn" / "net.read" / "net.write" spans land in the
+// flight recorder when tracing is on, with each engine-backed net.write
+// span (inline hits included) *joined* to its response's svc.request root
+// span. DESIGN §15 documents the whole layer.
 #pragma once
 
 #include <cstdint>
@@ -72,6 +79,8 @@ struct NetStats {
   std::uint64_t shed = 0;           ///< requests answered "overloaded:"
   std::uint64_t slow_client_disconnects = 0;
   std::uint64_t frame_rejects = 0;  ///< oversized / NUL-embedded lines
+  std::uint64_t inline_hits = 0;    ///< cache hits answered on the loop thread
+  std::uint64_t batches = 0;        ///< engine batches handed to the runner
 };
 
 class Server {

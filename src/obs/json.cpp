@@ -2,8 +2,8 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -14,26 +14,46 @@ namespace rmt::obs {
 
 namespace json {
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
+namespace {
+
+/// Append `s` to `out` escaped per RFC 8259. Runs of bytes that need no
+/// escape are copied with one append each.
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // start of the pending unescaped run
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(u, sizeof u);
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
+}
+
+template <typename Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
+
+}  // namespace
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  append_escaped(out, s);
   return out;
 }
 
@@ -77,55 +97,56 @@ Writer& Writer::end_array() {
   return *this;
 }
 
-Writer& Writer::key(const std::string& k) {
+Writer& Writer::key(std::string_view k) {
   RMT_CHECK(!stack_.empty() && stack_.back() == Ctx::kObject && !pending_key_,
             "json::Writer: key() outside an object");
   if (needs_comma_) out_ += ',';
   needs_comma_ = false;
   out_ += '"';
-  out_ += escape(k);
+  append_escaped(out_, k);
   out_ += "\":";
   pending_key_ = true;
   return *this;
 }
 
-Writer& Writer::value(const std::string& v) {
+Writer& Writer::value(std::string_view v) {
   before_value();
   out_ += '"';
-  out_ += escape(v);
+  append_escaped(out_, v);
   out_ += '"';
   needs_comma_ = true;
   return *this;
 }
 
-Writer& Writer::value(const char* v) { return value(std::string(v)); }
-
 Writer& Writer::value(double v) {
   if (!std::isfinite(v)) return null();
   before_value();
-  // Shortest %g form that round-trips the double exactly.
+  // Shortest %g form that round-trips the double exactly. to_chars with
+  // chars_format::general and a precision is printf's "%.*g" in the "C"
+  // locale, byte for byte, without the format parsing and locale lookups.
   char buf[40];
+  char* end = buf;
   for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, prec).ptr;
     double parsed = 0;
-    std::sscanf(buf, "%lf", &parsed);
+    std::from_chars(buf, end, parsed);
     if (parsed == v) break;
   }
-  out_ += buf;
+  out_.append(buf, end);
   needs_comma_ = true;
   return *this;
 }
 
 Writer& Writer::value(std::uint64_t v) {
   before_value();
-  out_ += std::to_string(v);
+  append_int(out_, v);
   needs_comma_ = true;
   return *this;
 }
 
 Writer& Writer::value(std::int64_t v) {
   before_value();
-  out_ += std::to_string(v);
+  append_int(out_, v);
   needs_comma_ = true;
   return *this;
 }

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -35,11 +36,15 @@ class Writer {
   Writer& end_array();
 
   /// Must be called inside an object, immediately before the value.
-  Writer& key(const std::string& k);
+  Writer& key(std::string_view k);
 
-  Writer& value(const std::string& v);
-  Writer& value(const char* v);
-  Writer& value(double v);  ///< non-finite values render as null
+  /// Strings are escaped straight into the document, with no temporary.
+  Writer& value(std::string_view v);
+  Writer& value(const std::string& v) { return value(std::string_view(v)); }
+  Writer& value(const char* v) { return value(std::string_view(v)); }
+  /// The shortest printf "%.*g" form that reads back as `v`; non-finite
+  /// values render as null.
+  Writer& value(double v);
   Writer& value(std::uint64_t v);
   Writer& value(std::int64_t v);
   Writer& value(int v) { return value(std::int64_t(v)); }
@@ -53,7 +58,7 @@ class Writer {
 
   /// Shorthand for key(k).value(v).
   template <typename T>
-  Writer& field(const std::string& k, const T& v) {
+  Writer& field(std::string_view k, const T& v) {
     return key(k).value(v);
   }
 
@@ -70,7 +75,7 @@ class Writer {
 };
 
 /// JSON string escaping per RFC 8259 (quotes, backslash, control chars).
-std::string escape(const std::string& s);
+std::string escape(std::string_view s);
 
 /// Deepest container nesting Value::parse accepts; one level deeper is
 /// rejected with "json::parse: nesting deeper than <kMaxParseDepth> at

@@ -21,8 +21,45 @@ namespace rmt::svc {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 /// The instance memo's share of the result cache budget.
 constexpr std::size_t kMemoBudgetDivisor = 64;
+
+double us_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+}
+
+/// Put `key` on `resp` and, when tracing, a fresh root context; returns the
+/// root span's start (0 when not tracing).
+std::uint64_t begin_response(const InstanceKey& key, bool tracing, Response& resp) {
+  resp.key = key.to_hex();
+  if (!tracing) return 0;
+  const obs::trace::TraceContext ctx = obs::trace::new_root_context();
+  resp.trace_id = ctx.trace_id;
+  resp.root_span = ctx.span_id;
+  return obs::trace::now_ns();
+}
+
+/// Emit `resp`'s "svc.request" root span, begun at `start_ns`. cache_tag:
+/// "hit" / "disk" / "miss" / "bypass" (no_cache) / "none" (rejected before
+/// lookup); join_tag: "batch" / "inflight" / null (owned leader).
+void emit_root(const Request& req, const Response& resp, std::uint64_t start_ns,
+               const char* cache_tag, const char* join_tag) {
+  obs::trace::SpanRecord rec;
+  rec.trace_id = resp.trace_id;
+  rec.span_id = resp.root_span;
+  rec.set_name(RMT_TRACE_NAME("svc.request"));
+  rec.start_ns = start_ns;
+  rec.end_ns = obs::trace::now_ns();
+  rec.add_attr("kind", to_string(req.kind));
+  rec.add_attr("status", to_string(resp.status));
+  rec.add_attr("cache", cache_tag);
+  if (join_tag != nullptr) rec.add_attr("join", join_tag);
+  rec.add_attr("coalesced", resp.coalesced);
+  rec.add_attr("bytes", std::uint64_t(resp.result.size()));
+  obs::trace::emit(rec);
+}
 
 void write_witness(obs::json::Writer& w, const NodeSet& c1, const NodeSet& c2,
                    const NodeSet& b) {
@@ -166,16 +203,37 @@ std::string Engine::compute(const Request& req, const InstanceKey& key) const {
   return w.take();
 }
 
+bool Engine::answer_hit(const Request& req, const std::string& ckey, bool count_miss,
+                        Clock::time_point t0, std::uint64_t start_ns, Response& resp) {
+  std::optional<std::string> hit = count_miss ? cache_.get(ckey) : cache_.try_get(ckey);
+  if (!hit) return false;
+  resp.status = Response::Status::kOk;
+  resp.result = std::move(*hit);
+  resp.cached = true;
+  resp.wall_us = us_since(t0);
+  if (resp.trace_id != 0) emit_root(req, resp, start_ns, "hit", nullptr);
+  return true;
+}
+
+std::optional<Response> Engine::lookup(const Request& req) {
+  if (req.no_cache || req.deadline_ms) return std::nullopt;
+  const Clock::time_point t0 = Clock::now();
+  const InstanceKey key = req.instance.key();
+  Response resp;
+  const std::uint64_t start_ns = begin_response(key, obs::trace::enabled(), resp);
+  if (!answer_hit(req, composite_key(req, key), /*count_miss=*/false, t0, start_ns, resp))
+    return std::nullopt;
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  if (obs::enabled()) obs::Registry::global().histogram("svc.request_us").observe(resp.wall_us);
+  return resp;
+}
+
 std::vector<Response> Engine::run(const std::vector<Request>& requests) {
   RMT_OBS_SCOPE("svc.batch");
   RMT_TRACE_SPAN("svc.batch");
-  using clock = std::chrono::steady_clock;
-  const clock::time_point t0 = clock::now();
+  const Clock::time_point t0 = Clock::now();
   const auto elapsed_ms = [&t0] {
-    return std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-  };
-  const auto elapsed_us = [&t0] {
-    return std::chrono::duration<double, std::micro>(clock::now() - t0).count();
+    return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   };
 
   const std::size_t n = requests.size();
@@ -186,29 +244,8 @@ std::vector<Response> Engine::run(const std::vector<Request>& requests) {
   // pre-pass; the root "svc.request" span is emitted when its response is
   // final (timestamps are captured eagerly, records lazily).
   const bool tracing = obs::trace::enabled();
-  struct ReqTrace {
-    obs::trace::TraceContext ctx;
-    std::uint64_t start_ns = 0;
-  };
-  std::vector<ReqTrace> rtr(tracing ? n : 0);
+  std::vector<std::uint64_t> start_ns(n);
   bool any_deadline = false;
-  // cache_tag: "hit" / "miss" / "bypass" (no_cache) / "none" (rejected
-  // before lookup); join_tag: "batch" / "inflight" / null (owned leader).
-  const auto emit_root = [&](std::size_t i, const char* cache_tag, const char* join_tag) {
-    obs::trace::SpanRecord rec;
-    rec.trace_id = rtr[i].ctx.trace_id;
-    rec.span_id = rtr[i].ctx.span_id;
-    rec.set_name(RMT_TRACE_NAME("svc.request"));
-    rec.start_ns = rtr[i].start_ns;
-    rec.end_ns = obs::trace::now_ns();
-    rec.add_attr("kind", to_string(requests[i].kind));
-    rec.add_attr("status", to_string(out[i].status));
-    rec.add_attr("cache", cache_tag);
-    if (join_tag != nullptr) rec.add_attr("join", join_tag);
-    rec.add_attr("coalesced", out[i].coalesced);
-    rec.add_attr("bytes", std::uint64_t(out[i].result.size()));
-    obs::trace::emit(rec);
-  };
 
   // A unit of computation: the first request of each composite key leads;
   // in-batch duplicates follow; a key another batch is already computing
@@ -233,33 +270,20 @@ std::vector<Response> Engine::run(const std::vector<Request>& requests) {
   for (std::size_t i = 0; i < n; ++i) {
     const Request& req = requests[i];
     const InstanceKey key = req.instance.key();
-    out[i].key = key.to_hex();
-    if (tracing) {
-      rtr[i].ctx = obs::trace::new_root_context();
-      rtr[i].start_ns = obs::trace::now_ns();
-      out[i].trace_id = rtr[i].ctx.trace_id;
-      out[i].root_span = rtr[i].ctx.span_id;
-    }
+    start_ns[i] = begin_response(key, tracing, out[i]);
     if (req.deadline_ms && elapsed_ms() >= double(*req.deadline_ms)) {
       out[i].status = Response::Status::kDeadlineExceeded;
-      out[i].wall_us = elapsed_us();
+      out[i].wall_us = us_since(t0);
       deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
       if (tracing) {
         any_deadline = true;
-        emit_root(i, "none", nullptr);
+        emit_root(req, out[i], start_ns[i], "none", nullptr);
       }
       continue;
     }
     const std::string ckey = composite_key(req, key);
     if (!req.no_cache) {
-      if (std::optional<std::string> hit = cache_.get(ckey)) {
-        out[i].status = Response::Status::kOk;
-        out[i].result = std::move(*hit);
-        out[i].cached = true;
-        out[i].wall_us = elapsed_us();
-        if (tracing) emit_root(i, "hit", nullptr);
-        continue;
-      }
+      if (answer_hit(req, ckey, /*count_miss=*/true, t0, start_ns[i], out[i])) continue;
       // Memory missed: consult the disk tier. A verified disk hit is
       // promoted into the memory cache so the next asker skips the read.
       if (store_) {
@@ -268,9 +292,9 @@ std::vector<Response> Engine::run(const std::vector<Request>& requests) {
           out[i].status = Response::Status::kOk;
           out[i].result = std::move(*hit);
           out[i].cached = true;
-          out[i].wall_us = elapsed_us();
+          out[i].wall_us = us_since(t0);
           disk_hits_.fetch_add(1, std::memory_order_relaxed);
-          if (tracing) emit_root(i, "disk", nullptr);
+          if (tracing) emit_root(req, out[i], start_ns[i], "disk", nullptr);
           continue;
         }
       }
@@ -287,7 +311,7 @@ std::vector<Response> Engine::run(const std::vector<Request>& requests) {
     job.ckey = ckey;
     job.store = !req.no_cache;
     job.claim_ms = elapsed_ms();
-    if (tracing) job.ctx = rtr[i].ctx;
+    if (tracing) job.ctx = obs::trace::TraceContext{out[i].trace_id, out[i].root_span};
     {
       std::lock_guard<std::mutex> lock(inflight_m_);
       if (const auto inflight_it = inflight_.find(ckey); inflight_it != inflight_.end()) {
@@ -392,7 +416,7 @@ std::vector<Response> Engine::run(const std::vector<Request>& requests) {
         resp.result = slot.result;
         resp.coalesced = !(job.owner && is_leader);
       }
-      resp.wall_us = elapsed_us();
+      resp.wall_us = us_since(t0);
     };
     fill(job.leader, true);
     for (std::size_t f : job.followers) fill(f, false);
@@ -404,24 +428,27 @@ std::vector<Response> Engine::run(const std::vector<Request>& requests) {
       // cross-batch inflight joiners alike. Joins close before roots so
       // intervals nest.
       const std::uint64_t leader_target =
-          slot.compute_span != 0 ? slot.compute_span : rtr[job.leader].ctx.span_id;
+          slot.compute_span != 0 ? slot.compute_span : out[job.leader].root_span;
       const auto emit_join = [&](std::size_t idx) {
         obs::trace::SpanRecord rec;
-        rec.trace_id = rtr[idx].ctx.trace_id;
+        rec.trace_id = out[idx].trace_id;
         rec.span_id = obs::trace::next_id();
-        rec.parent_span_id = rtr[idx].ctx.span_id;
+        rec.parent_span_id = out[idx].root_span;
         rec.set_name(RMT_TRACE_NAME("svc.join"));
         rec.join_span_id = leader_target;
-        rec.start_ns = rtr[idx].start_ns;
+        rec.start_ns = start_ns[idx];
         rec.end_ns = obs::trace::now_ns();
         obs::trace::emit(rec);
       };
       if (!job.owner) emit_join(job.leader);
       for (std::size_t f : job.followers) emit_join(f);
-      emit_root(job.leader, requests[job.leader].no_cache ? "bypass" : "miss",
-                job.owner ? nullptr : "inflight");
+      const auto cache_tag = [&](std::size_t idx) {
+        return requests[idx].no_cache ? "bypass" : "miss";
+      };
+      emit_root(requests[job.leader], out[job.leader], start_ns[job.leader],
+                cache_tag(job.leader), job.owner ? nullptr : "inflight");
       for (std::size_t f : job.followers)
-        emit_root(f, requests[f].no_cache ? "bypass" : "miss", "batch");
+        emit_root(requests[f], out[f], start_ns[f], cache_tag(f), "batch");
     }
   }
 

@@ -34,6 +34,13 @@
 // instance texts through memo() (wire::parse_line), whose budget is 1/64
 // of Options::cache.max_bytes.
 //
+// Hits without a batch: lookup() answers one request from the memory
+// result cache — counted, traced and timed exactly as run() answers a hit,
+// and run()'s own pre-pass goes through the same code. It takes only a
+// cache shard mutex and never computes, reads the store or joins another
+// batch, so the TCP event loop calls it on every admitted request and
+// hands only what it returns nothing for to run().
+//
 // Coalescing: within one run() batch, duplicate keys share one
 // computation (svc.coalesced). Across concurrent run() calls, a key
 // already being computed by another batch is joined, not recomputed
@@ -44,6 +51,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -106,7 +114,7 @@ struct Response {
   std::string error;    ///< kError: what went wrong
   bool cached = false;     ///< served from the result cache
   bool coalesced = false;  ///< shared another request's computation
-  double wall_us = 0;      ///< this request's wall time inside run()
+  double wall_us = 0;      ///< this request's wall time inside run() / lookup()
   /// Root trace id of this request's span subtree (obs/trace.hpp); 0 when
   /// tracing was disabled. The wire layer renders it as a 16-hex string.
   std::uint64_t trace_id = 0;
@@ -142,6 +150,15 @@ class Engine {
   /// unknown strategy) become Status::kError responses, never exceptions —
   /// one bad request must not poison its batch.
   std::vector<Response> run(const std::vector<Request>& requests);
+
+  /// The non-blocking hit path: `req`'s response from the memory result
+  /// cache, or nullopt. A hit counts in stats().requests and the cache's
+  /// hits, gets its "svc.request" root span (cache=hit) and its wall_us
+  /// (observed in svc.request_us) as in run(). A miss counts nothing; the
+  /// caller then hands the request to run(), which counts it once.
+  /// no_cache and deadline_ms requests always return nullopt: a deadline
+  /// counts from run() entry. Never computes, never reads the store.
+  std::optional<Response> lookup(const Request& req);
 
   ResultCache& cache() { return cache_; }
   /// The raw-text → key memo the transports hand to wire::parse_line;
@@ -180,6 +197,15 @@ class Engine {
 
   /// Compute the deterministic result payload (throws on bad input).
   std::string compute(const Request& req, const InstanceKey& key) const;
+
+  /// The one hit path (lookup() and run()'s pre-pass): answer `resp` —
+  /// already keyed, with its root context when tracing — from the memory
+  /// cache under `ckey`, timed from `t0`, and emit its root span begun at
+  /// `start_ns`. False on a miss, which the cache counts only if
+  /// `count_miss`.
+  bool answer_hit(const Request& req, const std::string& ckey, bool count_miss,
+                  std::chrono::steady_clock::time_point t0, std::uint64_t start_ns,
+                  Response& resp);
 
   exec::ThreadPool* pool_;
   Options opts_;

@@ -35,11 +35,19 @@ ResultCache::Shard& ResultCache::shard_of(const std::string& key) {
 }
 
 std::optional<std::string> ResultCache::get(const std::string& key) {
+  return lookup(key, /*count_miss=*/true);
+}
+
+std::optional<std::string> ResultCache::try_get(const std::string& key) {
+  return lookup(key, /*count_miss=*/false);
+}
+
+std::optional<std::string> ResultCache::lookup(const std::string& key, bool count_miss) {
   Shard& s = shard_of(key);
   std::lock_guard<std::mutex> lock(s.m);
   const auto it = s.index.find(key);
   if (it == s.index.end()) {
-    ++s.misses;
+    if (count_miss) ++s.misses;
     return std::nullopt;
   }
   ++s.hits;

@@ -50,8 +50,14 @@ class ResultCache {
                   ///< default member initializers)
   explicit ResultCache(Options opts);
 
-  /// The stored payload, refreshing recency; nullopt on miss.
+  /// The stored payload, refreshing recency; nullopt on miss. Counts a
+  /// hit or a miss.
   std::optional<std::string> get(const std::string& key);
+
+  /// get() for a caller that falls back to get() on a miss (svc::Engine's
+  /// loop-thread hit lookup, before run()): a hit counts as in get(), a
+  /// miss counts nothing, so each request's miss is counted once.
+  std::optional<std::string> try_get(const std::string& key);
 
   /// Insert or overwrite, then evict LRU entries until the shard fits its
   /// budget. A payload larger than one shard's budget is dropped.
@@ -86,6 +92,7 @@ class ResultCache {
   };
 
   Shard& shard_of(const std::string& key);
+  std::optional<std::string> lookup(const std::string& key, bool count_miss);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t shard_budget_ = 0;

@@ -1,7 +1,8 @@
 // Tests for the TCP event-loop server (net/server.hpp): request/response
 // round trips, framing rejection without losing the connection, admission
 // shedding, slow-client disconnects, cross-socket coalescing, half-open
-// clients and graceful drain — all against a real loopback socket.
+// clients, graceful drain and cache hits answered on the loop thread — all
+// against a real loopback socket.
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
@@ -24,11 +25,30 @@ constexpr const char* kInstanceText =
     "rmt-instance v1\\nnodes 3\\nedge 0 1\\nedge 1 2\\ndealer 0\\nreceiver 2\\n"
     "corruptible 1\\n";
 
-std::string request_line(const std::string& id, const std::string& salt = "") {
+/// A request for kInstanceText. A salt adds a comment line: a distinct
+/// text, but the same canonical instance and therefore the same cache key.
+/// `extra` is spliced in as further members (e.g. `,"no_cache":true`).
+std::string request_line(const std::string& id, const std::string& salt = "",
+                         const std::string& extra = "") {
   std::string inst = kInstanceText;
-  if (!salt.empty()) inst += "# " + salt + "\\n";  // distinct cache keys
+  if (!salt.empty()) inst += "# " + salt + "\\n";
   return std::string(R"({"schema":"rmt.request/1","id":")") + id +
-         R"(","kind":"decide_rmt","instance":")" + inst + "\"}";
+         R"(","kind":"decide_rmt","instance":")" + inst + "\"" + extra + "}";
+}
+
+/// A request whose instance (a 4-node path) keys apart from kInstanceText.
+std::string other_request_line(const std::string& id) {
+  return std::string(R"({"schema":"rmt.request/1","id":")") + id +
+         R"(","kind":"decide_rmt","instance":"rmt-instance v1\nnodes 4\nedge 0 1\n)"
+         R"(edge 1 2\nedge 2 3\ndealer 0\nreceiver 3\ncorruptible 1\n"})";
+}
+
+/// `prefix` then `n`. Built with +=: `"q" + std::to_string(n)` trips GCC
+/// 12's -Wrestrict false positive in optimized -Werror builds.
+std::string numbered(const std::string& prefix, std::size_t n) {
+  std::string out = prefix;
+  out += std::to_string(n);
+  return out;
 }
 
 std::string stats_line(const std::string& id) {
@@ -109,12 +129,13 @@ TEST(NetServer, PreservesPerConnectionOrderAcrossBatches) {
   RunningServer rs{opts};
   Client client;
   client.connect(rs.port());
-  for (int i = 0; i < 8; ++i) client.send_line(request_line("q" + std::to_string(i), "s" + std::to_string(i)));
+  for (std::size_t i = 0; i < 8; ++i)
+    client.send_line(request_line(numbered("q", i), numbered("s", i)));
   client.send_line("");
-  for (int i = 0; i < 8; ++i) {
+  for (std::size_t i = 0; i < 8; ++i) {
     std::string line;
     ASSERT_TRUE(client.recv_line(line));
-    EXPECT_EQ(parse_response(line).find("id")->as_string(), "q" + std::to_string(i));
+    EXPECT_EQ(parse_response(line).find("id")->as_string(), numbered("q", i));
   }
 }
 
@@ -199,14 +220,15 @@ TEST(NetServer, ShedsPastPerConnectionBudget) {
   client.connect(rs.port());
   // 4 pipelined requests with no flush: the first is admitted, the other
   // 3 are shed immediately ("overloaded"), then the blank line flushes.
-  for (int i = 0; i < 4; ++i) client.send_line(request_line("q" + std::to_string(i), "k" + std::to_string(i)));
+  for (std::size_t i = 0; i < 4; ++i)
+    client.send_line(request_line(numbered("q", i), numbered("k", i)));
   client.send_line("");
   std::vector<std::string> statuses;
-  for (int i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < 4; ++i) {
     std::string line;
     ASSERT_TRUE(client.recv_line(line));
     const obs::json::Value doc = parse_response(line);
-    EXPECT_EQ(doc.find("id")->as_string(), "q" + std::to_string(i)) << "order preserved";
+    EXPECT_EQ(doc.find("id")->as_string(), numbered("q", i)) << "order preserved";
     statuses.push_back(doc.find("status")->as_string());
     if (statuses.back() == "error") {
       EXPECT_NE(doc.find("error")->as_string().find("overloaded"), std::string::npos);
@@ -266,6 +288,8 @@ TEST(NetServer, StatsProbeCarriesNetSection) {
   ASSERT_NE(net, nullptr) << "TCP stats probe must carry the net section";
   EXPECT_EQ(net->find("accepts")->as_u64(), 1u);
   EXPECT_EQ(net->find("active")->as_u64(), 1u);
+  EXPECT_EQ(net->find("batches")->as_u64(), 1u);  // q1, submitted by the probe
+  EXPECT_EQ(net->find("inline_hits")->as_u64(), 0u);
   EXPECT_EQ(result->find("engine")->find("requests")->as_u64(), 1u);
 }
 
@@ -361,8 +385,8 @@ TEST(NetServer, ManyConcurrentClients) {
       try {
         Client client;
         client.connect(rs.port());
-        for (int i = 0; i < 4; ++i) {
-          const std::string id = "c" + std::to_string(c) + "_" + std::to_string(i);
+        for (std::size_t i = 0; i < 4; ++i) {
+          const std::string id = numbered(numbered("c", std::size_t(c)) + "_", i);
           client.send_line(request_line(id, "key" + std::to_string(i)));
           client.send_line("");
           std::string line;
@@ -383,6 +407,128 @@ TEST(NetServer, ManyConcurrentClients) {
   EXPECT_EQ(stats.accepts, std::uint64_t(kClients));
   EXPECT_EQ(stats.responses_out, std::uint64_t(kClients * 4));
   EXPECT_EQ(stats.shed, 0u);
+}
+
+// --- cache hits answered on the event-loop thread -----------------------------
+
+/// One request and a flush on a connection of its own: the answer is cached.
+void warm(RunningServer& rs, const std::string& line) {
+  Client client;
+  client.connect(rs.port());
+  client.send_line(line);
+  client.send_line("");
+  std::string answer;
+  ASSERT_TRUE(client.recv_line(answer));
+}
+
+TEST(NetServer, WarmHitIsAnsweredWhileAnotherConnectionsMissWaits) {
+  Server::Options opts;
+  opts.batch_wait_ms = 60'000;  // only a blank line submits a batch
+  RunningServer rs{opts};
+  warm(rs, request_line("w"));
+  const std::uint64_t lines0 = rs.server().stats().lines_in;
+  Client a, b;
+  a.connect(rs.port());
+  b.connect(rs.port());
+  a.send_line(other_request_line("a1"));  // a miss: joins the pending batch
+  ASSERT_TRUE(rs.wait_for([&] { return rs.server().stats().lines_in >= lines0 + 1; }));
+  b.send_line(request_line("b1"));  // a hit: answered with no blank line
+  std::string line;
+  ASSERT_TRUE(b.recv_line(line));
+  obs::json::Value doc = parse_response(line);
+  EXPECT_EQ(doc.find("id")->as_string(), "b1");
+  EXPECT_EQ(doc.find("status")->as_string(), "ok");
+  EXPECT_TRUE(doc.find("cached")->as_bool());
+  NetStats stats = rs.server().stats();
+  EXPECT_EQ(stats.inline_hits, 1u);
+  EXPECT_EQ(stats.batches, 1u);  // the warm-up's; a1 is still pending
+
+  b.send_line("");  // B's blank line submits A's pending miss
+  ASSERT_TRUE(a.recv_line(line));
+  doc = parse_response(line);
+  EXPECT_EQ(doc.find("id")->as_string(), "a1");
+  EXPECT_EQ(doc.find("status")->as_string(), "ok");
+  EXPECT_FALSE(doc.find("cached")->as_bool());
+  stats = rs.server().stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(rs.server().engine().stats().requests, 3u);
+}
+
+TEST(NetServer, HitWaitsBehindItsConnectionsPendingMiss) {
+  Server::Options opts;
+  opts.batch_wait_ms = 60'000;
+  RunningServer rs{opts};
+  warm(rs, request_line("w"));
+  Client client;
+  client.connect(rs.port());
+  client.send_line(other_request_line("miss"));
+  client.send_line(request_line("hit"));
+  // The hit is answered at once, but its slot waits behind the miss.
+  ASSERT_TRUE(rs.wait_for([&] { return rs.server().stats().inline_hits >= 1; }));
+  client.send_line("");
+  std::string line;
+  ASSERT_TRUE(client.recv_line(line));
+  EXPECT_EQ(parse_response(line).find("id")->as_string(), "miss");
+  ASSERT_TRUE(client.recv_line(line));
+  const obs::json::Value doc = parse_response(line);
+  EXPECT_EQ(doc.find("id")->as_string(), "hit");
+  EXPECT_TRUE(doc.find("cached")->as_bool());
+}
+
+TEST(NetServer, HitBehindAnInflightMissIsShed) {
+  Server::Options opts;
+  opts.max_inflight_per_conn = 1;
+  opts.batch_wait_ms = 60'000;
+  RunningServer rs{opts};
+  warm(rs, request_line("w"));
+  Client client;
+  client.connect(rs.port());
+  client.send_line(other_request_line("miss"));
+  client.send_line(request_line("hit"));  // admission runs before the lookup
+  client.send_line("");
+  std::string line;
+  ASSERT_TRUE(client.recv_line(line));
+  obs::json::Value doc = parse_response(line);
+  EXPECT_EQ(doc.find("id")->as_string(), "miss");
+  EXPECT_EQ(doc.find("status")->as_string(), "ok");
+  ASSERT_TRUE(client.recv_line(line));
+  doc = parse_response(line);
+  EXPECT_EQ(doc.find("id")->as_string(), "hit");
+  EXPECT_EQ(doc.find("status")->as_string(), "error");
+  EXPECT_NE(doc.find("error")->as_string().find("overloaded"), std::string::npos);
+  const NetStats stats = rs.server().stats();
+  EXPECT_EQ(stats.shed, 1u);
+  EXPECT_EQ(stats.inline_hits, 0u);
+}
+
+TEST(NetServer, NoCacheAndDeadlineRequestsGoThroughTheBatch) {
+  Server::Options opts;
+  opts.batch_wait_ms = 60'000;
+  RunningServer rs{opts};
+  warm(rs, request_line("w"));
+  const std::uint64_t lines0 = rs.server().stats().lines_in;
+  Client client;
+  client.connect(rs.port());
+  client.send_line(request_line("nc", "", R"(,"no_cache":true)"));
+  client.send_line(request_line("dl", "", R"(,"deadline_ms":0)"));
+  ASSERT_TRUE(rs.wait_for([&] { return rs.server().stats().lines_in >= lines0 + 2; }));
+  NetStats stats = rs.server().stats();
+  EXPECT_EQ(stats.inline_hits, 0u);
+  EXPECT_EQ(stats.batches, 1u);  // both wait in the pending batch
+  client.send_line("");
+  std::string line;
+  ASSERT_TRUE(client.recv_line(line));
+  obs::json::Value doc = parse_response(line);
+  EXPECT_EQ(doc.find("id")->as_string(), "nc");
+  EXPECT_EQ(doc.find("status")->as_string(), "ok");
+  EXPECT_FALSE(doc.find("cached")->as_bool());  // no_cache computes afresh
+  ASSERT_TRUE(client.recv_line(line));
+  doc = parse_response(line);
+  EXPECT_EQ(doc.find("id")->as_string(), "dl");
+  EXPECT_EQ(doc.find("status")->as_string(), "deadline_exceeded");
+  stats = rs.server().stats();
+  EXPECT_EQ(stats.inline_hits, 0u);
+  EXPECT_EQ(stats.batches, 2u);
 }
 
 TEST(NetServer, PublishStatsIsSafeWhileServing) {

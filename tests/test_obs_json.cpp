@@ -1,12 +1,15 @@
 // Tests for the JSON export layer (obs/json.hpp, obs/bench_report.hpp):
-// writer correctness (escaping, nesting, number round-trip), the registry
+// writer correctness (escaping, nesting, number round-trip, byte identity
+// with the snprintf / temporary-string Writer it replaced), the registry
 // snapshot document, and the rmt.bench/1 report schema.
 #include "obs/json.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -14,6 +17,7 @@
 
 #include "obs/bench_report.hpp"
 #include "obs/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace rmt::obs {
 namespace {
@@ -67,6 +71,111 @@ TEST(JsonWriter, NonFiniteBecomesNull) {
   w.value(std::nan(""));
   w.end_array();
   EXPECT_EQ(w.take(), "[null,null]");
+}
+
+// --- the one-pass Writer against the implementation it replaced ------------
+//
+// Writer::value(double) used snprintf("%.*g") / sscanf("%lf") and escape()
+// built a temporary string per call. Both old forms are kept here as the
+// reference: the served bytes must not change.
+
+std::string reference_double(double v) {
+  char buf[40];
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    double parsed = 0;
+    std::sscanf(buf, "%lf", &parsed);
+    if (parsed == v) break;
+  }
+  return buf;
+}
+
+std::string reference_escape(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string written(double v) {
+  json::Writer w;
+  w.value(v);
+  return w.take();
+}
+
+TEST(JsonWriter, DoublesMatchTheSnprintfReference) {
+  std::size_t checked = 0, mismatches = 0;
+  std::string first_mismatch;
+  const auto check = [&](double v) {
+    if (!std::isfinite(v)) return;  // null, not a number (NonFiniteBecomesNull)
+    ++checked;
+    const std::string got = written(v), want = reference_double(v);
+    if (got != want && mismatches++ == 0)
+      first_mismatch = want + " rendered as " + got;
+  };
+  for (const double v : {0.0, -0.0, 5e-324, -5e-324, std::numeric_limits<double>::min(),
+                         std::numeric_limits<double>::max(),
+                         -std::numeric_limits<double>::max(), 1e-5, 1e-4, 1e21, 1e20,
+                         100000.0, 1e15, 1e16, 1e17, 0.1, 0.5, 1.0 / 3, 2.0 / 3,
+                         9007199254740993.0, 123456789.125, -1.5, 1e308, 4.35})
+    check(v);
+  Rng rng(20261017);
+  for (std::size_t i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t bits = rng.uniform(0, ~std::uint64_t(0));
+    double v = 0;
+    switch (i % 8) {
+      case 0:  // any bit pattern: mostly 16-17 significant digits, slow to check
+        std::memcpy(&v, &bits, sizeof v);
+        break;
+      case 1:
+      case 2:
+      case 3:  // short decimals, as latencies and ratios print
+        v = double(bits % 100'000'000) / 1000.0;
+        break;
+      case 4:
+      case 5:  // binary fractions and large integers around the %g switch points
+        v = std::ldexp(double(bits >> 11), int(bits % 64) - 32);
+        break;
+      default:  // powers of ten times small mantissas, both signs
+        v = double(std::int64_t(bits % 2001) - 1000) * std::pow(10.0, int(bits >> 56) % 40 - 20);
+    }
+    check(v);
+  }
+  EXPECT_GE(checked, 900'000u);
+  EXPECT_EQ(mismatches, 0u) << "first: " << first_mismatch;
+}
+
+TEST(JsonWriter, EscapeMatchesTheReferenceOnEveryByte) {
+  std::string all;
+  for (int b = 0; b < 256; ++b) {
+    const std::string one(1, char(b));
+    EXPECT_EQ(json::escape(one), reference_escape(one)) << "byte " << b;
+    const std::string framed = "a" + one + "z";
+    EXPECT_EQ(json::escape(framed), reference_escape(framed)) << "byte " << b;
+    all += one;
+  }
+  EXPECT_EQ(json::escape(all), reference_escape(all));
+  // Keys and string values escape the same way, straight into the document.
+  json::Writer w;
+  w.begin_object();
+  w.field(all, all);
+  w.end_object();
+  EXPECT_EQ(w.take(), "{\"" + reference_escape(all) + "\":\"" + reference_escape(all) + "\"}");
 }
 
 TEST(JsonWriter, UnbalancedContainersThrow) {

@@ -3,9 +3,10 @@
 // determinism contract (same bytes at any worker count, from any of the
 // cached / coalesced / fresh paths).
 //
-// The SvcEngineRace test belongs to the TSan CI suite (regex `Svc`): it
-// hammers one engine from several external threads so the inflight-join
-// handshake and the stats atomics run under the race detector.
+// The SvcEngineRace tests belong to the TSan CI suite (regex `Svc`): they
+// hammer one engine from several external threads so the inflight-join
+// handshake, the stats atomics and lookup() against concurrent batches run
+// under the race detector.
 #include "svc/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "exec/thread_pool.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "tests/test_util.hpp"
 
 namespace rmt::svc {
@@ -200,6 +202,118 @@ TEST(SvcEngine, PublishStatsDeltasIntoRegistry) {
   obs::set_enabled(false);
 }
 
+// --- lookup(): the hit path without a batch ---------------------------------
+
+void expect_same_stats(const Engine& a, const Engine& b) {
+  const Engine::Stats x = a.stats(), y = b.stats();
+  EXPECT_EQ(x.requests, y.requests);
+  EXPECT_EQ(x.computed, y.computed);
+  EXPECT_EQ(x.coalesced, y.coalesced);
+  EXPECT_EQ(x.deadline_exceeded, y.deadline_exceeded);
+  EXPECT_EQ(x.errors, y.errors);
+  EXPECT_EQ(x.disk_hits, y.disk_hits);
+}
+
+void expect_same_cache_stats(Engine& a, Engine& b) {
+  const ResultCache::Stats x = a.cache().stats(), y = b.cache().stats();
+  EXPECT_EQ(x.hits, y.hits);
+  EXPECT_EQ(x.misses, y.misses);
+  EXPECT_EQ(x.entries, y.entries);
+}
+
+/// The svc.request root span `root` names, or null.
+const obs::trace::SpanRecord* root_span(const std::vector<obs::trace::SpanRecord>& spans,
+                                        std::uint64_t root) {
+  for (const obs::trace::SpanRecord& s : spans)
+    if (s.span_id == root && std::string(s.name) == "svc.request") return &s;
+  return nullptr;
+}
+
+TEST(SvcEngine, LookupHitMatchesRunAndMovesTheSameCounters) {
+  // Two engines with the same history; the warm hit is answered by run()
+  // on one and by lookup() on the other.
+  Engine by_run(nullptr), by_lookup(nullptr);
+  const Request req = decide(path3());
+  by_run.run({req});
+  by_lookup.run({req});
+
+  const Response want = by_run.run({req})[0];
+  const std::optional<Response> got = by_lookup.lookup(req);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->status, want.status);
+  EXPECT_EQ(got->key, want.key);
+  EXPECT_EQ(got->result, want.result);
+  EXPECT_EQ(got->error, want.error);
+  EXPECT_TRUE(got->cached);
+  EXPECT_FALSE(got->coalesced);
+  EXPECT_GE(got->wall_us, 0.0);
+  expect_same_stats(by_run, by_lookup);
+  expect_same_cache_stats(by_run, by_lookup);
+  EXPECT_EQ(by_lookup.stats().requests, 2u);
+  EXPECT_EQ(by_lookup.cache().stats().hits, 1u);
+}
+
+TEST(SvcEngine, LookupHitIsTracedAndTimedLikeARunHit) {
+  obs::trace::Recorder::global().clear();
+  obs::trace::set_enabled(true);
+  obs::set_enabled(true);
+  obs::Registry::global().reset();
+  Engine engine(nullptr);
+  const Request req = decide(path3());
+  engine.run({req});
+  const Response by_run = engine.run({req})[0];
+  const std::optional<Response> by_lookup = engine.lookup(req);
+  const std::vector<obs::trace::SpanRecord> spans = obs::trace::Recorder::global().snapshot();
+  const std::uint64_t timed = obs::Registry::global().histogram("svc.request_us").count();
+  obs::Registry::global().reset();
+  obs::set_enabled(false);
+  obs::trace::set_enabled(false);
+
+  ASSERT_TRUE(by_lookup.has_value());
+  EXPECT_NE(by_lookup->trace_id, 0u);
+  EXPECT_NE(by_lookup->trace_id, by_run.trace_id);  // a root of its own
+  const obs::trace::SpanRecord* a = root_span(spans, by_run.root_span);
+  const obs::trace::SpanRecord* b = root_span(spans, by_lookup->root_span);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->trace_id, by_lookup->trace_id);
+  EXPECT_EQ(b->parent_span_id, 0u);
+  EXPECT_EQ(std::string(b->attrs), std::string(a->attrs));
+  EXPECT_NE(std::string(b->attrs).find("cache=hit"), std::string::npos);
+  EXPECT_EQ(timed, 3u);  // the cold run, the run hit and the lookup hit
+}
+
+TEST(SvcEngine, LookupMissCountsNothing) {
+  Engine engine(nullptr);
+  const Request req = decide(path3());
+  EXPECT_FALSE(engine.lookup(req).has_value());
+  EXPECT_EQ(engine.stats().requests, 0u);
+  EXPECT_EQ(engine.cache().stats().hits, 0u);
+  EXPECT_EQ(engine.cache().stats().misses, 0u);
+  // run() then counts the request and its miss once, as it always has.
+  engine.run({req});
+  EXPECT_EQ(engine.stats().requests, 1u);
+  EXPECT_EQ(engine.cache().stats().misses, 1u);
+}
+
+TEST(SvcEngine, LookupDeclinesNoCacheAndDeadlineRequests) {
+  Engine engine(nullptr);
+  engine.run({decide(path3())});  // warm: a plain request would now hit
+  ASSERT_TRUE(engine.lookup(decide(path3())).has_value());
+  const Engine::Stats before = engine.stats();
+  const ResultCache::Stats cache_before = engine.cache().stats();
+
+  EXPECT_FALSE(engine.lookup(decide(path3(), /*no_cache=*/true)).has_value());
+  for (const std::uint64_t ms : {std::uint64_t(0), std::uint64_t(60'000)}) {
+    Request timed = decide(path3());
+    timed.deadline_ms = ms;
+    EXPECT_FALSE(engine.lookup(timed).has_value()) << "deadline_ms " << ms;
+  }
+  EXPECT_EQ(engine.stats().requests, before.requests);
+  EXPECT_EQ(engine.cache().stats().hits, cache_before.hits);
+  EXPECT_EQ(engine.cache().stats().misses, cache_before.misses);
+}
+
 // --- TSan target: external threads race one engine -----------------------
 
 TEST(SvcEngineRace, ConcurrentBatchesShareOneEngine) {
@@ -230,6 +344,41 @@ TEST(SvcEngineRace, ConcurrentBatchesShareOneEngine) {
   for (auto& c : callers) c.join();
   EXPECT_EQ(wrong.load(), 0);
   EXPECT_EQ(engine.stats().requests, std::uint64_t(kThreads * kBatches * 2));
+}
+
+TEST(SvcEngineRace, LookupsReadTheCacheWhileBatchesWriteIt) {
+  // The TCP loop thread's view: lookup() reads the cache shards while a
+  // runner thread's batches (and their pool workers) fill and evict them.
+  exec::ThreadPool pool(2);
+  Engine::Options opts;
+  opts.cache.max_bytes = 8u << 10;  // small enough to evict while racing
+  Engine engine(&pool, opts);
+  std::vector<Request> keys;
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < 8; ++i) {
+    keys.push_back(decide(ring(9, NodeId(1 + i))));
+    Engine fresh(nullptr);
+    expected.push_back(fresh.run({keys.back()})[0].result);
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<int> wrong{0};
+  std::uint64_t hits = 0;
+  std::thread runner([&] {
+    for (int round = 0; round < 20; ++round) engine.run(keys);
+    done.store(true);
+  });
+  while (!done.load()) {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const std::optional<Response> got = engine.lookup(keys[i]);
+      if (!got) continue;
+      ++hits;
+      if (got->result != expected[i] || !got->cached) wrong.fetch_add(1);
+    }
+  }
+  runner.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(engine.stats().requests, 20 * keys.size() + hits);
 }
 
 }  // namespace

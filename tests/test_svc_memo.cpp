@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -209,6 +210,24 @@ TEST(SvcMemo, MemoHitServedFromTheCacheBuildsNoInstance) {
   const InstanceMemo::Stats s = engine.memo().stats();
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits, 2u);
+}
+
+TEST(SvcMemo, LookupHitLeavesTheHandleUnparsed) {
+  Engine engine(nullptr);
+  const std::string line = request_line("q", path_text(6));
+  const Response first = engine.run({*wire::parse_line(line, &engine.memo()).request})[0];
+  ASSERT_EQ(first.status, Response::Status::kOk);
+
+  // The TCP loop thread's path: a memo hit answered by lookup() builds no
+  // Instance and answers what run() computed.
+  const wire::Envelope warm = wire::parse_line(line, &engine.memo());
+  ASSERT_EQ(warm.kind, wire::Envelope::Kind::kRequest);
+  const std::optional<Response> hit = engine.lookup(*warm.request);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_TRUE(hit->cached);
+  EXPECT_EQ(hit->result, first.result);
+  EXPECT_EQ(hit->key, first.key);
+  EXPECT_FALSE(warm.request->instance.parsed());
 }
 
 TEST(SvcMemo, ParseLineAgreesWithParseRequest) {

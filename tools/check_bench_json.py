@@ -294,6 +294,12 @@ MAX_CORRUPTED_ID = MAX_PARSE_NODES - 1
 MAX_ROUNDS = MAX_PARSE_NODES + 1
 # The "memo" section of a stats probe's result (svc::InstanceMemo::Stats).
 MEMO_STAT_FIELDS = ["hits", "misses", "evictions", "bytes", "entries"]
+# The TCP stats probe's "net" section (net::NetStats): every field is a
+# non-negative integer, and these must be present.
+NET_STAT_FIELDS = ["accepts", "active", "disconnects", "bytes_in", "bytes_out",
+                   "lines_in", "responses_out", "shed", "slow_client_disconnects",
+                   "frame_rejects", "inline_hits", "batches"]
+NET_REQUIRED_FIELDS = ["inline_hits", "batches"]
 
 
 def check_request(doc, problems, args):
@@ -358,6 +364,17 @@ def check_response(doc, problems, args):
                     if not _is_uint(memo.get(field)):
                         problems.add(f"result.memo.{field}: missing or not a "
                                      "non-negative integer")
+            net = result.get("net")
+            if net is not None:  # only the TCP server reports one
+                if not isinstance(net, dict):
+                    problems.add("result.net: not an object")
+                else:
+                    for field in NET_REQUIRED_FIELDS:
+                        if field not in net:
+                            problems.add(f"result.net.{field}: missing")
+                    for field, value in net.items():
+                        if not _is_uint(value):
+                            problems.add(f"result.net.{field}: not a non-negative integer")
     elif result is not None:
         problems.add(f"result: must be null when status is {status!r}")
     error = doc.get("error", "absent")
@@ -789,6 +806,13 @@ def _selftest_docs():
                     "memo": {f: 3 for f in MEMO_STAT_FIELDS}},
          "error": None, "cached": False, "coalesced": False, "wall_us": 0.0,
          "trace_id": None},
+        # The TCP server's stats probe adds its "net" section.
+        {"schema": "rmt.response/1", "id": "st", "status": "ok", "key": None,
+         "result": {"kind": "stats", "engine": {}, "cache": {},
+                    "memo": {f: 3 for f in MEMO_STAT_FIELDS},
+                    "net": {f: 2 for f in NET_STAT_FIELDS}},
+         "error": None, "cached": False, "coalesced": False, "wall_us": 0.0,
+         "trace_id": None},
         {"schema": "rmt.response/1", "id": "q1", "status": "ok",
          "key": "bc6adf4f00f0be648b62687f484b0ff8", "result": {"solvable": True},
          "error": None, "cached": False, "coalesced": True, "wall_us": 12.5,
@@ -904,6 +928,19 @@ def _selftest_docs():
                                                   bytes=1.5)},
          "error": None, "cached": False, "coalesced": False, "wall_us": 0,
          "trace_id": None},                                      # non-integer memo bytes
+    ] + [
+        {"schema": "rmt.response/1", "id": "st", "status": "ok", "key": None,
+         "result": {"kind": "stats", "memo": {f: 0 for f in MEMO_STAT_FIELDS}, "net": net},
+         "error": None, "cached": False, "coalesced": False, "wall_us": 0,
+         "trace_id": None}
+        for net in (
+            [0] * len(NET_STAT_FIELDS),                          # net not an object
+            {f: 0 for f in NET_STAT_FIELDS if f != "inline_hits"},  # no inline_hits
+            {f: 0 for f in NET_STAT_FIELDS if f != "batches"},   # no batches
+            dict({f: 0 for f in NET_STAT_FIELDS}, batches=-1),   # negative count
+            dict({f: 0 for f in NET_STAT_FIELDS}, shed=2.5),     # non-integer count
+        )
+    ] + [
         {"schema": "rmt.response/1", "id": "q", "status": "late", "key": None,
          "result": None, "error": None, "cached": False, "coalesced": False,
          "wall_us": 0},                                          # unknown status

@@ -14,15 +14,18 @@
 // In both modes requests accumulate into a batch; a blank line (from any
 // connection, in TCP mode), the batch limit, or — stdio only — EOF
 // flushes the batch through the engine and emits the responses in input
-// order. Deadlines (deadline_ms) count from the flush. Probe lines the
-// engine never sees:
+// order. Deadlines (deadline_ms) count from the flush. In TCP mode a
+// request the memory result cache can answer skips the batch: the event
+// loop answers it at once (it still computes nothing), in order behind
+// its connection's earlier requests. Probe lines the engine never sees:
 //   * malformed requests — answered with an "error" response echoing the
 //     id when one could be salvaged;
 //   * {"schema":"rmt.request/1","id":"s","kind":"stats"} — flushes the
 //     pending batch, then reports the engine, cache and instance-memo
 //     counters as the result object; the TCP server appends its transport
 //     counters as a "net" section ({"kind":"stats","engine":{...},
-//     "cache":{...},"memo":{...},"net":{...}});
+//     "cache":{...},"memo":{...},"net":{...}}), whose inline_hits and
+//     batches count hits answered by the loop and batches it submitted;
 //   * {"schema":"rmt.request/1","id":"t","kind":"trace"} — flushes, then
 //     reports the flight recorder as the result object
 //     ({"kind":"trace","header":{...},"spans":[...]}) where header and

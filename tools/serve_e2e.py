@@ -37,7 +37,10 @@ asserts the serving semantics from the outside:
     another node) and a `max_rounds` of 10^7 (it used to hold a worker for
     a second) — each get an "error" naming the field and the value sent;
     and every hostile line is followed by a request answered exactly as a
-    fresh server answers it. tcp_hostile_lines repeats this over TCP.
+    fresh server answers it. tcp_hostile_lines repeats this over TCP, where
+    the first of those requests goes through the one engine batch and the
+    other four are cache hits the event loop answers itself
+    (net.inline_hits == 4, net.batches == 1, engine.requests == 5).
 
 Persistence (`--store-dir`) is exercised in BOTH transports:
 
@@ -235,9 +238,17 @@ def tcp_hostile_lines(server, jobs, failures):
         # The three simulate lines resolve INSTANCE_A through the memo before
         # their params are rejected; the deep and oversized lines never get
         # that far. INSTANCE_A then INSTANCE_B: two misses, the rest hits.
-        memo = client.probe("stats", "st")["result"]["memo"]
+        stats = client.probe("stats", "st")["result"]
+        memo = stats["memo"]
         expect(memo["misses"] == 2 and memo["hits"] == 3 + 5 - 2,
                f"memo hits/misses {memo['hits']}/{memo['misses']} != 6/2")
+        # after0 misses and its blank line submits the one batch; after1-4
+        # are cache hits answered on the loop thread. The blank lines after
+        # the error lines submit nothing.
+        net, engine = stats["net"], stats["engine"]
+        expect(net["inline_hits"] == 4 and net["batches"] == 1,
+               f"net inline_hits/batches {net['inline_hits']}/{net['batches']} != 4/1")
+        expect(engine["requests"] == 5, f"engine.requests={engine['requests']} != 5")
         client.close()
         expect(srv.terminate() == 0, "server exit code != 0 after SIGTERM")
 
@@ -925,7 +936,8 @@ def tcp_coalesce(server, jobs, checker, failures):
         expect({ra["coalesced"], rb["coalesced"]} == {True, False},
                "expected exactly one coalesced follower across the sockets")
 
-        st = b.probe("stats", "st")["result"]
+        probe = b.probe("stats", "st")
+        st = probe["result"]
         expect(st["engine"]["requests"] == 2, "engine.requests != 2")
         expect(st["engine"]["computed"] == 1,
                f"engine.computed={st['engine']['computed']} != 1 "
@@ -960,6 +972,8 @@ def tcp_coalesce(server, jobs, checker, failures):
             dump = [json.dumps(tr["result"]["header"])]
             dump += [json.dumps(s) for s in spans]
             schema_check(checker, dump, "TCP trace probe dump", failures)
+            # The TCP stats probe's net section, inline_hits and batches included.
+            schema_check(checker, [json.dumps(probe)], "TCP stats probe", failures)
         a.close()
         b.close()
         expect(srv.terminate() == 0, "server exit code != 0 after SIGTERM")
