@@ -1,25 +1,34 @@
-// bench_decider — the allocation-free decider-hot-path acceptance bench:
-// seed (per-B rebuild) vs. optimized (incremental push/pop) exact deciders
-// on the fig_f4 instance shapes, scaled up to kMaxExactNodes.
+// bench_decider — the exact deciders against their oracles on the instance
+// shapes the served cold path decides, scaled up to kMaxExactNodes.
 //
-// Per workload, three rows per decider family:
-//   *-seed — find_rmt_cut_reference / find_rmt_zpp_cut_reference: rebuilds
-//            Z_B, V(γ(B)) and N(B) from scratch for every enumerated B;
-//   *-incr — the shipped sequential decider: single-node push/pop deltas,
-//            prebuilt per-node constraints, inline NodeSets throughout;
-//   *-pool — the batched ThreadPool scan over the same incremental kernel.
+// One row per (instance, decider), with one timing column per path:
+//   reference_ms — the oracle: find_rmt_cut_reference (explicit Z_v, no
+//                  gate), find_rmt_zpp_cut_reference (per-B rebuild),
+//                  find_two_cover_cut_reference (the full row-major NodeSet
+//                  scan), or for `analyze` all three shipped deciders run
+//                  unconditionally (analysis::analyze_reference);
+//   shipped_ms   — what the library serves: find_rmt_cut (definitional scan
+//                  behind the full-view two-cover gate), find_rmt_zpp_cut
+//                  (incremental), find_two_cover_cut (pairs i ≤ j, one-word
+//                  BFS), analysis::analyze (skips the implied decider);
+//   scalar_ms    — the shipped path with the vector kernels disabled
+//                  (simd::force_scalar): the backend may change how fast a
+//                  boolean is computed, never which;
+//   pool_ms      — the pooled overload over the same per-B / per-pair test
+//                  (0 for `analyze`, which has no pooled path).
+// speedup = reference_ms / shipped_ms.
 //
-// The `identical` column is evaluated against the seed witness and is also
-// a hard RMT_CHECK: an optimized decider that ever returns a different
-// witness fails the emit step, not just the schema check. Timings are
-// reported, never asserted — CI runs this as a perf *smoke* (identity),
-// and tools/check_bench_json.py enforces the identity column on
-// BENCH_decider.json. Wall times are best-of-kReps to damp scheduler noise.
+// The `identical` column compares every path's answer with the reference
+// (witness bit for bit; for `analyze` the witness and both booleans) and is
+// also a hard RMT_CHECK: a path that ever returns a different answer fails
+// the run, not just the schema check. Timings are reported, never asserted
+// — CI runs this as a perf *smoke* (identity), and tools/check_bench_json.py
+// enforces the identity column on BENCH_decider.json. Wall times are
+// best-of-kReps to damp scheduler noise.
 #include <optional>
 #include <string>
 
-#include "analysis/rmt_cut.hpp"
-#include "analysis/zpp_cut.hpp"
+#include "analysis/feasibility.hpp"
 #include "bench_util.hpp"
 #include "util/simd.hpp"
 
@@ -29,18 +38,21 @@ using namespace rmt;
 
 inline constexpr int kReps = 5;
 
-bool same_rmt(const std::optional<analysis::RmtCutWitness>& a,
-              const std::optional<analysis::RmtCutWitness>& b) {
+template <typename W>
+bool same_cut(const std::optional<W>& a, const std::optional<W>& b) {
   if (a.has_value() != b.has_value()) return false;
-  if (!a) return true;
-  return a->c1 == b->c1 && a->c2 == b->c2 && a->b == b->b;
+  return !a || (a->c1 == b->c1 && a->c2 == b->c2 && a->b == b->b);
 }
 
-bool same_zpp(const std::optional<analysis::ZppCutWitness>& a,
-              const std::optional<analysis::ZppCutWitness>& b) {
+bool same_cover(const std::optional<analysis::TwoCoverWitness>& a,
+                const std::optional<analysis::TwoCoverWitness>& b) {
   if (a.has_value() != b.has_value()) return false;
-  if (!a) return true;
-  return a->c1 == b->c1 && a->c2 == b->c2 && a->b == b->b;
+  return !a || (a->z1 == b->z1 && a->z2 == b->z2);
+}
+
+bool same_analysis(const analysis::Analysis& a, const analysis::Analysis& b) {
+  return same_cut(a.rmt_cut, b.rmt_cut) && a.zcpa_solvable == b.zcpa_solvable &&
+         a.full_knowledge_solvable == b.full_knowledge_solvable;
 }
 
 template <typename F>
@@ -53,6 +65,18 @@ double best_ms(F&& f) {
   return best;
 }
 
+struct Views {
+  const char* label;
+  ViewFunction (*build)(const Graph&);
+};
+
+const Views kViews[] = {
+    {"full", [](const Graph& g) { return ViewFunction::full(g); }},
+    {"k-hop 2", [](const Graph& g) { return ViewFunction::k_hop(g, 2); }},
+    {"k-hop 1", [](const Graph& g) { return ViewFunction::k_hop(g, 1); }},
+    {"ad hoc", [](const Graph& g) { return ViewFunction::ad_hoc(g); }},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -60,123 +84,118 @@ int main(int argc, char** argv) {
   using namespace rmt::bench;
 
   Reporter rep(argc, argv, "bench_decider");
-  rep.columns({"family", "n", "structure", "decider", "wall_ms", "speedup", "identical"});
+  rep.columns({"family", "n", "structure", "views", "decider", "reference_ms", "shipped_ms",
+               "scalar_ms", "pool_ms", "speedup", "identical"});
 
   const std::size_t jobs = rep.exec().jobs > 1
                                ? rep.exec().jobs
                                : std::max<std::size_t>(2, exec::ThreadPool::hardware_concurrency());
   exec::ThreadPool pool(jobs);
 
-  // One workload = one fig_f4-shaped instance. Both decider families run
-  // seed / incremental / pooled on it; every optimized answer is checked
-  // bit-for-bit against the seed witness.
-  const auto run = [&](const std::string& family, const std::string& zkind,
-                       const Instance& inst) {
-    const std::uint64_t n = inst.num_players();
-
-    std::optional<analysis::RmtCutWitness> rmt_seed, rmt_incr, rmt_pool;
-    const double rmt_seed_ms = best_ms([&] { rmt_seed = analysis::find_rmt_cut_reference(inst); });
-    const double rmt_incr_ms = best_ms([&] { rmt_incr = analysis::find_rmt_cut(inst); });
-    const double rmt_pool_ms = best_ms([&] { rmt_pool = analysis::find_rmt_cut(inst, &pool); });
-    const bool rmt_incr_same = same_rmt(rmt_seed, rmt_incr);
-    const bool rmt_pool_same = same_rmt(rmt_seed, rmt_pool);
-    rep.row({family, n, zkind, "rmt-seed", rmt_seed_ms, 1.0, true});
-    rep.row({family, n, zkind, "rmt-incr", rmt_incr_ms,
-             rmt_incr_ms > 0 ? rmt_seed_ms / rmt_incr_ms : 0.0, rmt_incr_same});
-    rep.row({family, n, zkind, "rmt-pool", rmt_pool_ms,
-             rmt_pool_ms > 0 ? rmt_seed_ms / rmt_pool_ms : 0.0, rmt_pool_same});
-    RMT_CHECK(rmt_incr_same, "bench_decider: " + family + "/" + zkind +
-                                 " incremental rmt witness diverged from seed");
-    RMT_CHECK(rmt_pool_same, "bench_decider: " + family + "/" + zkind +
-                                 " pooled rmt witness diverged from seed");
-
-    // The incremental decider again with the vector kernels disabled: the
-    // scalar reference kernels must give the same witness, at whatever
-    // speed. This is the acceptance row for backend identity — the simd
-    // shim may only change how fast a boolean is computed, never which.
+  // Time the reference, shipped, forced-scalar and pooled paths of one
+  // decider, emit its row, and fail hard unless all answers agree.
+  const auto measure = [&](const std::string& family, std::uint64_t n, const std::string& zkind,
+                           const std::string& views, const std::string& decider,
+                           const auto& reference, const auto& shipped, const auto* pooled,
+                           const auto& same) {
+    decltype(reference()) want, got, scal, pooled_got;
+    const double ref_ms = best_ms([&] { want = reference(); });
+    const double ship_ms = best_ms([&] { got = shipped(); });
+    double scal_ms = 0;
     {
       const simd::ScopedForceScalar scalar_only;
-      std::optional<analysis::RmtCutWitness> rmt_scal;
-      const double rmt_scal_ms = best_ms([&] { rmt_scal = analysis::find_rmt_cut(inst); });
-      const bool rmt_scal_same = same_rmt(rmt_seed, rmt_scal);
-      rep.row({family, n, zkind, "rmt-incr-scalar", rmt_scal_ms,
-               rmt_scal_ms > 0 ? rmt_seed_ms / rmt_scal_ms : 0.0, rmt_scal_same});
-      RMT_CHECK(rmt_scal_same, "bench_decider: " + family + "/" + zkind +
-                                   " forced-scalar rmt witness diverged from seed");
+      scal_ms = best_ms([&] { scal = shipped(); });
     }
-
-    std::optional<analysis::ZppCutWitness> zpp_seed, zpp_incr, zpp_pool;
-    const double zpp_seed_ms =
-        best_ms([&] { zpp_seed = analysis::find_rmt_zpp_cut_reference(inst); });
-    const double zpp_incr_ms = best_ms([&] { zpp_incr = analysis::find_rmt_zpp_cut(inst); });
-    const double zpp_pool_ms = best_ms([&] { zpp_pool = analysis::find_rmt_zpp_cut(inst, &pool); });
-    const bool zpp_incr_same = same_zpp(zpp_seed, zpp_incr);
-    const bool zpp_pool_same = same_zpp(zpp_seed, zpp_pool);
-    rep.row({family, n, zkind, "zpp-seed", zpp_seed_ms, 1.0, true});
-    rep.row({family, n, zkind, "zpp-incr", zpp_incr_ms,
-             zpp_incr_ms > 0 ? zpp_seed_ms / zpp_incr_ms : 0.0, zpp_incr_same});
-    rep.row({family, n, zkind, "zpp-pool", zpp_pool_ms,
-             zpp_pool_ms > 0 ? zpp_seed_ms / zpp_pool_ms : 0.0, zpp_pool_same});
-    RMT_CHECK(zpp_incr_same, "bench_decider: " + family + "/" + zkind +
-                                 " incremental zpp witness diverged from seed");
-    RMT_CHECK(zpp_pool_same, "bench_decider: " + family + "/" + zkind +
-                                 " pooled zpp witness diverged from seed");
-    {
-      const simd::ScopedForceScalar scalar_only;
-      std::optional<analysis::ZppCutWitness> zpp_scal;
-      const double zpp_scal_ms = best_ms([&] { zpp_scal = analysis::find_rmt_zpp_cut(inst); });
-      const bool zpp_scal_same = same_zpp(zpp_seed, zpp_scal);
-      rep.row({family, n, zkind, "zpp-incr-scalar", zpp_scal_ms,
-               zpp_scal_ms > 0 ? zpp_seed_ms / zpp_scal_ms : 0.0, zpp_scal_same});
-      RMT_CHECK(zpp_scal_same, "bench_decider: " + family + "/" + zkind +
-                                   " forced-scalar zpp witness diverged from seed");
+    double pool_ms = 0;
+    bool identical = same(want, got) && same(want, scal);
+    if (pooled != nullptr) {
+      pool_ms = best_ms([&] { pooled_got = (*pooled)(); });
+      identical = identical && same(want, pooled_got);
     }
+    rep.row({family, n, zkind, views, decider, ref_ms, ship_ms, scal_ms, pool_ms,
+             ship_ms > 0 ? ref_ms / ship_ms : 0.0, identical});
+    RMT_CHECK(identical, "bench_decider: " + family + "/" + zkind + "/" + views + " " + decider +
+                             " diverged from its reference");
   };
 
-  // The fig_f4 workload proper: the exact instance shapes the F4 driver
-  // runs (cycles and 3 parallel paths, ad hoc knowledge, trivial structure),
-  // scaled to the decider cap n = 26. On these instances *no* RMT-cut
-  // exists, so the deciders traverse the entire connected-subset space —
-  // the worst case, and the hot path this bench exists to measure. The
-  // seed rebuilds Z_B / V(γ(B)) / N(B) for every one of those B; the
-  // incremental decider pays one push/pop delta instead.
+  const auto run = [&](const std::string& family, const std::string& zkind,
+                       const std::string& views, const Instance& inst) {
+    const std::uint64_t n = inst.num_players();
+    const Graph& g = inst.graph();
+    const AdversaryStructure& z = inst.adversary();
+    const NodeId d = inst.dealer(), r = inst.receiver();
+    const auto rmt_pool = [&] { return analysis::find_rmt_cut(inst, &pool); };
+    measure(
+        family, n, zkind, views, "rmt", [&] { return analysis::find_rmt_cut_reference(inst); },
+        [&] { return analysis::find_rmt_cut(inst); }, &rmt_pool,
+        same_cut<analysis::RmtCutWitness>);
+    const auto zpp_pool = [&] { return analysis::find_rmt_zpp_cut(inst, &pool); };
+    measure(
+        family, n, zkind, views, "zpp", [&] { return analysis::find_rmt_zpp_cut_reference(inst); },
+        [&] { return analysis::find_rmt_zpp_cut(inst); }, &zpp_pool,
+        same_cut<analysis::ZppCutWitness>);
+    const auto cover_pool = [&] { return analysis::find_two_cover_cut(g, z, d, r, &pool); };
+    measure(
+        family, n, zkind, views, "two-cover",
+        [&] { return analysis::find_two_cover_cut_reference(g, z, d, r); },
+        [&] { return analysis::find_two_cover_cut(g, z, d, r); }, &cover_pool, same_cover);
+    const auto shipped_analyze = [&] { return analysis::analyze(inst); };
+    measure(
+        family, n, zkind, views, "analyze", [&] { return analysis::analyze_reference(inst); },
+        shipped_analyze, static_cast<decltype(&shipped_analyze)>(nullptr), same_analysis);
+  };
+
+  // The fig_f4 shapes (cycles and 3 parallel paths, ad hoc knowledge,
+  // trivial structure) at the decider cap: *no* RMT-cut exists, so every
+  // decider traverses the entire connected-subset space.
   for (std::size_t n : {20u, 26u}) {
     const Graph g = generators::cycle_graph(n);
-    run("cycle", "trivial (f4)",
+    run("cycle", "trivial (f4)", "ad hoc",
         Instance::ad_hoc(g, AdversaryStructure::trivial(), 0, NodeId(n / 2)));
   }
   for (std::size_t h : {6u, 8u}) {
     const Graph g = generators::parallel_paths(3, h);
-    run("3-paths", "trivial (f4)",
+    run("3-paths", "trivial (f4)", "ad hoc",
         Instance::ad_hoc(g, AdversaryStructure::trivial(), 0, NodeId(g.num_nodes() - 1)));
   }
-
-  // The same families under non-trivial adversaries: a 2-threshold over the
-  // non-D/R players and a random general antichain, 1-hop knowledge — the
-  // partial-knowledge regime the joint-structure machinery exists for.
-  // These instances *have* cuts, so the runs are witness-search shaped
-  // (setup + a short enumeration prefix); they are identity coverage first,
-  // speedup second.
+  // A random general antichain under 1-hop knowledge (identity coverage
+  // for non-threshold structures).
   for (std::size_t n : {20u, 26u}) {
     const Graph g = generators::cycle_graph(n);
-    const NodeSet players = g.nodes() - NodeSet{0, NodeId(n / 2)};
-    run("cycle", "2-threshold",
-        Instance(g, threshold_structure(players, 2), ViewFunction::k_hop(g, 1), 0, NodeId(n / 2)));
     Rng rng(4242 + n);
-    run("cycle", "random-8x3",
+    run("cycle", "random-8x3", "k-hop 1",
         Instance(g, random_structure(g.nodes(), 8, 3, NodeSet{0, NodeId(n / 2)}, rng),
                  ViewFunction::k_hop(g, 1), 0, NodeId(n / 2)));
   }
-  for (std::size_t h : {6u, 8u}) {
-    const Graph g = generators::parallel_paths(3, h);
+
+  // The shapes cold_mix serves: k parallel D–R paths of h hops under a
+  // t-threshold over the relays, and cycle-26 at thresholds 2–3, under
+  // every knowledge level. Full views are where the two-cover gate decides;
+  // thresholds 2–3 put hundreds to thousands of maximal sets in the scan.
+  struct Paths {
+    std::size_t k, h;
+  };
+  for (const Paths p : {Paths{3, 8}, Paths{4, 4}, Paths{5, 3}, Paths{5, 4}}) {
+    const Graph g = generators::parallel_paths(p.k, p.h);
     const NodeId r = NodeId(g.num_nodes() - 1);
-    const NodeSet players = g.nodes() - NodeSet{0, r};
-    run("3-paths", "2-threshold",
-        Instance(g, threshold_structure(players, 2), ViewFunction::k_hop(g, 1), 0, r));
+    const std::string family = std::to_string(p.k) + "-paths h" + std::to_string(p.h);
+    for (std::size_t t : {1u, 2u, 3u}) {
+      const AdversaryStructure z = threshold_structure(g.nodes() - NodeSet{0, r}, t);
+      for (const Views& v : kViews)
+        run(family, std::to_string(t) + "-threshold", v.label, Instance(g, z, v.build(g), 0, r));
+    }
+  }
+  {
+    const Graph g = generators::cycle_graph(26);
+    for (std::size_t t : {2u, 3u}) {
+      const AdversaryStructure z = threshold_structure(g.nodes() - NodeSet{0, 13}, t);
+      for (const Views& v : kViews)
+        run("cycle", std::to_string(t) + "-threshold", v.label, Instance(g, z, v.build(g), 0, 13));
+    }
   }
 
   pool.publish_stats();
-  rep.finish("DECIDER — seed vs. incremental hot path, " + std::to_string(jobs) +
+  rep.finish("DECIDER — reference vs. shipped deciders, " + std::to_string(jobs) +
              "-thread pool (identical answers)");
   return 0;
 }

@@ -119,12 +119,12 @@ BENCHMARK(BM_JointLazyMembership)->Arg(2)->Arg(8)->Arg(32);
 
 // ---- decider-hot-path shapes (n = 26, the exact-decider cap) -------------
 //
-// The next three benchmarks probe the structures exactly as find_rmt_cut
-// does: the antichain is a 2-threshold (276 maximal sets) or a random
+// The next three benchmarks probe the structures at the exact deciders'
+// shapes: the antichain is a 2-threshold (276 maximal sets) or a random
 // general structure over 26 nodes, and the probes are boundary-sized sets
 // (|C| ≈ 2..4). They exercise the support/popcount prefilters on
-// AdversaryStructure::contains and the lazy conjunction in
-// JointStructure::contains.
+// AdversaryStructure::contains (find_rmt_cut's per-node slice test) and
+// the lazy conjunction in JointStructure::contains.
 
 std::vector<NodeSet> cut_shaped_probes(std::size_t count, std::size_t n, Rng& rng) {
   std::vector<NodeSet> out;
@@ -159,8 +159,8 @@ void BM_JointContains26(benchmark::State& state) {
   const AdversaryStructure z = state.range(0) == 0
                                    ? threshold_structure(players, 2)
                                    : random_structure(players, 8, 3, NodeSet{0, 13}, rng);
-  // Z_B for a |B| = 8 component under 3-node views — the same restricted
-  // per-node constraints the incremental decider pushes.
+  // Z_B for a |B| = 8 component under 3-node views: one restricted
+  // constraint per member, as pka_decision's cover check joins them.
   JointStructure joint;
   for (std::size_t v = 13; v < 21; ++v) {
     const NodeSet view{NodeId(v == 0 ? 25 : v - 1), NodeId(v), NodeId((v + 1) % 26)};

@@ -1,8 +1,9 @@
 // bench_svc — the serving-stack acceptance bench: cold vs. warm decide
-// latency on the fig_f4 workloads, and a closed-loop throughput sweep over
-// concurrency × cache-hit ratio, through svc::Engine end to end.
+// latency on solvable k-paths shapes, a closed-loop throughput sweep over
+// concurrency × cache-hit ratio, through svc::Engine end to end, and the
+// heap footprint of a cached answer.
 //
-// Latency section ("latency" rows, one per fig_f4 shape):
+// Latency section ("latency" rows, one per shape):
 //   cold_us — best-of-kReps decide_rmt with no_cache (full compute path);
 //   warm_us — best-of-kReps the same request answered by the result cache;
 //   speedup = cold/warm, RMT_CHECKed >= kMinWarmSpeedup (3x): the cache
@@ -14,12 +15,24 @@
 // at 1 worker and at hardware concurrency. qps counts completed requests;
 // p50/p95/p99 come from an obs::Histogram fed each response's wall_us.
 //
+// Footprint section (one "footprint" row): kFootprintEntries answers shaped
+// like cold_mix's (a 32-hex key plus "|kind", values of 110–150 B) go into a
+// svc::ResultCache; heap_b_per_entry is the glibc mallinfo2 delta per entry,
+// accounted_b_per_entry the cache's own key + value bytes per entry. Every
+// served answer of a cold workload stays cached, so this is what the
+// server's RSS grows by per answer: RMT_CHECKed heap <= accounted +
+// kMaxEntryOverhead (112 B), re-checked by tools/check_bench_json.py.
+// (Sanitizer builds replace malloc; they do not run this bench.)
+//
 // The `identical` column is the determinism gate: every response in the
 // row — cached, coalesced, fresh, any worker count — must be byte-equal
-// to the sequential fresh-engine answer for its key. It is both reported
-// and RMT_CHECKed, and tools/check_bench_json.py refuses a BENCH_svc.json
+// to the sequential fresh-engine answer for its key (footprint: every
+// cached value reads back byte-equal). It is both reported and
+// RMT_CHECKed, and tools/check_bench_json.py refuses a BENCH_svc.json
 // whose identical column is not uniformly true. Timings themselves are
 // never asserted beyond the warm-speedup floor.
+#include <malloc.h>
+
 #include <algorithm>
 #include <cstddef>
 #include <string>
@@ -36,10 +49,15 @@ using namespace rmt;
 
 inline constexpr int kReps = 5;
 // The floor needs headroom for slow CI machines AND for the decider itself
-// getting faster: the §16 simd kernels cut the smallest fig_f4 cold decide
-// to ~6x a warm hit, while a cache that degenerated into recomputation
-// would read ~1x — 3x still separates the two failure modes cleanly.
+// getting faster: the cheapest latency shape's cold decide is ~15x a warm
+// hit, while a cache that degenerated into recomputation would read ~1x —
+// 3x still separates the two failure modes cleanly.
 inline constexpr double kMinWarmSpeedup = 3.0;
+// Footprint: entries measured, and the heap each may cost beyond its
+// accounted key + value bytes (one block header, bucket slot and allocator
+// rounding; a list node plus a map node plus separate strings cost ~280 B).
+inline constexpr std::size_t kFootprintEntries = 20000;
+inline constexpr double kMaxEntryOverhead = 112.0;
 inline constexpr std::size_t kStreamLen = 96;
 inline constexpr std::size_t kBatch = 16;
 inline constexpr std::size_t kHotSet = 4;
@@ -60,29 +78,33 @@ std::string expected_result(const Instance& inst) {
   return responses[0].result;
 }
 
-/// The fig_f4 instance families (see bench_decider_hotpath) at the decider
-/// cap, under a 2-threshold structure with 1-hop knowledge — the partial-
-/// knowledge regime this library serves, where a cold decide costs
-/// milliseconds of joint-structure work. (The trivial-structure f4 shapes
-/// decide in tens of microseconds; against the few-µs fixed cost of one
-/// served request a 10x warm floor there would measure the clock, not the
-/// cache — the throughput section still covers trivial shapes.)
-std::vector<std::pair<std::string, Instance>> fig_f4_workloads() {
+/// Solvable shapes from bench_decider_hotpath's k-parallel-paths rows, where
+/// a cold decide_rmt still has to rule out every cut: under full views the
+/// two-cover gate scans every pair of the 2-threshold's maximal sets, and
+/// under 1-hop or ad hoc views the scan enumerates every connected B. A cold
+/// decide there costs ~0.1–0.5 ms against a warm hit's 5–70 µs (keying a
+/// 190-set threshold structure is the expensive part of a hit). Unsolvable
+/// shapes are no use here: their witness is found within a few B, so a
+/// cold decide costs about what a hit does and the floor would measure the
+/// clock, not the cache.
+std::vector<std::pair<std::string, Instance>> latency_workloads() {
   std::vector<std::pair<std::string, Instance>> out;
-  for (std::size_t n : {20u, 26u}) {
-    const Graph g = generators::cycle_graph(n);
-    const NodeSet players = g.nodes() - NodeSet{0, NodeId(n / 2)};
-    out.emplace_back("cycle-" + std::to_string(n),
-                     Instance(g, threshold_structure(players, 2), ViewFunction::k_hop(g, 1), 0,
-                              NodeId(n / 2)));
-  }
-  for (std::size_t h : {6u, 8u}) {
-    const Graph g = generators::parallel_paths(3, h);
+  const auto paths = [&](std::size_t k, std::size_t h, std::size_t t, const std::string& views) {
+    const Graph g = generators::parallel_paths(k, h);
     const NodeId r = NodeId(g.num_nodes() - 1);
-    const NodeSet players = g.nodes() - NodeSet{0, r};
-    out.emplace_back("3-paths-h" + std::to_string(h),
-                     Instance(g, threshold_structure(players, 2), ViewFunction::k_hop(g, 1), 0, r));
-  }
+    const AdversaryStructure z = t == 0 ? AdversaryStructure::trivial()
+                                        : threshold_structure(g.nodes() - NodeSet{0, r}, t);
+    const ViewFunction gamma = views == "full"     ? ViewFunction::full(g)
+                               : views == "k-hop1" ? ViewFunction::k_hop(g, 1)
+                                                   : ViewFunction::ad_hoc(g);
+    out.emplace_back(std::to_string(k) + "-paths-h" + std::to_string(h) + "-t" +
+                         std::to_string(t) + "-" + views,
+                     Instance(g, z, gamma, 0, r));
+  };
+  paths(5, 4, 2, "full");
+  paths(5, 4, 1, "k-hop1");
+  paths(5, 4, 1, "adhoc");
+  paths(3, 8, 0, "adhoc");
   return out;
 }
 
@@ -124,15 +146,16 @@ int main(int argc, char** argv) {
 
   Reporter rep(argc, argv, "bench_svc");
   rep.columns({"section", "workload", "jobs", "hit_pct", "requests", "cold_us", "warm_us",
-               "speedup", "qps", "p50_us", "p95_us", "p99_us", "hit_rate", "identical"});
+               "speedup", "qps", "p50_us", "p95_us", "p99_us", "hit_rate", "heap_b_per_entry",
+               "accounted_b_per_entry", "identical"});
 
   const std::size_t jobs = rep.exec().jobs > 1
                                ? rep.exec().jobs
                                : std::max<std::size_t>(2, exec::ThreadPool::hardware_concurrency());
   exec::ThreadPool pool(jobs);
 
-  // ---- Latency: cold vs. warm decide on the fig_f4 shapes -------------
-  for (const auto& [name, inst] : fig_f4_workloads()) {
+  // ---- Latency: cold vs. warm decide on solvable k-paths shapes --------
+  for (const auto& [name, inst] : latency_workloads()) {
     const std::string expected = expected_result(inst);
     svc::Engine engine(&pool);
 
@@ -159,7 +182,7 @@ int main(int argc, char** argv) {
 
     const double speedup = warm_us > 0 ? cold_us / warm_us : 0.0;
     rep.row({"latency", name, std::uint64_t(jobs), std::uint64_t(100), std::uint64_t(1), cold_us,
-             warm_us, speedup, 0.0, 0.0, 0.0, 0.0, 0.0, identical});
+             warm_us, speedup, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, identical});
     RMT_CHECK(identical, "bench_svc: " + name + " served bytes diverged from fresh sequential");
     RMT_CHECK(speedup >= kMinWarmSpeedup,
               "bench_svc: " + name + " warm decide only " + fmt::fixed(speedup, 2) +
@@ -227,8 +250,8 @@ int main(int argc, char** argv) {
       const double qps = wall_us > 0 ? double(completed) * 1e6 / wall_us : 0.0;
 
       rep.row({"throughput", "cycle-16", std::uint64_t(run_jobs), std::uint64_t(hit_pct),
-               completed, 0.0, 0.0, 0.0, qps, lat.p50(), lat.p95(), lat.p99(), hit_rate,
-               identical});
+               completed, 0.0, 0.0, 0.0, qps, lat.p50(), lat.p95(), lat.p99(), hit_rate, 0.0,
+               0.0, identical});
       RMT_CHECK(identical, "bench_svc: throughput stream (jobs=" + std::to_string(run_jobs) +
                                ", hit=" + std::to_string(hit_pct) +
                                "%) served bytes diverged from fresh sequential");
@@ -236,7 +259,49 @@ int main(int argc, char** argv) {
     }
   }
 
+  // ---- Footprint: heap per cached answer -------------------------------
+  {
+    // Keys and values are built before the first snapshot, so the delta is
+    // the cache's own growth: blocks, bucket arrays and allocator rounding.
+    const char* const kinds[] = {"|decide_rmt", "|decide_zpp", "|analyze"};
+    Rng rng(1604);
+    std::vector<std::string> keys, values;
+    keys.reserve(kFootprintEntries);
+    values.reserve(kFootprintEntries);
+    for (std::size_t i = 0; i < kFootprintEntries; ++i) {
+      svc::InstanceKey ikey;
+      ikey.lo = rng.engine()();
+      ikey.hi = rng.engine()();
+      std::string key = ikey.to_hex();
+      key += kinds[i % 3];
+      keys.push_back(std::move(key));
+      values.emplace_back(110 + rng.index(41), char('a' + i % 26));
+    }
+    svc::ResultCache cache;
+    const auto heap_bytes = [] {
+      const struct mallinfo2 m = mallinfo2();
+      return double(m.uordblks + m.hblkhd);
+    };
+    const double before = heap_bytes();
+    for (std::size_t i = 0; i < kFootprintEntries; ++i) cache.put(keys[i], values[i]);
+    const double heap = (heap_bytes() - before) / double(kFootprintEntries);
+    const svc::ResultCache::Stats st = cache.stats();
+    const double accounted = double(st.bytes) / double(kFootprintEntries);
+    bool identical = st.entries == kFootprintEntries && st.evictions == 0;
+    for (std::size_t i = 0; i < kFootprintEntries; ++i)
+      identical = identical && cache.get(keys[i]) == values[i];
+    rep.row({"footprint", "cold_mix-shaped", std::uint64_t(1), std::uint64_t(0),
+             std::uint64_t(kFootprintEntries), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, heap,
+             accounted, identical});
+    RMT_CHECK(identical, "bench_svc: cached answers did not read back byte-equal");
+    RMT_CHECK(heap <= accounted + kMaxEntryOverhead,
+              "bench_svc: a cached answer costs " + fmt::fixed(heap, 1) + " B of heap for " +
+                  fmt::fixed(accounted, 1) + " B accounted (slack " +
+                  fmt::fixed(kMaxEntryOverhead, 0) + " B)");
+  }
+
   pool.publish_stats();
-  rep.finish("SVC — memoizing query service: cold/warm latency and throughput (identical bytes)");
+  rep.finish("SVC — memoizing query service: cold/warm latency, throughput and heap per "
+             "cached answer (identical bytes)");
   return 0;
 }

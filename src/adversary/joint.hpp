@@ -23,59 +23,21 @@
 // false negatives for the true structure (Cor. 2: Z^{∪A_i} ⊆ ⊕ Z^{A_i}).
 #pragma once
 
-#include <deque>
 #include <vector>
 
 #include "adversary/bit_matrix.hpp"
 #include "adversary/oplus.hpp"
-#include "util/check.hpp"
 
 namespace rmt {
 
 class JointStructure {
  public:
-  JointStructure() = default;
-
-  // Move-only: the constraint list stores pointers (into owned_ for
-  // copying pushes, into caller storage for add_constraint_ref), and a
-  // copy would alias the source's backing store. Nothing copies joint
-  // structures; moves keep deque element addresses stable.
-  JointStructure(const JointStructure&) = delete;
-  JointStructure& operator=(const JointStructure&) = delete;
-  JointStructure(JointStructure&&) noexcept = default;
-  JointStructure& operator=(JointStructure&&) noexcept = default;
-  ~JointStructure() = default;
-
   /// Add the constraint "restricted to `ground`, the structure looks like
   /// z^ground". Typically: add_constraint(V(γ(v)), Z_v) for each v ∈ B.
   void add_constraint(const NodeSet& ground, const AdversaryStructure& z);
 
-  /// Add a constraint whose restriction was already computed; the
-  /// constraint is copied into owned storage.
+  /// Add a constraint whose restriction was already computed (copied).
   void add_constraint(const RestrictedStructure& c);
-
-  /// Push by reference, no copy: the caller guarantees `c` outlives this
-  /// constraint (until the matching pop_constraint). The decider hot path
-  /// uses this with its prebuilt per-node constraints — one pointer push
-  /// plus a precompiled-row append per DFS step, no allocation.
-  void add_constraint_ref(const RestrictedStructure& c) {
-    constraints_.push_back(&c);
-    rows_.push_group(c.compiled());
-  }
-
-  /// Remove the most recently added constraint (LIFO — the incremental
-  /// connected-subset DFS pairs one pop per push). Requires non-empty.
-  void pop_constraint() {
-    RMT_REQUIRE(!constraints_.empty(), "pop_constraint on empty JointStructure");
-    rows_.pop_group();
-    if (!owned_.empty() && constraints_.back() == &owned_.back()) owned_.pop_back();
-    constraints_.pop_back();
-  }
-
-  void reserve(std::size_t n) {
-    constraints_.reserve(n);
-    rows_.reserve(n, n);
-  }
 
   /// Conjunction membership test (see header), evaluated against the
   /// compiled forbidden rows (adversary/bit_matrix.hpp) with the SIMD
@@ -84,13 +46,6 @@ class JointStructure {
   /// ∅ is ∅ ∈ anything monotone); callers that need a stricter default add
   /// constraints first.
   bool contains(const NodeSet& x) const { return rows_.contains(x); }
-
-  /// Batched conjunction probes: out[i] = contains(probes[i]). The decider
-  /// scans call this with their per-chunk distinct candidates instead of
-  /// per-candidate contains.
-  void probe_batch(const NodeSet* probes, std::size_t k, bool* out) const {
-    rows_.probe_batch(probes, k, out);
-  }
 
   /// Union of constraint grounds — the ground set of the join.
   NodeSet ground() const;
@@ -102,9 +57,8 @@ class JointStructure {
   RestrictedStructure materialize() const;
 
  private:
-  std::vector<const RestrictedStructure*> constraints_;
-  std::deque<RestrictedStructure> owned_;  // backing for the copying pushes
-  ConjunctionRows rows_;                   // compiled rows, pushed/popped with constraints_
+  std::vector<RestrictedStructure> constraints_;
+  ConjunctionRows rows_;  // compiled rows, one group per constraint
 };
 
 }  // namespace rmt

@@ -45,8 +45,8 @@ class RestrictedStructure {
 
   /// The constraint's precompiled forbidden rows ground ∖ M (see
   /// adversary/bit_matrix.hpp): x ∩ ground ∈ family ⇔ some row is disjoint
-  /// from x. Built once at construction; JointStructure pushes reference
-  /// this instead of copying the whole structure.
+  /// from x. Built once at construction; JointStructure appends these rows
+  /// instead of re-deriving them per membership test.
   const CompiledGroup& compiled() const { return compiled_; }
 
   /// Semilattice equality: same ground set and same family.

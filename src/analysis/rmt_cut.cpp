@@ -3,10 +3,9 @@
 #include <limits>
 #include <utility>
 
-#include "adversary/joint.hpp"
+#include "analysis/feasibility.hpp"
 #include "exec/thread_pool.hpp"
 #include "graph/cuts.hpp"
-#include "obs/metrics.hpp"
 #include "obs/timer.hpp"
 #include "obs/trace.hpp"
 #include "util/audit.hpp"
@@ -16,184 +15,44 @@ namespace rmt::analysis {
 
 namespace {
 
-obs::Counter* joint_rebuild_counter() {
-  // Looked up per decider call, never cached across calls: Registry::reset()
-  // (bench sections) invalidates metric handles.
-  return obs::enabled() ? &obs::Registry::global().counter("rmt_cut.joint_rebuilds") : nullptr;
-}
-
-// One prebuilt constraint (Z^{V(γ(v))} over V(γ(v))) per node: the DFS
-// pushes copy these, so no restriction/prune ever runs inside the scan.
-// Restricting the global Z directly equals local_structure(v) by definition
-// and costs one restriction instead of two.
-std::vector<RestrictedStructure> prebuilt_constraints(const Instance& inst) {
-  std::vector<RestrictedStructure> constraint(inst.graph().capacity());
-  inst.graph().nodes().for_each([&](NodeId v) {
-    constraint[v] = RestrictedStructure(inst.adversary(), inst.gamma().view_nodes(v));
-  });
-  return constraint;
-}
-
-inline constexpr std::size_t kProbeMemoSlots = 16;
-inline constexpr std::size_t kProbeChunk = 16;
-
-// The per-(B, C) maximal-set scan shared by the sequential and pooled
-// deciders — one implementation, so their witnesses agree by construction.
-// Distinct probes C₂ ∩ V(γ(B)) repeat heavily across maximal sets (any two
-// M that miss the small cut identically yield the same C₂), so the few
-// distinct joint-membership answers are memoized per B, and the chunk's
-// *new* distinct probes go to the joint structure as one probe_batch call.
-// Batching and memoization only short-circuit *identical* membership
-// tests; the chunk is then walked in canonical antichain order and the
-// first qualifying M wins, keeping witnesses bit-identical to the
-// reference decider.
-std::optional<RmtCutWitness> scan_maximal_sets(const NodeSet& b, const NodeSet& cut,
-                                               const NodeSet& gamma_b, const JointStructure& zb,
-                                               const std::vector<NodeSet>& zmax) {
-  if (zmax.size() == 1) {
-    // One maximal set (the fig_f4 trivial family): no repeats to memoize,
-    // no chunk to stage — one probe decides the visit.
-    NodeSet c2 = cut;
-    c2 -= zmax[0];
-    NodeSet probe = c2;
-    probe &= gamma_b;
-    if (zb.contains(probe)) return RmtCutWitness{cut & zmax[0], std::move(c2), b};
-    return std::nullopt;
-  }
-  NodeSet seen[kProbeMemoSlots];
-  bool ans[kProbeMemoSlots];
-  std::size_t nseen = 0;
-  if (zmax.size() < kProbeChunk) {
-    // Small antichains (the fig_f4 trivial and random families) probe one
-    // by one: the chunk staging below costs more than it amortizes.
-    for (const NodeSet& m : zmax) {
-      NodeSet c2 = cut;
-      c2 -= m;
-      NodeSet probe = c2;
-      probe &= gamma_b;
-      bool member = false;
-      bool cached = false;
-      for (std::size_t i = 0; i < nseen; ++i) {
-        if (seen[i] == probe) {
-          member = ans[i];
-          cached = true;
-          break;
-        }
-      }
-      if (!cached) {
-        member = zb.contains(probe);
-        if (nseen < kProbeMemoSlots) {
-          seen[nseen] = probe;
-          ans[nseen] = member;
-          ++nseen;
-        }
-      }
-      if (member) return RmtCutWitness{cut & m, std::move(c2), b};
-    }
-    return std::nullopt;
-  }
-  NodeSet c2s[kProbeChunk];
-  NodeSet probes[kProbeChunk];
-  // member[j]: cached answer for chunk slot j; fresh[j]: index into the
-  // batch of not-yet-answered distinct probes, or kProbeChunk for cached.
-  bool member[kProbeChunk];
-  std::size_t fresh[kProbeChunk];
-  NodeSet batch[kProbeChunk];
-  bool batch_ans[kProbeChunk];
-  std::size_t owner[kProbeChunk];  // chunk slot that inserted batch[i]
-  for (std::size_t base = 0; base < zmax.size(); base += kProbeChunk) {
-    const std::size_t len = std::min(kProbeChunk, zmax.size() - base);
-    std::size_t nbatch = 0;
-    for (std::size_t j = 0; j < len; ++j) {
-      c2s[j] = cut;
-      c2s[j] -= zmax[base + j];
-      probes[j] = c2s[j];
-      probes[j] &= gamma_b;
-      fresh[j] = kProbeChunk;
-      bool cached = false;
-      for (std::size_t i = 0; i < nseen; ++i) {
-        if (seen[i] == probes[j]) {
-          member[j] = ans[i];
-          cached = true;
-          break;
-        }
-      }
-      if (cached) continue;
-      // Dedupe within the pending batch too: chunk-mates repeat probes
-      // just as heavily as the memo hits do.
-      for (std::size_t i = 0; i < nbatch; ++i) {
-        if (batch[i] == probes[j]) {
-          fresh[j] = i;
-          cached = true;
-          break;
-        }
-      }
-      if (cached) continue;
-      batch[nbatch] = probes[j];
-      owner[nbatch] = j;
-      fresh[j] = nbatch;
-      ++nbatch;
-    }
-    if (nbatch > 0) zb.probe_batch(batch, nbatch, batch_ans);
-    for (std::size_t j = 0; j < len; ++j) {
-      if (fresh[j] != kProbeChunk) {
-        member[j] = batch_ans[fresh[j]];
-        if (owner[fresh[j]] == j && nseen < kProbeMemoSlots) {
-          seen[nseen] = probes[j];
-          ans[nseen] = member[j];
-          ++nseen;
-        }
-      }
-      if (member[j])
-        return RmtCutWitness{cut & zmax[base + j], std::move(c2s[j]), b};
-    }
+// The per-B test both find_rmt_cut overloads share, so their witnesses agree
+// by construction: with C = N(B), the first maximal M (antichain order)
+// whose C₂ = C ∖ M passes Thm 1's per-node conjunction, C₂ ∩ V(γ(v)) ∈ Z_v
+// for every v ∈ B. A slice x lies inside V(γ(v)), and for such x,
+// x ∈ Z_v = Z^{V(γ(v))} iff x ∈ Z (monotonicity), so each slice is tested
+// against Z itself. find_rmt_cut_reference keeps the explicit Z_v.
+std::optional<RmtCutWitness> cut_at(const Instance& inst, const NodeSet& b) {
+  const NodeSet cut = inst.graph().boundary(b);
+  if (cut.contains(inst.dealer())) return std::nullopt;  // D may not sit inside the cut
+  const AdversaryStructure& z = inst.adversary();
+  for (const NodeSet& m : z.maximal_sets()) {
+    NodeSet c2 = cut - m;
+    bool member = true;
+    b.for_each([&](NodeId v) {
+      if (member && !z.contains(c2 & inst.gamma().view_nodes(v))) member = false;
+    });
+    if (member) return RmtCutWitness{cut & m, std::move(c2), b};
   }
   return std::nullopt;
 }
 
-// Incremental decider state, driven by the push/pop enumeration: Z_B, the
-// joint view union V(γ(B)) and the neighbour union ∪_{v∈B} N(v) (whence
-// N(B) = ∪N(v) ∖ B) all follow the DFS by single-node deltas. Unions are
-// not invertible, so pop restores from a save stack instead of subtracting;
-// all stacks are preallocated and every set involved is inline at
-// kMaxExactNodes, so the scan never allocates.
-struct IncrementalScan {
-  const Graph& g;
-  const NodeId d;
-  const ViewFunction& gamma;
-  const std::vector<RestrictedStructure>& constraint;
-  const std::vector<NodeSet>& zmax;
-  JointStructure zb;
-  NodeSet gamma_b;
-  NodeSet nbrs;
-  std::vector<NodeSet> gamma_save;
-  std::vector<NodeSet> nbrs_save;
-  std::optional<RmtCutWitness> witness;
+// Full views: V(γ(v)) = V for every v. A property of the input, not a flag.
+bool full_views(const Instance& inst) {
+  const NodeSet& all = inst.graph().nodes();
+  bool full = true;
+  all.for_each([&](NodeId v) {
+    if (full && inst.gamma().view_nodes(v) != all) full = false;
+  });
+  return full;
+}
 
-  void push(NodeId v) {
-    zb.add_constraint_ref(constraint[v]);  // constraint outlives the scan
-    gamma_save.push_back(gamma_b);
-    gamma_b |= gamma.view_nodes(v);
-    nbrs_save.push_back(nbrs);
-    nbrs |= g.neighbors(v);
-  }
-
-  void pop(NodeId) {
-    zb.pop_constraint();
-    gamma_b = std::move(gamma_save.back());
-    gamma_save.pop_back();
-    nbrs = std::move(nbrs_save.back());
-    nbrs_save.pop_back();
-  }
-
-  bool visit(const NodeSet& b) {
-    NodeSet cut = nbrs;
-    cut -= b;
-    if (cut.contains(d)) return true;  // D may not sit inside the cut
-    witness = scan_maximal_sets(b, cut, gamma_b, zb, zmax);
-    return !witness.has_value();
-  }
-};
+// Under full views Z_B = Z (⊕ is idempotent), so an RMT-cut exists iff two
+// admissible sets cover a D–R cut. True when that gate already proves the
+// instance solvable; the enumeration then has no witness to find.
+bool solvable_by_two_cover_gate(const Instance& inst) {
+  return full_views(inst) && !find_two_cover_cut(inst.graph(), inst.adversary(), inst.dealer(),
+                                                 inst.receiver());
+}
 
 }  // namespace
 
@@ -203,18 +62,14 @@ std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst) {
   RMT_REQUIRE(inst.num_players() <= kMaxExactNodes,
               "find_rmt_cut: instance too large for the exact decider");
   RMT_AUDIT_VALIDATE(inst);
-  const Graph& g = inst.graph();
-  const std::vector<RestrictedStructure> constraint = prebuilt_constraints(inst);
-
-  IncrementalScan scan{g,  inst.dealer(), inst.gamma(), constraint, inst.adversary().maximal_sets(),
-                       {}, {},            {},           {},         {},
-                       {}};
-  scan.zb.reserve(g.capacity());
-  scan.gamma_save.reserve(g.capacity() + 1);
-  scan.nbrs_save.reserve(g.capacity() + 1);
-  enumerate_connected_subsets_incremental(g, inst.receiver(), NodeSet::single(inst.dealer()),
-                                          scan);
-  return std::move(scan.witness);
+  if (solvable_by_two_cover_gate(inst)) return std::nullopt;
+  std::optional<RmtCutWitness> witness;
+  enumerate_connected_subsets(inst.graph(), inst.receiver(), NodeSet::single(inst.dealer()),
+                              [&](const NodeSet& b) {
+                                witness = cut_at(inst, b);
+                                return !witness.has_value();
+                              });
+  return witness;
 }
 
 std::optional<RmtCutWitness> find_rmt_cut_reference(const Instance& inst) {
@@ -231,7 +86,6 @@ std::optional<RmtCutWitness> find_rmt_cut_reference(const Instance& inst) {
   // once per enumerated component.
   std::vector<AdversaryStructure> local_z(g.capacity());
   g.nodes().for_each([&](NodeId v) { local_z[v] = inst.local_structure(v); });
-  obs::Counter* rebuilds = joint_rebuild_counter();
 
   std::optional<RmtCutWitness> witness;
   enumerate_connected_subsets(g, r, NodeSet::single(d), [&](const NodeSet& b) {
@@ -241,8 +95,7 @@ std::optional<RmtCutWitness> find_rmt_cut_reference(const Instance& inst) {
     // iff every node's slice x ∩ Γ(v) lies in Z_v^{Γ(v)}. The slice is a
     // subset of Γ(v), so membership in the restriction equals membership in
     // Z_v itself — no restricted structures, no conjunction compilation;
-    // this is the oracle the incremental decider is checked against.
-    if (rebuilds) rebuilds->inc();  // one fresh conjunction evaluated per B
+    // this is the oracle the shipped decider is checked against.
     for (const NodeSet& m : inst.adversary().maximal_sets()) {
       const NodeSet c2 = cut - m;
       bool member = true;
@@ -266,31 +119,7 @@ std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst, exec::ThreadPool
   RMT_REQUIRE(inst.num_players() <= kMaxExactNodes,
               "find_rmt_cut: instance too large for the exact decider");
   RMT_AUDIT_VALIDATE(inst);
-  const Graph& g = inst.graph();
-  const NodeId d = inst.dealer();
-  const NodeId r = inst.receiver();
-
-  const std::vector<RestrictedStructure> constraint = prebuilt_constraints(inst);
-  const std::vector<NodeSet>& zmax = inst.adversary().maximal_sets();
-  obs::Counter* rebuilds = joint_rebuild_counter();  // atomic: safe from workers
-
-  // The per-B work from the sequential scan, as a pure function of B. The
-  // batch items are independent, so Z_B is rebuilt per B here (counted) —
-  // but from the prebuilt constraints, so the rebuild is |B| pointer pushes
-  // and compiled-row appends, not |B| restrictions.
-  const auto eval_b = [&](const NodeSet& b) -> std::optional<RmtCutWitness> {
-    const NodeSet cut = g.boundary(b);
-    if (cut.contains(d)) return std::nullopt;
-    JointStructure zb;
-    zb.reserve(g.capacity());
-    NodeSet gamma_b;
-    b.for_each([&](NodeId v) {
-      zb.add_constraint_ref(constraint[v]);  // constraint outlives the batch
-      gamma_b |= inst.gamma().view_nodes(v);
-    });
-    if (rebuilds) rebuilds->inc();
-    return scan_maximal_sets(b, cut, gamma_b, zb, zmax);
-  };
+  if (solvable_by_two_cover_gate(inst)) return std::nullopt;
 
   // The enumeration itself is a sequential DFS, so the pipeline is:
   // collect a batch of candidate Bs, fan the batch out over the pool,
@@ -313,7 +142,7 @@ std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst, exec::ThreadPool
         [&](std::size_t lo, std::size_t hi) {
           First p;
           for (std::size_t i = lo; i < hi; ++i) {
-            if (std::optional<RmtCutWitness> w = eval_b(batch[i])) {
+            if (std::optional<RmtCutWitness> w = cut_at(inst, batch[i])) {
               p.index = i;
               p.w = std::move(w);
               break;  // lowest index within the chunk; rest cannot win
@@ -326,11 +155,12 @@ std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst, exec::ThreadPool
     if (f.w) witness = std::move(*f.w);
   };
 
-  enumerate_connected_subsets(g, r, NodeSet::single(d), [&](const NodeSet& b) {
-    batch.push_back(b);
-    if (batch.size() >= batch_size) flush();
-    return !witness.has_value();
-  });
+  enumerate_connected_subsets(inst.graph(), inst.receiver(), NodeSet::single(inst.dealer()),
+                              [&](const NodeSet& b) {
+                                batch.push_back(b);
+                                if (batch.size() >= batch_size) flush();
+                                return !witness.has_value();
+                              });
   flush();
   return witness;
 }

@@ -43,24 +43,25 @@ inline constexpr std::size_t kMaxExactNodes = 26;
 /// Find an RMT-cut, or nullopt if none exists (⇒ RMT-PKA succeeds, Thm 5).
 /// Requires num_players() <= kMaxExactNodes.
 ///
-/// Incremental scan: Z_B, V(γ(B)) and N(B) follow the connected-subset DFS
-/// by single-node push/pop deltas instead of per-B rebuilds, and every set
-/// it touches is inline (NodeSet SBO) at kMaxExactNodes — the hot loop
-/// never allocates (obs counter `nodeset.heap_spills` stays 0) and never
-/// rebuilds a joint structure (`rmt_cut.joint_rebuilds` stays 0).
+/// The definitional scan: enumerate connected B ∋ R, and per B test each
+/// maximal M with Thm 1's per-node conjunction (one test per M). When every
+/// view covers all of V, Z_B = Z and an RMT-cut exists iff a two-cover does
+/// (find_two_cover_cut), so the two-cover decides first and the enumeration
+/// runs only to produce an unsolvable instance's witness — the same first
+/// witness in the same enumeration and antichain order.
 std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst);
 
-/// The straightforward decider: rebuilds Z_B, V(γ(B)) and N(B) from scratch
-/// for every enumerated B. Same witnesses as find_rmt_cut by construction —
-/// kept as the cross-check baseline (tests assert bit-identical answers;
-/// bench_decider_hotpath measures the gap as BENCH_decider.json).
+/// The test and fuzz oracle: the same scan with every per-node slice tested
+/// against the explicit local structure Z_v = Z^{V(γ(v))}, and no gate.
+/// Tests and tools/rmt_fuzz assert find_rmt_cut returns this witness bit
+/// for bit; bench_decider_hotpath measures the gap as BENCH_decider.json.
 std::optional<RmtCutWitness> find_rmt_cut_reference(const Instance& inst);
 
 /// Parallel decider: batches the connected-subset enumeration and
-/// evaluates each batch across `pool`, keeping the lowest-index witness —
-/// so the returned witness is exactly the sequential one at any worker
-/// count. pool == nullptr (or a one-worker pool) falls back to the
-/// sequential scan above.
+/// evaluates each batch across `pool` with the sequential per-B test,
+/// keeping the lowest-index witness — so the returned witness is exactly
+/// the sequential one at any worker count. pool == nullptr (or a
+/// one-worker pool) falls back to the sequential scan above.
 std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst, exec::ThreadPool* pool);
 
 bool rmt_cut_exists(const Instance& inst);

@@ -55,7 +55,8 @@ std::optional<ZppCutWitness> scan_maximal_sets(const NodeSet& b, const NodeSet& 
   bool ans[kC2MemoSlots];
   std::size_t nseen = 0;
   if (zmax.size() < kC2Chunk) {
-    // Small antichains probe one by one; see rmt_cut.cpp.
+    // Small antichains probe one by one: the chunk staging below costs
+    // more than it amortizes.
     for (const NodeSet& m : zmax) {
       NodeSet c2 = cut;
       c2 -= m;
@@ -132,7 +133,7 @@ std::optional<ZppCutWitness> scan_maximal_sets(const NodeSet& b, const NodeSet& 
   return std::nullopt;
 }
 
-// Incremental decider state (see rmt_cut.cpp for the pattern): the
+// Incremental decider state, driven by the push/pop enumeration: the
 // neighbour union ∪_{v∈B} N(v) and the compiled-row stack follow the DFS
 // by push/pop deltas; N(B) = ∪N(v) ∖ B per visit. A push is one
 // precompiled row-group append — no restriction, no NodeSet temporaries.

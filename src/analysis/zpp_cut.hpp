@@ -37,7 +37,7 @@ struct ZppCutWitness {
 };
 
 /// Find an RMT Z-pp cut (Def. 7), or nullopt (⇒ Z-CPA succeeds, Thm 7).
-/// Incremental scan (see rmt_cut.hpp): N(B) and the member list follow the
+/// Incremental scan (graph/cuts.hpp): N(B) and the member list follow the
 /// connected-subset DFS by push/pop deltas; allocation-free at
 /// kMaxExactNodes.
 std::optional<ZppCutWitness> find_rmt_zpp_cut(const Instance& inst);

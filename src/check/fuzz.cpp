@@ -314,6 +314,16 @@ bool witness_equal(const std::optional<Witness>& a, const std::optional<Witness>
   return a->c1 == b->c1 && a->c2 == b->c2 && a->b == b->b;
 }
 
+std::string cover_str(const std::optional<analysis::TwoCoverWitness>& w) {
+  return w ? "z1=" + set_str(w->z1) + " z2=" + set_str(w->z2) : "none";
+}
+
+bool cover_equal(const std::optional<analysis::TwoCoverWitness>& a,
+                 const std::optional<analysis::TwoCoverWitness>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  return !a || (a->z1 == b->z1 && a->z2 == b->z2);
+}
+
 /// Seeded random instance for topping up the differential stream (the
 /// shape of tests/test_util.hpp's random_instance, re-derived here so the
 /// library target does not include test headers).
@@ -488,6 +498,12 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
   const auto zpp_decider =
       opts.zpp_decider ? opts.zpp_decider
                        : [](const Instance& i) { return analysis::find_rmt_zpp_cut(i); };
+  const auto two_cover_decider =
+      opts.two_cover_decider
+          ? opts.two_cover_decider
+          : [](const Graph& g, const AdversaryStructure& z, NodeId d, NodeId r) {
+              return analysis::find_two_cover_cut(g, z, d, r);
+            };
   const auto parser = opts.parser ? opts.parser : [](const std::string& t) {
     return io::parse_instance_string(t);
   };
@@ -585,7 +601,10 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
     }
     report.diff_checks += 1;
 
-    // Optimized vs reference deciders: existence and witness, bit-identical.
+    // Shipped vs reference deciders: existence and witness, bit-identical.
+    // The oracles' answers then check both implications and the served
+    // `analyze`, so an injected decider only ever shows as decider-diverged.
+    analysis::Analysis oracle;
     try {
       const auto ref_rmt = analysis::find_rmt_cut_reference(*inst);
       const auto opt_rmt = rmt_decider(*inst);
@@ -601,11 +620,32 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
             "decider-diverged",
             "zpp: reference=" + witness_str(ref_zpp) + " optimized=" + witness_str(opt_zpp),
             text, seed, i});
+      const Graph& g = inst->graph();
+      const auto ref_cover = analysis::find_two_cover_cut_reference(
+          g, inst->adversary(), inst->dealer(), inst->receiver());
+      const auto opt_cover =
+          two_cover_decider(g, inst->adversary(), inst->dealer(), inst->receiver());
+      if (!cover_equal(ref_cover, opt_cover))
+        report.findings.push_back(FuzzFinding{
+            "decider-diverged",
+            "two-cover: reference=" + cover_str(ref_cover) + " optimized=" + cover_str(opt_cover),
+            text, seed, i});
+      oracle = analysis::Analysis{ref_rmt, !ref_zpp.has_value(), !ref_cover.has_value()};
     } catch (const std::exception& e) {
       report.findings.push_back(FuzzFinding{
           "decider-diverged", std::string("decider threw: ") + e.what(), text, seed, i});
       continue;
     }
+
+    // The characterizations nest: Z-CPA solvable ⇒ RMT solvable ⇒
+    // full-knowledge solvable.
+    if (oracle.zcpa_solvable && oracle.rmt_cut)
+      report.findings.push_back(FuzzFinding{
+          "zcpa-implication-violated",
+          "Z-CPA solvable but rmt: " + witness_str(oracle.rmt_cut), text, seed, i});
+    if (!oracle.rmt_cut && !oracle.full_knowledge_solvable)
+      report.findings.push_back(FuzzFinding{
+          "full-implication-violated", "RMT solvable but a two-cover exists", text, seed, i});
 
     // Batched vs per-candidate membership kernels on this instance's
     // adversary structure: probe_batch must agree with contains
@@ -691,6 +731,16 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
           "no-cache/fresh/cached/coalesced answers for one instance_key differ "
           "(fresh status=" + std::to_string(int(r_fresh[0].status)) + ")",
           text, seed, i});
+
+    // The served `analyze` skips whichever decider rmt_solvable implies;
+    // its bytes must equal the answer built from all three oracles.
+    const svc::Request analyze{svc::QueryKind::kAnalyze, *inst, svc::SimParams{},
+                               std::nullopt, /*no_cache=*/true};
+    const svc::Response served = engine.run({analyze})[0];
+    const std::string want = svc::format_analyze_result(oracle);
+    if (served.status != svc::Response::Status::kOk || served.result != want)
+      report.findings.push_back(FuzzFinding{
+          "analyze-diverged", "served " + served.result + " | unskipped " + want, text, seed, i});
   }
 
   // --- loop 3: store-image robustness over mutated record logs -------------

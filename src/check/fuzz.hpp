@@ -24,13 +24,20 @@
 //
 //   * Differential deciders: parsed mutants (topped up with seeded random
 //     instances so the check count is deterministic) are pushed through
-//     the optimized deciders vs the find_*_reference oracles — existence
-//     AND witness must be bit-identical — and through a memoizing
-//     svc::Engine, where the cached, coalesced and no-cache answers for
-//     one instance_key must be byte-identical. The same instances feed a
-//     membership-kernel differential: AdversaryStructure::probe_batch vs
-//     per-candidate contains, under the compiled vector backend and again
-//     with simd::force_scalar — four answers per probe, one truth.
+//     the shipped deciders vs the find_*_reference oracles — existence
+//     AND witness must be bit-identical, for the RMT-cut, the Z-pp cut and
+//     the two-cover — and through a memoizing svc::Engine, where the
+//     cached, coalesced and no-cache answers for one instance_key must be
+//     byte-identical. The oracles' answers must obey both implications,
+//     Z-CPA solvable ⇒ RMT solvable (zcpa-implication-violated) and RMT
+//     solvable ⇒ full-knowledge solvable (full-implication-violated), and
+//     the engine's `analyze` answer — which skips the implied decider —
+//     must equal the one formatted from all three oracles
+//     (analyze-diverged). This path never skips a decider. The same
+//     instances feed a membership-kernel differential:
+//     AdversaryStructure::probe_batch vs per-candidate contains, under the
+//     compiled vector backend and again with simd::force_scalar — four
+//     answers per probe, one truth.
 //
 //   * Store images: synthetic record logs (header_line + encode_record,
 //     valid by construction) are truncated, bit-flipped, spliced and
@@ -43,8 +50,8 @@
 //     records without tearing again (repair is idempotent — the exact
 //     recovery a restarted server performs).
 //
-// The parser, memo and deciders under test are injectable
-// (FuzzOptions::parser / memo / rmt_decider / zpp_decider) so the harness
+// The parser, memo and deciders under test are injectable (FuzzOptions::
+// parser / memo / rmt_decider / zpp_decider / two_cover_decider) so the harness
 // can prove it *catches* a deliberately broken one — that self-test is
 // wired as the fuzz_selftest ctest and `rmt_fuzz --self-test`.
 //
@@ -61,8 +68,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/rmt_cut.hpp"
-#include "analysis/zpp_cut.hpp"
+#include "analysis/feasibility.hpp"
 #include "instance/instance.hpp"
 #include "svc/instance_memo.hpp"
 #include "util/rng.hpp"
@@ -91,6 +97,11 @@ struct FuzzOptions {
   /// find_rmt_zpp_cut. Tests inject broken ones to prove detection.
   std::function<std::optional<analysis::RmtCutWitness>(const Instance&)> rmt_decider;
   std::function<std::optional<analysis::ZppCutWitness>(const Instance&)> zpp_decider;
+  /// Two-cover under differential test against find_two_cover_cut_reference;
+  /// null = find_two_cover_cut.
+  std::function<std::optional<analysis::TwoCoverWitness>(const Graph&, const AdversaryStructure&,
+                                                         NodeId, NodeId)>
+      two_cover_decider;
 };
 
 /// One divergence/contract violation, with everything needed to reproduce.
@@ -98,6 +109,8 @@ struct FuzzFinding {
   std::string kind;    ///< parser-crash | parser-diverged | memo-diverged
                        ///< | roundtrip-diverged
                        ///< | audit-violation | decider-diverged
+                       ///< | zcpa-implication-violated
+                       ///< | full-implication-violated | analyze-diverged
                        ///< | kernel-diverged | svc-diverged
                        ///< | generator-invalid | store-crash
                        ///< | store-roundtrip-diverged | store-audit-violation

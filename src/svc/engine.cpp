@@ -91,6 +91,20 @@ const char* to_string(Response::Status status) {
   return "unknown";
 }
 
+std::string format_analyze_result(const analysis::Analysis& a) {
+  obs::json::Writer w;
+  w.begin_object();
+  w.field("kind", to_string(QueryKind::kAnalyze));
+  w.field("rmt_solvable", !a.rmt_cut.has_value());
+  w.key("rmt_cut_witness");
+  if (a.rmt_cut) write_witness(w, a.rmt_cut->c1, a.rmt_cut->c2, a.rmt_cut->b);
+  else w.null();
+  w.field("zcpa_solvable", a.zcpa_solvable);
+  w.field("full_knowledge_solvable", a.full_knowledge_solvable);
+  w.end_object();
+  return w.take();
+}
+
 std::optional<QueryKind> parse_query_kind(const std::string& name) {
   if (name == "decide_rmt") return QueryKind::kDecideRmt;
   if (name == "decide_zpp") return QueryKind::kDecideZpp;
@@ -142,6 +156,7 @@ std::string Engine::composite_key(const Request& req, const InstanceKey& key) co
 
 std::string Engine::compute(const Request& req, const InstanceKey& key) const {
   const Instance& inst = req.instance.get();  // a memo hit's text parses here, once
+  if (req.kind == QueryKind::kAnalyze) return format_analyze_result(analysis::analyze(inst));
   obs::json::Writer w;
   w.begin_object();
   w.field("kind", to_string(req.kind));
@@ -162,19 +177,8 @@ std::string Engine::compute(const Request& req, const InstanceKey& key) const {
       else w.null();
       break;
     }
-    case QueryKind::kAnalyze: {
-      const auto rmt_cut = analysis::find_rmt_cut(inst);
-      const auto zpp = analysis::find_rmt_zpp_cut(inst);
-      const bool full = analysis::solvable_full_knowledge(inst.graph(), inst.adversary(),
-                                                          inst.dealer(), inst.receiver());
-      w.field("rmt_solvable", !rmt_cut.has_value());
-      w.key("rmt_cut_witness");
-      if (rmt_cut) write_witness(w, rmt_cut->c1, rmt_cut->c2, rmt_cut->b);
-      else w.null();
-      w.field("zcpa_solvable", !zpp.has_value());
-      w.field("full_knowledge_solvable", full);
+    case QueryKind::kAnalyze:  // formatted above
       break;
-    }
     case QueryKind::kSimulate: {
       const SimParams& p = req.params;
       if (!inst.admissible_corruption(p.corrupted))

@@ -61,6 +61,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "analysis/feasibility.hpp"
 #include "instance/instance.hpp"
 #include "store/store.hpp"
 #include "svc/instance_key.hpp"
@@ -76,7 +77,7 @@ namespace rmt::svc {
 enum class QueryKind {
   kDecideRmt,   ///< find_rmt_cut: RMT solvability + witness
   kDecideZpp,   ///< find_rmt_zpp_cut: Z-CPA solvability + witness
-  kAnalyze,     ///< all three characterizations (rmt / zpp / two-cover)
+  kAnalyze,     ///< all three characterizations (analysis::analyze)
   kSimulate,    ///< one seeded RMT-PKA run under an attack strategy
 };
 
@@ -127,6 +128,12 @@ struct Response {
 /// "ok" / "deadline_exceeded" / "error" — the rmt.response/1 status field
 /// and the "status" attribute of svc.request spans.
 const char* to_string(Response::Status status);
+
+/// The result object of an `analyze` answer, byte for byte as the engine
+/// serves it. The engine formats analysis::analyze (implication-aware);
+/// tests and tools/rmt_fuzz format analysis::analyze_reference with it to
+/// check the served bytes against all three deciders run unconditionally.
+std::string format_analyze_result(const analysis::Analysis& a);
 
 class Engine {
  public:

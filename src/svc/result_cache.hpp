@@ -12,6 +12,16 @@
 // contention unit is the shard, and the TSan suite (SvcCache*) races
 // get/put across shards to prove it.
 //
+// Storage: each entry is ONE heap block — its LRU links, hash-chain link,
+// hash and lengths, then the key bytes, then the value bytes — and the
+// shard's bucket array points at the blocks themselves (an intrusive
+// chained hash table), so a lookup compares the key in place and an entry
+// costs one allocation plus its bucket slot. Every answer of a cold
+// workload stays cached, so this is what RSS grows by per served answer:
+// its key + value bytes plus ~70 B of heap (a list node, a map node and
+// separate key/value strings would cost ~280 B); bench_svc_throughput
+// checks heap ≤ accounted + 112 B per entry.
+//
 // Eviction: the budget is bytes (keys + values), divided evenly across
 // shards. put() evicts least-recently-used entries of the target shard
 // until the new entry fits; an entry larger than a whole shard's budget
@@ -26,13 +36,10 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 namespace rmt::svc {
@@ -80,18 +87,28 @@ class ResultCache {
   void publish_stats();
 
  private:
+  struct Entry;  // one heap block: links, then key bytes, then value bytes
+
   struct Shard {
+    ~Shard();
     mutable std::mutex m;
-    /// Front = most recently used. Entries are (key, value).
-    std::list<std::pair<std::string, std::string>> lru;
-    std::unordered_map<std::string, decltype(lru)::iterator> index;
+    Entry* newest = nullptr;  ///< LRU list head (most recently used)
+    Entry* oldest = nullptr;  ///< LRU list tail: the next victim
+    /// Power-of-two bucket array, chained through the entries themselves.
+    std::vector<Entry*> buckets;
+    std::size_t entries = 0;
     std::size_t bytes = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
+
+    Entry* find(std::uint64_t hash, const std::string& key) const;
+    void insert_newest(Entry* e);
+    void remove(Entry* e);  ///< detach from both lists and free the block
+    void move_to_newest(Entry* e);
   };
 
-  Shard& shard_of(const std::string& key);
+  Shard& shard_of(std::uint64_t hash);
   std::optional<std::string> lookup(const std::string& key, bool count_miss);
 
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -28,11 +28,24 @@ std::string oversized(std::size_t bytes) {
          std::to_string(bytes) + ")";
 }
 
-/// The object's string "id" member, else "".
-std::string id_of(const obs::json::Value& doc) {
-  if (!doc.is_object()) return "";
+/// The object's string "id" member, or nullptr.
+const std::string* raw_id(const obs::json::Value& doc) {
+  if (!doc.is_object()) return nullptr;
   const obs::json::Value* v = doc.find("id");
-  return v && v->kind() == obs::json::Value::Kind::kString ? v->as_string() : "";
+  return v && v->kind() == obs::json::Value::Kind::kString ? &v->as_string() : nullptr;
+}
+
+/// The over-cap error for an id, or "" when it may be echoed.
+std::string id_error(const std::string* id) {
+  if (id == nullptr || id->size() <= kMaxIdBytes) return "";
+  return "rmt.request/1: 'id' exceeds " + std::to_string(kMaxIdBytes) + " bytes (got " +
+         std::to_string(id->size()) + ")";
+}
+
+/// The id to echo: the object's string "id" member within the cap, else "".
+std::string id_of(const obs::json::Value& doc) {
+  const std::string* id = raw_id(doc);
+  return id && id->size() <= kMaxIdBytes ? *id : "";
 }
 
 /// "stats" / "trace" when the document is a probe, else "".
@@ -66,6 +79,10 @@ ParsedRequest request_of(const obs::json::Value& doc, InstanceMemo* memo) {
       throw std::invalid_argument("rmt.request/1: 'params' must be an object");
     if (const obs::json::Value* v = p->find("value")) params.value = v->as_u64();
     if (const obs::json::Value* v = p->find("corrupted")) {
+      if (v->array().size() > kMaxCorruptedEntries)
+        throw std::invalid_argument("rmt.request/1: 'params.corrupted' has " +
+                                    std::to_string(v->array().size()) + " entries, more than " +
+                                    std::to_string(kMaxCorruptedEntries));
       for (const obs::json::Value& node : v->array()) {
         const std::uint64_t node_id = node.as_u64();
         if (node_id > kMaxCorruptedId)
@@ -110,7 +127,12 @@ Envelope parse_line(const std::string& line, InstanceMemo* memo) {
     env.error = e.what();
     return env;
   }
-  env.id = id_of(doc);
+  const std::string* id = raw_id(doc);
+  if (std::string error = id_error(id); !error.empty()) {
+    env.error = std::move(error);  // any kind: a hostile id is never echoed
+    return env;
+  }
+  if (id != nullptr) env.id = *id;
   if (const std::string probe = probe_of(doc); !probe.empty()) {
     env.kind = probe == "stats" ? Envelope::Kind::kStats : Envelope::Kind::kTrace;
     return env;
@@ -126,7 +148,10 @@ Envelope parse_line(const std::string& line, InstanceMemo* memo) {
 
 ParsedRequest parse_request(const std::string& line) {
   if (line.size() > kMaxRequestBytes) throw std::invalid_argument(oversized(line.size()));
-  return request_of(obs::json::Value::parse(line), nullptr);
+  const obs::json::Value doc = obs::json::Value::parse(line);
+  if (std::string error = id_error(raw_id(doc)); !error.empty())
+    throw std::invalid_argument(error);  // checked first, as parse_line does
+  return request_of(doc, nullptr);
 }
 
 std::string extract_id(const std::string& line) {

@@ -27,9 +27,12 @@
 // request's span subtree in rmt.trace/1 dumps (null when tracing is off).
 //
 // Caps on untrusted fields, each rejected with an "rmt.request/1: ..."
-// error naming the field: the whole line (kMaxRequestBytes), a
-// `params.corrupted` node id (kMaxCorruptedId) and `params.max_rounds`
-// (kMaxRounds). JSON nesting is capped by the parser (json::kMaxParseDepth).
+// error naming the field: the whole line (kMaxRequestBytes), the `id`
+// (kMaxIdBytes), the number of `params.corrupted` entries
+// (kMaxCorruptedEntries), a `params.corrupted` node id (kMaxCorruptedId)
+// and `params.max_rounds` (kMaxRounds). An over-cap id is answered with id
+// "", so a hostile id is never echoed. JSON nesting is capped by the parser
+// (json::kMaxParseDepth).
 //
 // Both transports parse a line with parse_line(line, &engine.memo()): the
 // embedded instance text is resolved through the engine's exact text → key
@@ -57,6 +60,15 @@ inline constexpr const char* kResponseSchema = "rmt.response/1";
 /// 4 MiB comfortably fits every realistic embedded instance text.
 inline constexpr std::size_t kMaxRequestBytes = 4u << 20;
 
+/// Longest `id`, in bytes. The id is echoed into every answer, so without
+/// a cap one line could make the server write megabytes back per request.
+inline constexpr std::size_t kMaxIdBytes = 256;
+
+/// Most `params.corrupted` entries. Ids are capped at kMaxCorruptedId, so
+/// a longer list must repeat an id; every entry is still parsed and
+/// inserted, so the list length is bounded too.
+inline constexpr std::size_t kMaxCorruptedEntries = io::kMaxParseNodes;
+
 /// Largest node id `params.corrupted` may name. An instance the parser
 /// accepts has at most io::kMaxParseNodes nodes, so a larger id can never
 /// be admissible — and a NodeSet grows to hold whatever id it is given.
@@ -78,7 +90,8 @@ struct Envelope {
   };
   Kind kind = Kind::kError;
   /// The id to echo: the object's string "id" member, else "". An
-  /// oversized line is never parsed, so its id is always "".
+  /// oversized line is never parsed and an id over kMaxIdBytes is never
+  /// echoed, so both answer with id "".
   std::string id;
   std::optional<Request> request;  ///< set iff kRequest
   std::string error;               ///< kError only
@@ -103,7 +116,7 @@ ParsedRequest parse_request(const std::string& line);
 
 /// Best-effort id extraction from a line that failed parse_request, so
 /// the error response can still be matched by the client ("" if even the
-/// id is unreadable).
+/// id is unreadable, or longer than kMaxIdBytes).
 std::string extract_id(const std::string& line);
 
 /// Format one rmt.response/1 line (no trailing newline).

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/thread_pool.hpp"
 #include "graph/generators.hpp"
 #include "tests/test_util.hpp"
 
@@ -85,6 +86,85 @@ TEST(TwoCover, EndpointsNeverInWitness) {
     EXPECT_FALSE((w->z1 | w->z2).contains(inst.dealer()));
     EXPECT_FALSE((w->z1 | w->z2).contains(inst.receiver()));
   }
+}
+
+bool same_cover(const std::optional<TwoCoverWitness>& a,
+                const std::optional<TwoCoverWitness>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  return !a || (a->z1 == b->z1 && a->z2 == b->z2);
+}
+
+TEST(TwoCover, MatchesRowMajorReferenceAcrossTheWordBoundary) {
+  // The shipped scan (pairs i <= j, one machine word per set while every
+  // node id is below 64) against the full row-major NodeSet scan, at graph
+  // capacities on both sides of the word boundary. Near-trees make single
+  // nodes separating, so both hits and misses occur.
+  exec::ThreadPool pool(2);
+  for (std::size_t cap : {63u, 64u, 65u, 130u}) {
+    Rng rng(83 + cap);
+    std::size_t hits = 0, misses = 0;
+    for (int trial = 0; trial < 40; ++trial) {
+      const Graph g = generators::random_connected_gnp(cap, 1.0 / double(cap), rng);
+      // Every other trial puts the endpoints at the top of the id range.
+      const NodeId d = trial % 2 ? NodeId(cap - 1) : NodeId(rng.index(cap));
+      NodeId r = trial % 2 ? NodeId(cap - 2) : d;
+      while (r == d) r = NodeId(rng.index(cap));
+      const AdversaryStructure z =
+          random_structure(g.nodes(), 2 + rng.index(6), 1 + rng.index(3), NodeSet{d, r}, rng);
+      const auto want = find_two_cover_cut_reference(g, z, d, r);
+      EXPECT_TRUE(same_cover(find_two_cover_cut(g, z, d, r), want)) << "cap=" << cap;
+      EXPECT_TRUE(same_cover(find_two_cover_cut(g, z, d, r, &pool), want)) << "cap=" << cap;
+      (want ? hits : misses) += 1;
+    }
+    EXPECT_GT(hits, 0u) << "cap=" << cap;
+    EXPECT_GT(misses, 0u) << "cap=" << cap;
+  }
+}
+
+TEST(TwoCover, SingleMaximalSetThatSeparatesAlone) {
+  // One maximal set covers a D–R cut on its own: the witness is (M, M),
+  // the i == j pair, found before any two-set pair — on both sides of the
+  // word boundary, with the cut at the top of the id range.
+  for (std::size_t n : {64u, 65u, 128u}) {
+    const Graph g = generators::path_graph(n);
+    const NodeId r = NodeId(n - 1);
+    const AdversaryStructure z = structure({NodeSet{1, 2}, NodeSet{NodeId(n - 2)}});
+    const auto w = find_two_cover_cut(g, z, 0, r);
+    ASSERT_TRUE(w.has_value()) << "n=" << n;
+    EXPECT_EQ(w->z1, w->z2) << "n=" << n;
+    EXPECT_TRUE(same_cover(w, find_two_cover_cut_reference(g, z, 0, r))) << "n=" << n;
+  }
+}
+
+TEST(Analyze, ServedAnswerEqualsAllThreeDecidersUnconditionally) {
+  // analyze() skips the decider rmt_solvable implies; its answer must be
+  // the unconditional one, and both implications must hold: Z-CPA
+  // solvable ⇒ RMT solvable ⇒ full-knowledge solvable.
+  Rng rng(89);
+  std::size_t rmt_solvable = 0, rmt_unsolvable = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t k = trial % 4 == 3 ? SIZE_MAX : std::size_t(trial % 4);
+    const Instance inst = testing::random_instance(7, 0.3, 3, 2, k, rng);
+    const Analysis got = analyze(inst);
+    const Analysis want = analyze_reference(inst);
+    EXPECT_EQ(got.rmt_cut.has_value(), want.rmt_cut.has_value()) << inst.to_string();
+    if (got.rmt_cut && want.rmt_cut) {
+      EXPECT_EQ(got.rmt_cut->c1, want.rmt_cut->c1);
+      EXPECT_EQ(got.rmt_cut->c2, want.rmt_cut->c2);
+      EXPECT_EQ(got.rmt_cut->b, want.rmt_cut->b);
+    }
+    EXPECT_EQ(got.zcpa_solvable, want.zcpa_solvable) << inst.to_string();
+    EXPECT_EQ(got.full_knowledge_solvable, want.full_knowledge_solvable) << inst.to_string();
+    if (want.zcpa_solvable) {
+      EXPECT_FALSE(want.rmt_cut.has_value()) << inst.to_string();
+    }
+    if (!want.rmt_cut) {
+      EXPECT_TRUE(want.full_knowledge_solvable) << inst.to_string();
+    }
+    (want.rmt_cut ? rmt_unsolvable : rmt_solvable) += 1;
+  }
+  EXPECT_GT(rmt_solvable, 0u);
+  EXPECT_GT(rmt_unsolvable, 0u);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 
 #include "analysis/rmt_cut.hpp"
 #include "check/fuzz.hpp"
+#include "graph/connectivity.hpp"
 #include "io/serialize.hpp"
 #include "util/rng.hpp"
 
@@ -143,6 +144,30 @@ TEST(Fuzz, CatchesBrokenWitness) {
   const FuzzReport report = run_fuzz(opts);
   EXPECT_FALSE(report.ok()) << "corrupted witness slipped through";
   EXPECT_EQ(report.findings.front().kind, "decider-diverged");
+}
+
+TEST(Fuzz, CatchesATwoCoverThatSkipsTheDiagonal) {
+  // A two-cover scanning only pairs j > i misses every cut a single
+  // maximal set covers alone; the two-cover differential must see it.
+  FuzzOptions opts = small_options();
+  opts.parser_mutants = 100;
+  opts.two_cover_decider = [](const Graph& g, const AdversaryStructure& z, NodeId d,
+                              NodeId r) -> std::optional<analysis::TwoCoverWitness> {
+    const auto& sets = z.maximal_sets();
+    for (std::size_t i = 0; i < sets.size(); ++i)
+      for (std::size_t j = i + 1; j < sets.size(); ++j) {
+        const NodeSet cut = sets[i] | sets[j];
+        if (!cut.contains(d) && !cut.contains(r) && separates(g, cut, d, r))
+          return analysis::TwoCoverWitness{sets[i], sets[j]};
+      }
+    return std::nullopt;
+  };
+  const FuzzReport report = run_fuzz(opts);
+  EXPECT_FALSE(report.ok()) << "off-diagonal two-cover slipped through";
+  for (const FuzzFinding& f : report.findings) {
+    EXPECT_EQ(f.kind, "decider-diverged");
+    EXPECT_EQ(f.detail.rfind("two-cover:", 0), 0u) << f.detail;
+  }
 }
 
 /// Deliberately inexact: entries are indexed by a 4-bit digest of the

@@ -5,7 +5,9 @@
 // floor × D,R placement × worker count × simd-backend/bucket-boundary
 // = 4·3·2·2·2·4 = 384 cells, with the per-cell seed proven to be a pure
 // function of (root seed, coordinates) by running the sweep twice and
-// recomputing one seed by hand.
+// recomputing one seed by hand. Each cell checks the shipped RMT-cut
+// decider against its reference and both implications, Z-CPA solvable ⇒
+// RMT solvable ⇒ full-knowledge solvable.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +17,7 @@
 #include <vector>
 
 #include "adversary/threshold.hpp"
-#include "analysis/rmt_cut.hpp"
+#include "analysis/feasibility.hpp"
 #include "check/parameterize.hpp"
 #include "exec/campaign.hpp"
 #include "exec/thread_pool.hpp"
@@ -134,6 +136,13 @@ Result sweep_decider_product(std::uint64_t root_seed,
         if (expect &&
             !(expect->c1 == got->c1 && expect->c2 == got->c2 && expect->b == got->b))
           throw std::runtime_error("decider witness diverged from reference");
+        // The characterizations nest: Z-CPA solvable ⇒ RMT solvable ⇒
+        // full-knowledge solvable. Served `analyze` skips a decider on the
+        // strength of these, so every cell checks them.
+        if (!analysis::find_rmt_zpp_cut(inst) && expect)
+          throw std::runtime_error("Z-CPA solvable but an RMT-cut exists");
+        if (!expect && analysis::find_two_cover_cut(g, z, d, r))
+          throw std::runtime_error("RMT solvable but a two-cover exists");
       },
       RMT_PC_AXIS(graph_families, g), RMT_PC_AXIS(structure_recipes, recipe),
       RMT_PC_AXIS(view_floors, floor), RMT_PC_AXIS(placements, place),

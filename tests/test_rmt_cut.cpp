@@ -6,6 +6,7 @@
 
 #include <optional>
 
+#include "adversary/threshold.hpp"
 #include "analysis/feasibility.hpp"
 #include "exec/thread_pool.hpp"
 #include "graph/connectivity.hpp"
@@ -146,17 +147,18 @@ TEST(RmtCut, WitnessIsActuallyACut) {
   }
 }
 
-// ---- incremental hot path vs. reference ----------------------------------
+// ---- shipped decider vs. reference ---------------------------------------
 
 bool same_witness(const std::optional<RmtCutWitness>& a, const std::optional<RmtCutWitness>& b) {
   if (a.has_value() != b.has_value()) return false;
   return !a || (a->c1 == b->c1 && a->c2 == b->c2 && a->b == b->b);
 }
 
-TEST(RmtCut, IncrementalMatchesReferenceWitnessExactly) {
-  // The shipped decider maintains Z_B/V(γ(B))/N(B) by push/pop deltas; the
-  // reference rebuilds them per B. Same witness, bit for bit — not merely
-  // the same yes/no — across random instances and every knowledge level.
+TEST(RmtCut, ShippedMatchesReferenceWitnessExactly) {
+  // The shipped decider tests slices against Z and gates full views by the
+  // two-cover; the reference tests explicit Z_v and never gates. Same
+  // witness, bit for bit — not merely the same yes/no — across random
+  // instances and every knowledge level.
   Rng rng(61);
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t k = std::size_t(trial % 4);
@@ -170,29 +172,67 @@ TEST(RmtCut, IncrementalMatchesReferenceWitnessExactly) {
   }
 }
 
-TEST(RmtCut, HotPathNeverSpillsNorRebuildsAt26Nodes) {
-  // The headline claim of the incremental decider: a full n = 26 run
-  // touches the allocator zero times from NodeSet (all sets inline) and
-  // performs zero full joint-structure rebuilds. Asserted, not benchmarked.
+TEST(RmtCut, HotPathNeverSpillsAt26Nodes) {
+  // At the decider cap every set the scan touches is inline (NodeSet SBO):
+  // a full n = 26 enumeration, and a threshold-2 scan under 1-hop views,
+  // never reach the allocator through NodeSet.
   const Graph g = generators::cycle_graph(26);
-  const Instance inst = Instance::ad_hoc(g, AdversaryStructure::trivial(), 0, 13);
   obs::set_enabled(true);
   obs::Registry::global().reset();
-  EXPECT_FALSE(find_rmt_cut(inst).has_value());  // no cut: full enumeration
-  EXPECT_EQ(obs::Registry::global().counter("nodeset.heap_spills").value(), 0u);
-  EXPECT_EQ(obs::Registry::global().counter("rmt_cut.joint_rebuilds").value(), 0u);
-  // The reference decider on the same instance *does* rebuild per B.
-  EXPECT_FALSE(find_rmt_cut_reference(inst).has_value());
-  EXPECT_GT(obs::Registry::global().counter("rmt_cut.joint_rebuilds").value(), 0u);
+  EXPECT_FALSE(find_rmt_cut(Instance::ad_hoc(g, AdversaryStructure::trivial(), 0, 13))
+                   .has_value());  // no cut: full enumeration
+  const Graph paths = generators::parallel_paths(3, 8);
+  const NodeId r = NodeId(paths.num_nodes() - 1);
+  const AdversaryStructure z = threshold_structure(paths.nodes() - NodeSet{0, r}, 2);
+  EXPECT_TRUE(find_rmt_cut(Instance(paths, z, ViewFunction::k_hop(paths, 1), 0, r)).has_value());
+  EXPECT_TRUE(find_rmt_cut(Instance::full_knowledge(paths, z, 0, r)).has_value());
   EXPECT_EQ(obs::Registry::global().counter("nodeset.heap_spills").value(), 0u);
   obs::Registry::global().reset();
   obs::set_enabled(false);
 }
 
+TEST(RmtCut, FullViewGateDecidesByTheTwoCover) {
+  // Under full node views an instance is solvable iff no two-cover exists,
+  // and the witness the gated decider enumerates for an unsolvable one is
+  // the reference's. Both row kinds: 3-paths h8 and cycle-26 at threshold
+  // 2 have a two-cover (unsolvable); 5-paths h4 and h3 at threshold 2 have
+  // none (solvable, decided without enumerating).
+  const auto check = [](const Instance& inst, bool solvable) {
+    const auto cut = find_rmt_cut(inst);
+    const bool cover = find_two_cover_cut(inst.graph(), inst.adversary(), inst.dealer(),
+                                          inst.receiver())
+                           .has_value();
+    EXPECT_EQ(!cut.has_value(), solvable) << inst.to_string();
+    EXPECT_EQ(cut.has_value(), cover) << inst.to_string();
+    EXPECT_TRUE(same_witness(cut, find_rmt_cut_reference(inst))) << inst.to_string();
+  };
+  const auto paths = [](std::size_t k, std::size_t h) {
+    const Graph g = generators::parallel_paths(k, h);
+    const NodeId r = NodeId(g.num_nodes() - 1);
+    return Instance::full_knowledge(g, threshold_structure(g.nodes() - NodeSet{0, r}, 2), 0, r);
+  };
+  check(paths(3, 8), false);
+  check(paths(5, 4), true);
+  check(paths(5, 3), true);
+  const Graph ring = generators::cycle_graph(26);
+  check(Instance::full_knowledge(ring, threshold_structure(ring.nodes() - NodeSet{0, 13}, 2), 0,
+                                 13),
+        false);
+  // Random full-view instances, solvable and not.
+  Rng rng(63);
+  for (int trial = 0; trial < 40; ++trial) {
+    const Instance inst = testing::random_instance(8, 0.35, 3, 2, SIZE_MAX, rng);
+    const bool cover = find_two_cover_cut(inst.graph(), inst.adversary(), inst.dealer(),
+                                          inst.receiver())
+                           .has_value();
+    check(inst, !cover);
+  }
+}
+
 TEST(RmtCutDeciderPool, PooledWitnessIsSequentialWitness) {
   // The pooled scan keeps the lowest-index candidate per batch, so its
   // answer must be bit-identical to the sequential one — here against both
-  // the incremental and the reference decider.
+  // the shipped and the reference decider.
   exec::ThreadPool pool(4);
   Rng rng(67);
   for (int trial = 0; trial < 25; ++trial) {

@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace rmt::svc {
 namespace {
@@ -106,6 +110,60 @@ TEST(SvcCache, PublishStatsDeltasIntoRegistry) {
   obs::set_enabled(false);
 }
 
+TEST(SvcCache, LruOrderEntriesAndBytesFollowAModelAcrossChurn) {
+  // One shard, so LRU order is global. A std::list model replays the same
+  // puts (fresh keys, overwrites, oversized drops) and gets; after every
+  // step the hits, entries, bytes and evictions must match it, and every
+  // get must agree on presence and value — an entry evicted out of LRU
+  // order shows up as a presence mismatch later.
+  constexpr std::size_t kBudget = 400;
+  ResultCache cache(small_cache(kBudget));
+  std::list<std::pair<std::string, std::string>> model;  // front = newest
+  std::size_t model_bytes = 0;
+  std::uint64_t model_evictions = 0;
+  const auto find = [&](const std::string& key) {
+    return std::find_if(model.begin(), model.end(), [&](const auto& e) { return e.first == key; });
+  };
+  Rng rng(97);
+  for (int step = 0; step < 6000; ++step) {
+    std::string key = "key-";
+    key += std::to_string(rng.index(48));
+    if (rng.chance(0.55)) {
+      const std::size_t len = rng.chance(0.02) ? kBudget : rng.index(48);
+      std::string value(len, char('a' + step % 26));
+      if (const auto it = find(key); it != model.end()) {
+        model_bytes -= it->first.size() + it->second.size();
+        model.erase(it);
+      }
+      const std::size_t incoming = key.size() + value.size();
+      if (incoming <= kBudget) {
+        while (model_bytes + incoming > kBudget) {
+          model_bytes -= model.back().first.size() + model.back().second.size();
+          model.pop_back();
+          ++model_evictions;
+        }
+        model.emplace_front(key, value);
+        model_bytes += incoming;
+      }
+      cache.put(key, std::move(value));
+    } else {
+      const std::optional<std::string> got = cache.get(key);
+      const auto it = find(key);
+      ASSERT_EQ(got.has_value(), it != model.end()) << "step " << step << " key " << key;
+      if (got) {
+        EXPECT_EQ(*got, it->second) << "step " << step;
+        model.splice(model.begin(), model, it);
+      }
+    }
+    const ResultCache::Stats st = cache.stats();
+    ASSERT_EQ(st.entries, model.size()) << "step " << step;
+    ASSERT_EQ(st.bytes, model_bytes) << "step " << step;
+    ASSERT_EQ(st.evictions, model_evictions) << "step " << step;
+  }
+  EXPECT_GT(model_evictions, 100u);
+  for (const auto& [key, value] : model) EXPECT_EQ(cache.try_get(key), value);
+}
+
 // --- TSan targets: race the shards from many threads ---------------------
 
 TEST(SvcCacheRace, ConcurrentGetPutAcrossShards) {
@@ -154,6 +212,43 @@ TEST(SvcCacheRace, ConcurrentEvictionOnOneShard) {
     });
   for (auto& w : workers) w.join();
   EXPECT_LE(cache.stats().bytes, 256u);
+}
+
+TEST(SvcCacheRace, ChurnKeepsAccountingExact) {
+  // Overwrites with changing sizes and evictions race across two shards;
+  // once the threads join, the byte and entry totals must be exactly those
+  // of the entries still present.
+  ResultCache::Options opts;
+  opts.shards = 2;
+  opts.max_bytes = 1024;
+  ResultCache cache(opts);
+  constexpr int kThreads = 4;
+  constexpr int kKeys = 32;
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t)
+    workers.emplace_back([&cache, t] {
+      for (int i = 0; i < 500; ++i) {
+        std::string key = "c";
+        key += std::to_string((t * 13 + i) % kKeys);
+        cache.put(key, std::string(std::size_t(8 + (i * 7 + t) % 40), char('a' + t)));
+        cache.try_get(key);
+      }
+    });
+  for (auto& w : workers) w.join();
+  std::size_t bytes = 0, entries = 0;
+  for (int k = 0; k < kKeys; ++k) {
+    std::string key = "c";
+    key += std::to_string(k);
+    if (const std::optional<std::string> v = cache.try_get(key)) {
+      bytes += key.size() + v->size();
+      ++entries;
+    }
+  }
+  const ResultCache::Stats s = cache.stats();
+  EXPECT_EQ(s.bytes, bytes);
+  EXPECT_EQ(s.entries, entries);
+  EXPECT_LE(s.bytes, 1024u);
 }
 
 }  // namespace

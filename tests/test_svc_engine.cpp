@@ -183,6 +183,30 @@ TEST(SvcEngine, SameBytesAtAnyWorkerCount) {
   }
 }
 
+TEST(SvcEngine, AnalyzeAnswersAsAllThreeDecidersRunUnconditionally) {
+  // The served `analyze` skips the decider its RMT answer implies; its
+  // bytes must equal the answer formatted from all three deciders, on
+  // solvable and unsolvable instances under every knowledge level.
+  Rng rng(101);
+  std::vector<Request> batch;
+  std::vector<std::string> want;
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t k = trial % 4 == 3 ? SIZE_MAX : std::size_t(trial % 4);
+    const Instance inst = testing::random_instance(7, 0.3, 3, 2, k, rng);
+    batch.push_back(Request{QueryKind::kAnalyze, inst, SimParams{}, std::nullopt, true});
+    want.push_back(format_analyze_result(analysis::analyze_reference(inst)));
+  }
+  const std::vector<Response> got = Engine(nullptr).run(batch);
+  std::size_t solvable = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].status, Response::Status::kOk);
+    EXPECT_EQ(got[i].result, want[i]) << "position " << i;
+    solvable += got[i].result.find("\"rmt_solvable\":true") != std::string::npos;
+  }
+  EXPECT_GT(solvable, 0u);
+  EXPECT_LT(solvable, got.size());
+}
+
 TEST(SvcEngine, PublishStatsDeltasIntoRegistry) {
   obs::set_enabled(true);
   obs::Registry::global().reset();

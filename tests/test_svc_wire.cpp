@@ -149,6 +149,44 @@ TEST(SvcWire, CapsSimulateParams) {
   EXPECT_EQ(r.error, "corruption set " + NodeSet{100}.to_string() + " is not admissible under Z");
 }
 
+TEST(SvcWire, CapsIdLengthAndCorruptedEntries) {
+  static_assert(kMaxIdBytes == 256 && kMaxCorruptedEntries == 512);
+  const auto with_id = [](const std::string& id, const std::string& kind = "decide_rmt") {
+    return R"({"schema":"rmt.request/1","id":")" + id + R"(","kind":")" + kind +
+           R"(","instance":")" + kInstanceText + R"("})";
+  };
+  // At the id cap: accepted and echoed.
+  const std::string at(kMaxIdBytes, 'i');
+  EXPECT_EQ(parse_request(with_id(at)).id, at);
+  EXPECT_EQ(parse_line(with_id(at)).id, at);
+  // One byte past: rejected naming the cap, and never echoed — neither by
+  // parse_line (any kind, probes included) nor by extract_id.
+  const std::string past(kMaxIdBytes + 1, 'i');
+  const std::string error = "rmt.request/1: 'id' exceeds 256 bytes (got 257)";
+  expect_rejected(with_id(past), error);
+  for (const std::string kind : {"decide_rmt", "stats", "trace"}) {
+    const Envelope env = parse_line(with_id(past, kind));
+    EXPECT_EQ(env.kind, Envelope::Kind::kError) << kind;
+    EXPECT_EQ(env.id, "") << kind;
+    EXPECT_EQ(env.error, error) << kind;
+  }
+  EXPECT_EQ(extract_id(with_id(past)), "");
+
+  // 512 corrupted entries (ids repeat: at most 512 are distinct) are
+  // accepted; 513 are rejected before any is inserted.
+  std::string list = "1";
+  for (std::size_t i = 1; i < kMaxCorruptedEntries; ++i) list += ",1";
+  EXPECT_EQ(parse_request(request_line(R"(,"params":{"corrupted":[)" + list + "]}"))
+                .request.params.corrupted,
+            NodeSet{1});
+  const std::string over = request_line(R"(,"params":{"corrupted":[)" + list + ",1]}");
+  expect_rejected(over, "rmt.request/1: 'params.corrupted' has 513 entries, more than 512");
+  const Envelope env = parse_line(over);
+  EXPECT_EQ(env.kind, Envelope::Kind::kError);
+  EXPECT_EQ(env.id, "q1");
+  EXPECT_EQ(env.error, "rmt.request/1: 'params.corrupted' has 513 entries, more than 512");
+}
+
 TEST(SvcWire, ExtractIdIsBestEffort) {
   EXPECT_EQ(extract_id(R"({"schema":"nope","id":"q7"})"), "q7");
   EXPECT_EQ(extract_id(R"({"schema":"nope"})"), "");

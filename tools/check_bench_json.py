@@ -207,7 +207,47 @@ def check_bench(doc, problems, args):
                         or not math.isfinite(v) or v < 0:
                     problems.add(f"rows[{i}].{col}: {v!r} "
                                  f"(must be a non-negative finite number)")
+    # BENCH_svc.json's heap footprint of a cached answer: a row that
+    # measured one (accounted_b_per_entry > 0) may cost at most
+    # MAX_ENTRY_OVERHEAD_B of heap beyond its accounted key + value bytes —
+    # the gate bench_svc_throughput also RMT_CHECKs. Both cells must be
+    # usable non-negative finite numbers on every row.
+    if "heap_b_per_entry" in columns:
+        for i, row in enumerate(rows):
+            if not isinstance(row, dict):
+                continue
+            heap = row.get("heap_b_per_entry")
+            accounted = row.get("accounted_b_per_entry")
+            if not (_is_size(heap) and _is_size(accounted)):
+                problems.add(f"rows[{i}]: heap_b_per_entry {heap!r} / accounted_b_per_entry "
+                             f"{accounted!r} (must be non-negative finite numbers)")
+            elif accounted > 0 and heap > accounted + MAX_ENTRY_OVERHEAD_B:
+                problems.add(f"rows[{i}].heap_b_per_entry: {heap} exceeds accounted "
+                             f"{accounted} + {MAX_ENTRY_OVERHEAD_B} B")
+    # BENCH_decider.json: one row per (instance, decider) with a timing
+    # column per path; a missing column is schema drift.
+    if name == "bench_decider":
+        for col in ("decider", "reference_ms", "shipped_ms", "pool_ms", "identical"):
+            if col not in columns:
+                problems.add(f"columns: bench_decider requires {col!r}")
+        for i, row in enumerate(rows):
+            if not isinstance(row, dict):
+                continue
+            for col in ("reference_ms", "shipped_ms", "scalar_ms", "pool_ms"):
+                if col in row and not _is_size(row[col]):
+                    problems.add(f"rows[{i}].{col}: {row[col]!r} "
+                                 f"(must be a non-negative finite number)")
     check_metrics(doc.get("metrics"), problems, args.require_phases, args.require_sim)
+
+
+def _is_size(v):
+    return (not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+            and v >= 0)
+
+
+# The heap a cached answer may cost beyond its accounted bytes
+# (bench_svc_throughput's kMaxEntryOverhead).
+MAX_ENTRY_OVERHEAD_B = 112
 
 
 def check_analyze(doc, problems, args):
@@ -287,9 +327,11 @@ def _is_uint(v):
 REQUEST_KINDS = ["decide_rmt", "decide_zpp", "analyze", "simulate", "stats", "trace"]
 RESPONSE_STATUSES = ["ok", "deadline_exceeded", "error"]
 KEY_HEX_RE = re.compile(r"^[0-9a-f]{32}$")
-# The caps src/svc/wire.hpp enforces (kMaxCorruptedId, kMaxRounds): both
-# derive from io::kMaxParseNodes = 512.
+# The caps src/svc/wire.hpp enforces: kMaxIdBytes, and kMaxCorruptedEntries,
+# kMaxCorruptedId and kMaxRounds, which derive from io::kMaxParseNodes = 512.
 MAX_PARSE_NODES = 512
+MAX_ID_BYTES = 256
+MAX_CORRUPTED_ENTRIES = MAX_PARSE_NODES
 MAX_CORRUPTED_ID = MAX_PARSE_NODES - 1
 MAX_ROUNDS = MAX_PARSE_NODES + 1
 # The "memo" section of a stats probe's result (svc::InstanceMemo::Stats).
@@ -305,6 +347,8 @@ NET_REQUIRED_FIELDS = ["inline_hits", "batches"]
 def check_request(doc, problems, args):
     if not isinstance(doc.get("id"), str):
         problems.add("id: missing or not a string")
+    elif len(doc["id"].encode("utf-8")) > MAX_ID_BYTES:
+        problems.add(f"id: {len(doc['id'].encode('utf-8'))} bytes exceeds {MAX_ID_BYTES}")
     kind = doc.get("kind")
     if kind not in REQUEST_KINDS:
         problems.add(f"kind: {kind!r} not one of {REQUEST_KINDS}")
@@ -334,6 +378,9 @@ def check_request(doc, problems, args):
                     isinstance(corrupted, list) and all(_is_uint(v) for v in corrupted)):
                 problems.add("params.corrupted: not an array of node ids")
             elif corrupted is not None:
+                if len(corrupted) > MAX_CORRUPTED_ENTRIES:
+                    problems.add(f"params.corrupted: {len(corrupted)} entries exceed "
+                                 f"{MAX_CORRUPTED_ENTRIES}")
                 for v in corrupted:
                     if v > MAX_CORRUPTED_ID:
                         problems.add(f"params.corrupted: node id {v} exceeds "
@@ -747,6 +794,16 @@ def check_file(path, args):
     return problems.items
 
 
+DECIDER_COLUMNS = ["family", "n", "structure", "views", "decider", "reference_ms",
+                   "shipped_ms", "scalar_ms", "pool_ms", "speedup", "identical"]
+DECIDER_ROW = {"family": "5-paths h4", "n": 22, "structure": "2-threshold",
+               "views": "full", "decider": "rmt", "reference_ms": 7.6,
+               "shipped_ms": 0.36, "scalar_ms": 0.44, "pool_ms": 0.41, "speedup": 21.0,
+               "identical": True}
+SVC_FOOTPRINT_COLUMNS = ["section", "heap_b_per_entry", "accounted_b_per_entry",
+                         "identical"]
+
+
 def _selftest_docs():
     metrics = {s: {} for s in METRICS_SECTIONS}
     hist = {f: 1 for f in HISTOGRAM_FIELDS}
@@ -757,9 +814,16 @@ def _selftest_docs():
         {"schema": "rmt.bench/1", "name": "b", "run": run, "columns": ["n"],
          "rows": [{"n": 4}], "metrics": metrics},
         {"schema": "rmt.bench/1", "name": "bench_decider", "run": run,
-         "columns": ["decider", "identical"],
-         "rows": [{"decider": "rmt-seed", "identical": True},
-                  {"decider": "rmt-incr", "identical": True}],
+         "columns": DECIDER_COLUMNS,
+         "rows": [dict(DECIDER_ROW, decider="rmt"), dict(DECIDER_ROW, decider="analyze")],
+         "metrics": metrics},
+        # bench_svc's footprint row, and a row that measured none.
+        {"schema": "rmt.bench/1", "name": "bench_svc", "run": run,
+         "columns": SVC_FOOTPRINT_COLUMNS,
+         "rows": [{"section": "footprint", "heap_b_per_entry": 240.4,
+                   "accounted_b_per_entry": 172.0, "identical": True},
+                  {"section": "latency", "heap_b_per_entry": 0.0,
+                   "accounted_b_per_entry": 0.0, "identical": True}],
          "metrics": metrics},
         {"schema": "rmt.bench/1", "name": "bench_trace", "run": run,
          "columns": ["row", "per_span_ns", "within_budget"],
@@ -797,10 +861,12 @@ def _selftest_docs():
          "params": {"value": 7, "corrupted": [1], "strategy": "silent",
                     "seed": 9, "max_rounds": 0}},
         {"schema": "rmt.request/1", "id": "st", "kind": "stats", "instance": ""},
-        # At the wire caps: the largest node id and round bound accepted.
-        {"schema": "rmt.request/1", "id": "q3", "kind": "simulate",
+        # At the wire caps: the longest id, the longest corrupted list, and
+        # the largest node id and round bound accepted.
+        {"schema": "rmt.request/1", "id": "q" * MAX_ID_BYTES, "kind": "simulate",
          "instance": "rmt-instance v1\nnodes 3\n",
-         "params": {"corrupted": [MAX_CORRUPTED_ID], "max_rounds": MAX_ROUNDS}},
+         "params": {"corrupted": [MAX_CORRUPTED_ID] * MAX_CORRUPTED_ENTRIES,
+                    "max_rounds": MAX_ROUNDS}},
         {"schema": "rmt.response/1", "id": "st", "status": "ok", "key": None,
          "result": {"kind": "stats", "engine": {}, "cache": {},
                     "memo": {f: 3 for f in MEMO_STAT_FIELDS}},
@@ -838,13 +904,33 @@ def _selftest_docs():
         # Identity gate: a declared `identical` column with any non-true
         # value (false, "yes", missing) is a divergence, not a style issue.
         {"schema": "rmt.bench/1", "name": "bench_decider", "run": run,
-         "columns": ["decider", "identical"],
-         "rows": [{"decider": "rmt-seed", "identical": True},
-                  {"decider": "rmt-incr", "identical": False}],
+         "columns": DECIDER_COLUMNS,
+         "rows": [DECIDER_ROW, dict(DECIDER_ROW, identical=False)],
          "metrics": metrics},
         {"schema": "rmt.bench/1", "name": "bench_decider", "run": run,
+         "columns": DECIDER_COLUMNS,
+         "rows": [dict(DECIDER_ROW, identical="yes")],
+         "metrics": metrics},
+        # bench_decider's schema is closed and its timings are sizes.
+        {"schema": "rmt.bench/1", "name": "bench_decider", "run": run,
          "columns": ["decider", "identical"],
-         "rows": [{"decider": "rmt-incr", "identical": "yes"}],
+         "rows": [{"decider": "rmt", "identical": True}],
+         "metrics": metrics},                                    # timing columns missing
+        {"schema": "rmt.bench/1", "name": "bench_decider", "run": run,
+         "columns": DECIDER_COLUMNS,
+         "rows": [dict(DECIDER_ROW, shipped_ms=float("nan"))],
+         "metrics": metrics},                                    # NaN timing
+        # Footprint gate: a cached answer over its heap slack, or a cell
+        # that is not a usable number.
+        {"schema": "rmt.bench/1", "name": "bench_svc", "run": run,
+         "columns": SVC_FOOTPRINT_COLUMNS,
+         "rows": [{"section": "footprint", "heap_b_per_entry": 441.0,
+                   "accounted_b_per_entry": 162.0, "identical": True}],
+         "metrics": metrics},
+        {"schema": "rmt.bench/1", "name": "bench_svc", "run": run,
+         "columns": SVC_FOOTPRINT_COLUMNS,
+         "rows": [{"section": "footprint", "heap_b_per_entry": -1.0,
+                   "accounted_b_per_entry": 162.0, "identical": True}],
          "metrics": metrics},
         # Budget gate: within_budget is hard-checked the same way.
         {"schema": "rmt.bench/1", "name": "bench_trace", "run": run,
@@ -914,6 +1000,11 @@ def _selftest_docs():
         {"schema": "rmt.request/1", "id": "q", "kind": "simulate",
          "instance": "rmt-instance v1\n",
          "params": {"max_rounds": MAX_ROUNDS + 1}},              # rounds one past the cap
+        {"schema": "rmt.request/1", "id": "q" * (MAX_ID_BYTES + 1), "kind": "decide_rmt",
+         "instance": "rmt-instance v1\n"},                       # id one past the cap
+        {"schema": "rmt.request/1", "id": "q", "kind": "simulate",
+         "instance": "rmt-instance v1\n",
+         "params": {"corrupted": [1] * (MAX_CORRUPTED_ENTRIES + 1)}},  # list one past
         {"schema": "rmt.response/1", "id": "st", "status": "ok", "key": None,
          "result": {"kind": "stats", "engine": {}, "cache": {}},
          "error": None, "cached": False, "coalesced": False, "wall_us": 0,
@@ -1104,7 +1195,9 @@ def _wire_cap_drift():
     drift = []
     if not m or int(m.group(1)) != MAX_PARSE_NODES:
         drift.append(f"src/io/serialize.hpp: kMaxParseNodes is not {MAX_PARSE_NODES}")
-    for name, expr in (("kMaxCorruptedId", "io::kMaxParseNodes - 1"),
+    for name, expr in (("kMaxIdBytes", str(MAX_ID_BYTES)),
+                       ("kMaxCorruptedEntries", "io::kMaxParseNodes"),
+                       ("kMaxCorruptedId", "io::kMaxParseNodes - 1"),
                        ("kMaxRounds", "io::kMaxParseNodes + 1")):
         if not re.search(rf"\b{name}\s*=\s*{re.escape(expr)};", wire):
             drift.append(f"src/svc/wire.hpp: {name} is no longer {expr}")

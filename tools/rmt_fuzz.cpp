@@ -16,9 +16,12 @@
 // with a deliberately-broken parser (it forgets the '#' comment rule) and
 // expects parser-diverged findings, a parser pass with an inexact memo (it
 // matches texts on their first 32 bytes, as a hash- or prefix-only memo
-// would) and expects memo-diverged findings, then a clean pass with the
-// real parser, memo and deciders and expects none. Wired as the fuzz_selftest ctest — the
-// fuzz gate is only trustworthy while this stays green.
+// would) and expects memo-diverged findings, a differential pass with a
+// two-cover that scans only pairs j > i (so it misses every cut one maximal
+// set covers alone) and expects decider-diverged findings, then a clean
+// pass with the real parser, memo and deciders and expects none. Wired as
+// the fuzz_selftest ctest — the fuzz gate is only trustworthy while this
+// stays green.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -29,8 +32,9 @@
 #include <string>
 #include <vector>
 
-#include "analysis/rmt_cut.hpp"
+#include "analysis/feasibility.hpp"
 #include "check/fuzz.hpp"
+#include "graph/connectivity.hpp"
 #include "io/serialize.hpp"
 #include "obs/trace.hpp"
 
@@ -78,6 +82,20 @@ class PrefixMemo : public rmt::svc::InstanceMemo {
  private:
   std::map<std::string, Entry> entries_;
 };
+
+/// Deliberately wrong: the two-cover scan without its diagonal (j > i only),
+/// blind to every D–R cut a single maximal set covers on its own.
+std::optional<rmt::analysis::TwoCoverWitness> off_diagonal_two_cover(
+    const rmt::Graph& g, const rmt::AdversaryStructure& z, rmt::NodeId d, rmt::NodeId r) {
+  const auto& sets = z.maximal_sets();
+  for (std::size_t i = 0; i < sets.size(); ++i)
+    for (std::size_t j = i + 1; j < sets.size(); ++j) {
+      const rmt::NodeSet cut = sets[i] | sets[j];
+      if (!cut.contains(d) && !cut.contains(r) && rmt::separates(g, cut, d, r))
+        return rmt::analysis::TwoCoverWitness{sets[i], sets[j]};
+    }
+  return std::nullopt;
+}
 
 void print_findings(const FuzzReport& report) {
   for (std::size_t i = 0; i < report.findings.size(); ++i) {
@@ -137,6 +155,19 @@ int self_test(FuzzOptions opts) {
     std::cerr << "self-test: inexact memo was NOT caught (" << memo_caught.summary() << ")\n";
     return 1;
   }
+  FuzzOptions broken_cover = opts;
+  broken_cover.parser_mutants = 0;
+  broken_cover.store_checks = 0;
+  broken_cover.two_cover_decider = off_diagonal_two_cover;
+  const FuzzReport cover_caught = rmt::propcheck::run_fuzz(broken_cover);
+  bool saw_cover_finding = false;
+  for (const auto& f : cover_caught.findings)
+    saw_cover_finding |= f.kind == "decider-diverged" && f.detail.rfind("two-cover:", 0) == 0;
+  if (!saw_cover_finding) {
+    std::cerr << "self-test: off-diagonal two-cover was NOT caught (" << cover_caught.summary()
+              << ")\n";
+    return 1;
+  }
   const FuzzReport clean = rmt::propcheck::run_fuzz(opts);
   if (!clean.ok()) {
     std::cerr << "self-test: real parser, memo and deciders produced findings:\n";
@@ -146,6 +177,7 @@ int self_test(FuzzOptions opts) {
   std::cout << "self-test: broken decider caught (" << caught.findings.size()
             << " findings), broken parser caught (" << parser_caught.findings.size()
             << " findings), inexact memo caught (" << memo_caught.findings.size()
+            << " findings), off-diagonal two-cover caught (" << cover_caught.findings.size()
             << " findings), real parser, memo and deciders clean\n";
   return 0;
 }

@@ -35,12 +35,15 @@ asserts the serving semantics from the outside:
     past the wire caps — a `corrupted` id of 2^32-1 (it used to allocate
     a 1 GiB NodeSet), one of 99999999999 (it used to be truncated to
     another node) and a `max_rounds` of 10^7 (it used to hold a worker for
-    a second) — each get an "error" naming the field and the value sent;
-    and every hostile line is followed by a request answered exactly as a
-    fresh server answers it. tcp_hostile_lines repeats this over TCP, where
-    the first of those requests goes through the one engine batch and the
-    other four are cache hits the event loop answers itself
-    (net.inline_hits == 4, net.batches == 1, engine.requests == 5).
+    a second) and a `corrupted` list of 513 entries (ids are capped, so a
+    longer list must repeat one) — each get an "error" naming the field and
+    the value sent; a 100 000-byte id gets an "error" naming the id cap,
+    answered with id "" so the hostile id is never echoed; and every
+    hostile line is followed by a request answered exactly as a fresh
+    server answers it. tcp_hostile_lines repeats this over TCP, where the
+    first of those requests goes through the one engine batch and the
+    other six are cache hits the event loop answers itself
+    (net.inline_hits == 6, net.batches == 1, engine.requests == 7).
 
 Persistence (`--store-dir`) is exercised in BOTH transports:
 
@@ -107,6 +110,8 @@ INSTANCE_B = ("rmt-instance v1\nnodes 6\nedge 0 1\nedge 1 2\nedge 2 5\n"
               "edge 0 3\nedge 3 4\nedge 4 5\ndealer 0\nreceiver 5\n"
               "corruptible 1\ncorruptible 3\nknowledge k-hop 2\n")
 MAX_REQUEST_BYTES = 4 << 20  # svc::wire::kMaxRequestBytes
+MAX_ID_BYTES = 256           # svc::wire::kMaxIdBytes
+MAX_CORRUPTED_ENTRIES = 512  # svc::wire::kMaxCorruptedEntries
 MAX_CORRUPTED_ID = 511       # svc::wire::kMaxCorruptedId
 MAX_ROUNDS = 513             # svc::wire::kMaxRounds
 BAD_INSTANCE = "rmt-instance v1\nnodes 2\nedge 0 5\n"  # fails to parse
@@ -181,6 +186,12 @@ def hostile_lines():
          lambda e: e == cap("corrupted", "node id 99999999999", MAX_CORRUPTED_ID)),
         (simulate("rounds", max_rounds=10**7), "rounds",
          lambda e: e == cap("max_rounds", 10**7, MAX_ROUNDS)),
+        # An id is echoed into its answer, so an over-cap one never is.
+        (request("i" * 100000, INSTANCE_B), "",
+         lambda e: e == f"rmt.request/1: 'id' exceeds {MAX_ID_BYTES} bytes (got 100000)"),
+        (simulate("many", corrupted=[1] * (MAX_CORRUPTED_ENTRIES + 1)), "many",
+         lambda e: e == f"rmt.request/1: 'params.corrupted' has {MAX_CORRUPTED_ENTRIES + 1} "
+                        f"entries, more than {MAX_CORRUPTED_ENTRIES}"),
     ]
 
 
@@ -235,20 +246,21 @@ def tcp_hostile_lines(server, jobs, failures):
                     return
                 got.append(json.loads(line))
         check_hostile_answers(got, want, expect)
-        # The three simulate lines resolve INSTANCE_A through the memo before
-        # their params are rejected; the deep and oversized lines never get
-        # that far. INSTANCE_A then INSTANCE_B: two misses, the rest hits.
+        # The four simulate lines resolve INSTANCE_A through the memo before
+        # their params are rejected; the deep, oversized and long-id lines
+        # never get that far. INSTANCE_A then INSTANCE_B: two misses, the
+        # rest hits.
         stats = client.probe("stats", "st")["result"]
         memo = stats["memo"]
-        expect(memo["misses"] == 2 and memo["hits"] == 3 + 5 - 2,
-               f"memo hits/misses {memo['hits']}/{memo['misses']} != 6/2")
-        # after0 misses and its blank line submits the one batch; after1-4
+        expect(memo["misses"] == 2 and memo["hits"] == 4 + 7 - 2,
+               f"memo hits/misses {memo['hits']}/{memo['misses']} != 9/2")
+        # after0 misses and its blank line submits the one batch; after1-6
         # are cache hits answered on the loop thread. The blank lines after
         # the error lines submit nothing.
         net, engine = stats["net"], stats["engine"]
-        expect(net["inline_hits"] == 4 and net["batches"] == 1,
-               f"net inline_hits/batches {net['inline_hits']}/{net['batches']} != 4/1")
-        expect(engine["requests"] == 5, f"engine.requests={engine['requests']} != 5")
+        expect(net["inline_hits"] == 6 and net["batches"] == 1,
+               f"net inline_hits/batches {net['inline_hits']}/{net['batches']} != 6/1")
+        expect(engine["requests"] == 7, f"engine.requests={engine['requests']} != 7")
         client.close()
         expect(srv.terminate() == 0, "server exit code != 0 after SIGTERM")
 
