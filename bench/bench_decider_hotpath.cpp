@@ -15,11 +15,21 @@
 //                  (simd::force_scalar): the backend may change how fast a
 //                  boolean is computed, never which;
 //   pool_ms      — the pooled overload over the same per-B / per-pair test
-//                  (0 for `analyze`, which has no pooled path).
+//                  (0 for `analyze` and `simulate`, which have no pooled
+//                  path).
 // speedup = reference_ms / shipped_ms.
 //
+// The `simulate/<strategy>` rows are the served `simulate` kind on
+// cold_mix's three simulate cells (4 parallel paths of 3 hops with a
+// 1-threshold and full views, cycle-16 ad hoc, wheel-13 with 1-hop views)
+// against each of the five strategies: one whole RMT-PKA run, whose
+// receiver decides through propcheck::reference_pka_decide (reference_ms)
+// or pka_decide (shipped_ms, scalar_ms). Relays and the simulator are the
+// same code in both, so the column isolates the receiver's decision.
+//
 // The `identical` column compares every path's answer with the reference
-// (witness bit for bit; for `analyze` the witness and both booleans) and is
+// (witness bit for bit; for `analyze` the witness and both booleans; for
+// `simulate` the whole Outcome — decision, rounds, message counts) and is
 // also a hard RMT_CHECK: a path that ever returns a different answer fails
 // the run, not just the schema check. Timings are reported, never asserted
 // — CI runs this as a perf *smoke* (identity), and tools/check_bench_json.py
@@ -30,6 +40,10 @@
 
 #include "analysis/feasibility.hpp"
 #include "bench_util.hpp"
+#include "check/reference_pka_decision.hpp"
+#include "protocols/rmt_pka.hpp"
+#include "protocols/runner.hpp"
+#include "sim/strategies.hpp"
 #include "util/simd.hpp"
 
 namespace {
@@ -53,6 +67,18 @@ bool same_cover(const std::optional<analysis::TwoCoverWitness>& a,
 bool same_analysis(const analysis::Analysis& a, const analysis::Analysis& b) {
   return same_cut(a.rmt_cut, b.rmt_cut) && a.zcpa_solvable == b.zcpa_solvable &&
          a.full_knowledge_solvable == b.full_knowledge_solvable;
+}
+
+bool same_outcome(const protocols::Outcome& a, const protocols::Outcome& b) {
+  const sim::NetworkStats& x = a.stats;
+  const sim::NetworkStats& y = b.stats;
+  return a.decision == b.decision && a.correct == b.correct && a.wrong == b.wrong &&
+         x.rounds == y.rounds && x.honest_messages == y.honest_messages &&
+         x.adversary_messages == y.adversary_messages &&
+         x.adversary_dropped == y.adversary_dropped &&
+         x.honest_payload_bytes == y.honest_payload_bytes &&
+         x.adversary_payload_bytes == y.adversary_payload_bytes &&
+         x.peak_round_messages == y.peak_round_messages && x.quiet_rounds == y.quiet_rounds;
 }
 
 template <typename F>
@@ -192,6 +218,41 @@ int main(int argc, char** argv) {
       for (const Views& v : kViews)
         run("cycle", std::to_string(t) + "-threshold", v.label, Instance(g, z, v.build(g), 0, 13));
     }
+  }
+
+  // The served `simulate` kind on cold_mix's three simulate cells, against
+  // every strategy: corruption is one of Z's maximal sets, as cold_mix
+  // draws it, and the seed is fixed per row.
+  const auto simulate = [&](const std::string& family, const std::string& zkind,
+                            const std::string& views, const Instance& inst) {
+    const NodeSet corrupted = inst.adversary().maximal_sets().back();
+    for (const char* strategy :
+         {"silent", "value-flip", "random-lies", "phantom-world", "two-faced"}) {
+      const auto run_with = [&](protocols::RmtPka::DecideFn decide) {
+        const auto adversary = sim::make_strategy(strategy, 2016);
+        return protocols::run_rmt(inst, protocols::RmtPka(protocols::DeciderMode::kExhaustive, {},
+                                                          decide),
+                                  42, corrupted, adversary.get());
+      };
+      const auto reference = [&] { return run_with(propcheck::reference_pka_decide); };
+      const auto shipped = [&] { return run_with(protocols::pka_decide); };
+      measure(family, inst.num_players(), zkind, views, std::string("simulate/") + strategy,
+              reference, shipped, static_cast<decltype(&shipped)>(nullptr), same_outcome);
+    }
+  };
+  {
+    const Graph g = generators::parallel_paths(4, 3);
+    const NodeId r = NodeId(g.num_nodes() - 1);
+    simulate("4-paths h3", "1-threshold", "full",
+             Instance(g, threshold_structure(g.nodes() - NodeSet{0, r}, 1), ViewFunction::full(g),
+                      0, r));
+  }
+  simulate("cycle", "trivial", "ad hoc",
+           Instance::ad_hoc(generators::cycle_graph(16), AdversaryStructure::trivial(), 0, 8));
+  {
+    const Graph g = generators::generalized_wheel(13, 2);
+    simulate("wheel", "trivial", "k-hop 1",
+             Instance(g, AdversaryStructure::trivial(), ViewFunction::k_hop(g, 1), 3, 9));
   }
 
   pool.publish_stats();

@@ -18,13 +18,22 @@
 // the engine can serve, so the row isolates transport cost — a compute-
 // bound workload would hide the event loop behind the decider.
 //
+// One more row (section "framing") prices the line framer both transports
+// read through: ns_per_byte is net::LineFramer::feed's best-of-kReps cost
+// per byte over a stream of cold_mix-shaped request lines (0.2–15 KB,
+// mean ≈ 3.2 KB) fed in 64 KiB chunks, as `rmt_serve --stdio` reads them;
+// its `identical` checks every frame against the line that was sent. The
+// client-count rows leave ns_per_byte 0, the framing row leaves the client
+// columns 0.
+//
 // The `identical` column is the determinism gate: every TCP response's
 // deterministic segment (status/key/result/error — the slice between
 // volatile serving metadata) must be byte-equal to the fresh in-process
 // answer for its instance. It is RMT_CHECKed here and re-enforced by
 // tools/check_bench_json.py on BENCH_net.json, which also requires every
-// qps* cell to be a non-negative finite number. Timings themselves are
-// never asserted — this is a perf smoke, not a perf gate.
+// qps* and ns_per_byte cell to be a non-negative finite number and one
+// framing row with a positive ns_per_byte. Timings themselves are never
+// asserted — this is a perf smoke, not a perf gate.
 #include <algorithm>
 #include <cstddef>
 #include <string>
@@ -33,6 +42,7 @@
 #include "bench_util.hpp"
 #include "io/serialize.hpp"
 #include "net/client.hpp"
+#include "net/framing.hpp"
 #include "net/server.hpp"
 #include "obs/json.hpp"
 #include "svc/engine.hpp"
@@ -44,6 +54,8 @@ using namespace rmt;
 
 inline constexpr std::size_t kHotSet = 4;
 inline constexpr std::size_t kReqsPerClient = 300;
+inline constexpr int kReps = 5;
+inline constexpr std::size_t kFramingLines = 1500;
 
 /// Hot-set instances: trivial-structure cycles, distinct keys by receiver.
 /// Trivial shapes decide in microseconds, so after the one-time warmup
@@ -67,6 +79,28 @@ std::string request_line(const std::string& id, const std::string& instance_text
          "\",\"kind\":\"decide_rmt\",\"instance\":\"" + obs::json::escape(instance_text) + "\"}";
 }
 
+/// Request lines shaped like cold_mix's: cycles of 12–26 nodes and 3–5
+/// parallel paths under trivial to 2-threshold structures and ad hoc to
+/// full views, so lines run from 0.2 KB to about 15 KB.
+std::vector<std::string> cold_mix_lines() {
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; lines.size() < kFramingLines; ++i) {
+    const Graph g = i % 2 == 0 ? generators::cycle_graph(12 + i % 15)
+                               : generators::parallel_paths(3 + i % 3, 2 + i % 3);
+    const NodeId r = NodeId(g.num_nodes() / 2);
+    const std::size_t t = i % 3;
+    const AdversaryStructure z = t == 0 ? AdversaryStructure::trivial()
+                                        : threshold_structure(g.nodes() - NodeSet{0, r}, t);
+    const ViewFunction gamma = i % 4 == 0   ? ViewFunction::ad_hoc(g)
+                               : i % 4 == 1 ? ViewFunction::k_hop(g, 1)
+                               : i % 4 == 2 ? ViewFunction::k_hop(g, 2)
+                                            : ViewFunction::full(g);
+    lines.push_back(request_line(numbered("q", i),
+                                 io::serialize_instance(Instance(g, z, gamma, 0, r))));
+  }
+  return lines;
+}
+
 /// The deterministic slice of a response line — status, key, result and
 /// error, excluding the id before it and the cached/coalesced/wall_us/
 /// trace_id serving metadata after it. Byte-identity across transports
@@ -86,8 +120,8 @@ int main(int argc, char** argv) {
   using namespace rmt::bench;
 
   Reporter rep(argc, argv, "bench_net");
-  rep.columns({"clients", "requests", "qps_tcp", "qps_direct", "tcp_overhead_x", "p50_us",
-               "p95_us", "identical"});
+  rep.columns({"section", "clients", "requests", "qps_tcp", "qps_direct", "tcp_overhead_x",
+               "p50_us", "p95_us", "ns_per_byte", "identical"});
 
   // The expected bytes per hot instance, from a fresh sequential engine —
   // the identity baseline both serving paths must reproduce.
@@ -196,14 +230,42 @@ int main(int argc, char** argv) {
     const double qps_direct = direct_us > 0 ? double(total) * 1e6 / direct_us : 0.0;
     const double overhead = qps_tcp > 0 ? qps_direct / qps_tcp : 0.0;
 
-    rep.row({std::uint64_t(clients), total, qps_tcp, qps_direct, overhead, rtt.p50(),
-             rtt.p95(), identical});
+    rep.row({"tcp", std::uint64_t(clients), total, qps_tcp, qps_direct, overhead, rtt.p50(),
+             rtt.p95(), 0.0, identical});
     RMT_CHECK(identical, "bench_net: clients=" + std::to_string(clients) +
                              " served bytes diverged from fresh sequential");
   }
 
   server.stop();
   server.publish_stats();
+
+  // ---- Framing: the line framer's cost per byte --------------------------
+  {
+    const std::vector<std::string> lines = cold_mix_lines();
+    std::string stream;
+    for (const std::string& line : lines) stream += line + "\n";
+    bool identical = true;
+    double best_us = 0;
+    for (int rep_i = 0; rep_i < kReps; ++rep_i) {
+      net::LineFramer framer(svc::wire::kMaxRequestBytes);
+      std::vector<net::LineFramer::Frame> frames;
+      frames.reserve(lines.size());
+      net::LineFramer::Frame frame;
+      const double us = time_us([&] {
+        for (std::size_t off = 0; off < stream.size(); off += 64 << 10) {
+          framer.feed(stream.data() + off, std::min<std::size_t>(64 << 10, stream.size() - off));
+          while (framer.next(frame)) frames.push_back(std::move(frame));
+        }
+      });
+      if (rep_i == 0 || us < best_us) best_us = us;
+      identical = identical && frames.size() == lines.size();
+      for (std::size_t i = 0; identical && i < frames.size(); ++i)
+        identical = frames[i].kind == net::LineFramer::Kind::kLine && frames[i].line == lines[i];
+    }
+    rep.row({"framing", std::uint64_t(0), std::uint64_t(lines.size()), 0.0, 0.0, 0.0, 0.0, 0.0,
+             best_us * 1000.0 / double(stream.size()), identical});
+    RMT_CHECK(identical, "bench_net: the framer's lines diverged from the lines sent");
+  }
   rep.finish("NET — TCP front end: closed-loop throughput vs. in-process baseline "
              "(identical bytes)");
   return 0;

@@ -68,20 +68,23 @@ std::vector<Edge> Graph::edges() const {
 
 Graph Graph::induced(const NodeSet& s) const {
   Graph g;
-  const NodeSet keep = s & nodes_;
-  keep.for_each([&](NodeId v) { g.add_node(v); });
-  keep.for_each([&](NodeId v) {
-    (adj_[v] & keep).for_each([&](NodeId u) {
-      if (v < u) g.add_edge(v, u);
-    });
-  });
+  g.nodes_ = s & nodes_;
+  if (g.nodes_.empty()) return g;
+  g.adj_.resize(std::size_t(g.nodes_.max()) + 1);
+  g.nodes_.for_each([&](NodeId v) { g.adj_[v] = adj_[v] & g.nodes_; });
   return g;
+}
+
+void Graph::unite(const Graph& o) {
+  if (o.nodes_.empty()) return;
+  if (o.nodes_.max() >= adj_.size()) adj_.resize(std::size_t(o.nodes_.max()) + 1);
+  nodes_ |= o.nodes_;
+  o.nodes_.for_each([&](NodeId v) { adj_[v] |= o.adj_[v]; });
 }
 
 Graph Graph::united(const Graph& o) const {
   Graph g = *this;
-  o.nodes_.for_each([&](NodeId v) { g.add_node(v); });
-  for (const Edge& e : o.edges()) g.add_edge(e.a, e.b);
+  g.unite(o);
   return g;
 }
 

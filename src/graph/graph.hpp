@@ -66,12 +66,17 @@ class Graph {
 
   /// Node-induced subgraph on `s` (ids in `s` absent from the graph are
   /// dropped — this matches the paper's usage where G_M is "the node-induced
-  /// subgraph of γ(V_M) on node set V_M").
+  /// subgraph of γ(V_M) on node set V_M"). One adjacency-row AND per kept
+  /// node; capacity() is one past the largest kept id (0 when none is).
   Graph induced(const NodeSet& s) const;
 
   /// Graph union: nodes and edges of both. This is exactly the joint view
-  /// γ(S) = (∪ V_v, ∪ E_v) of §1.3.
+  /// γ(S) = (∪ V_v, ∪ E_v) of §1.3. One adjacency-row OR per node of `o`;
+  /// capacity() grows to one past `o`'s largest node id, never to `o`'s
+  /// own capacity.
   Graph united(const Graph& o) const;
+  /// In-place united(): *this becomes *this ∪ o.
+  void unite(const Graph& o);
 
   /// True if `o` has a subset of our nodes and a subset of our edges —
   /// i.e. `o` is a subgraph of *this (the partial-ordering of views, §3.1).

@@ -1,5 +1,7 @@
 #include "net/framing.hpp"
 
+#include <cstring>
+
 #include "util/check.hpp"
 
 namespace rmt::net {
@@ -32,29 +34,44 @@ void LineFramer::complete_line() {
   dropped_ = 0;
 }
 
-void LineFramer::feed(const char* data, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const char c = data[i];
-    if (c == '\n') {
-      complete_line();
-      continue;
-    }
-    if (discarding_) {
-      ++dropped_;
-      continue;
-    }
-    if (c == '\0') saw_nul_ = true;
-    buf_.push_back(c);
-    if (buf_.size() > max_line_bytes_) {
-      // Past the cap: remember how much we had, then stop storing. The
-      // buffered prefix is dropped too — an oversized line is rejected
-      // whole, never half-parsed.
-      dropped_ = buf_.size();
-      buf_.clear();
-      buf_.shrink_to_fit();
-      discarding_ = true;
-    }
+void LineFramer::append(const char* data, std::size_t n) {
+  if (discarding_) {
+    dropped_ += n;
+    return;
   }
+  if (n > max_line_bytes_ - buf_.size()) {
+    // Past the cap: remember how much we had, then stop storing. The
+    // buffered prefix is dropped too — an oversized line is rejected
+    // whole, never half-parsed.
+    dropped_ = buf_.size() + n;
+    buf_.clear();
+    buf_.shrink_to_fit();
+    discarding_ = true;
+    return;
+  }
+  if (!saw_nul_ && std::memchr(data, '\0', n) != nullptr) saw_nul_ = true;
+  buf_.append(data, n);
+}
+
+void LineFramer::feed(const char* data, std::size_t n) {
+  const char* const end = data + n;
+  while (data != end) {
+    const auto* nl = static_cast<const char*>(std::memchr(data, '\n', std::size_t(end - data)));
+    if (nl == nullptr) {
+      append(data, std::size_t(end - data));
+      return;
+    }
+    append(data, std::size_t(nl - data));
+    complete_line();
+    data = nl + 1;
+  }
+}
+
+std::string LineFramer::reject_message(const Frame& f) const {
+  if (f.kind == Kind::kOversized)
+    return "rmt.request/1: line exceeds " + std::to_string(max_line_bytes_) + " bytes (got " +
+           std::to_string(f.line_bytes) + ")";
+  return "rmt.request/1: line contains a NUL byte (" + std::to_string(f.line_bytes) + " bytes)";
 }
 
 bool LineFramer::next(Frame& out) {

@@ -23,9 +23,12 @@
 // extraction. A frame either is a complete NUL-free line under the cap,
 // or it is a typed rejection.
 //
-// Single-threaded by design: each connection owns one framer, fed and
-// drained only from the event-loop thread (tests/test_net_framing.cpp
-// sweeps split points; serve_e2e.py drives it over real sockets).
+// Both transports frame through it: each TCP connection owns one framer,
+// and `rmt_serve --stdio` feeds fd 0 into one, so a hostile line gets the
+// same answer on either. feed() finds line ends and NULs with memchr, one
+// pass over each chunk (tests/test_net_framing.cpp checks it against the
+// byte-at-a-time loop across split points; serve_e2e.py drives both
+// transports). Single-threaded: a framer is fed and drained by one thread.
 #pragma once
 
 #include <cstddef>
@@ -52,8 +55,13 @@ class LineFramer {
   explicit LineFramer(std::size_t max_line_bytes);
 
   /// Append a chunk of raw stream bytes. Never throws past allocation;
-  /// buffered state stays <= max_line_bytes + O(1) regardless of input.
+  /// buffered state stays <= max_line_bytes regardless of input.
   void feed(const char* data, std::size_t n);
+
+  /// The wire error text for a rejection frame (kOversized / kEmbeddedNul):
+  /// "rmt.request/1: line exceeds <cap> bytes (got N)" or
+  /// "rmt.request/1: line contains a NUL byte (N bytes)".
+  std::string reject_message(const Frame& f) const;
 
   /// Pop the next complete frame; false when the stream has no complete
   /// line yet (a partial line may still be buffered — see mid_line()).
@@ -67,10 +75,11 @@ class LineFramer {
   std::size_t max_line_bytes() const { return max_line_bytes_; }
 
  private:
+  void append(const char* data, std::size_t n);  ///< bytes of the current line
   void complete_line();
 
   std::size_t max_line_bytes_;
-  std::string buf_;            ///< the current partial line (<= cap + 1)
+  std::string buf_;            ///< the current partial line (<= cap)
   bool discarding_ = false;    ///< past the cap: count, don't store
   bool saw_nul_ = false;
   std::size_t dropped_ = 0;    ///< bytes discarded from the current line

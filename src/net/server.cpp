@@ -390,25 +390,13 @@ struct Server::Impl {
       lines_in.fetch_add(1, std::memory_order_relaxed);
       switch (frame.kind) {
         case LineFramer::Kind::kOversized:
+        case LineFramer::Kind::kEmbeddedNul: {
           frame_rejects.fetch_add(1, std::memory_order_relaxed);
-          {
-            Slot slot;
-            slot.preformatted = svc::wire::format_parse_error(
-                "", "rmt.request/1: line exceeds " + std::to_string(opts.max_line_bytes) +
-                        " bytes (got " + std::to_string(frame.line_bytes) + ")");
-            conn.slots.push_back(std::move(slot));
-          }
+          Slot slot;
+          slot.preformatted = svc::wire::format_parse_error("", conn.framer.reject_message(frame));
+          conn.slots.push_back(std::move(slot));
           break;
-        case LineFramer::Kind::kEmbeddedNul:
-          frame_rejects.fetch_add(1, std::memory_order_relaxed);
-          {
-            Slot slot;
-            slot.preformatted = svc::wire::format_parse_error(
-                "", "rmt.request/1: line contains a NUL byte (" +
-                        std::to_string(frame.line_bytes) + " bytes)");
-            conn.slots.push_back(std::move(slot));
-          }
-          break;
+        }
         case LineFramer::Kind::kLine:
           if (frame.line.empty()) flush_pending();  // blank line = flush
           else handle_request_line(conn, frame.line);

@@ -16,9 +16,9 @@ using sim::PathValuePayload;
 class PkaNode final : public sim::ProtocolNode {
  public:
   PkaNode(const LocalKnowledge& lk, const PublicInfo& pub, DeciderMode mode,
-          const DeciderLimits& limits)
+          const DeciderLimits& limits, RmtPka::DecideFn decide)
       : self_(lk.self), pub_(pub), knowledge_(lk), relay_(lk.self), mode_(mode),
-        limits_(limits) {
+        limits_(limits), decide_(decide) {
     neighbors_ = lk.view.neighbors(self_);
     if (self_ == pub_.receiver) {
       input_.dealer = pub_.dealer;
@@ -69,7 +69,7 @@ class PkaNode final : public sim::ProtocolNode {
       // Other payload kinds: erroneous for this protocol — discard.
     }
     if (self_ == pub_.receiver && !decision_ && received_anything) {
-      decision_ = pka_decide(input_, mode_, limits_, &stats_);
+      decision_ = decide_(input_, mode_, limits_, &stats_);
     }
     return out;
   }
@@ -94,10 +94,11 @@ class PkaNode final : public sim::ProtocolNode {
     // Reject structurally impossible claims outright: a view must contain
     // its subject (γ(u) ∋ u by definition).
     if (!t2.view.has_node(t2.subject)) return;
-    NodeReport rep{t2.subject, t2.view, t2.local_z};
     auto& versions = input_.reports[t2.subject];
-    if (std::find(versions.begin(), versions.end(), rep) == versions.end())
-      versions.push_back(std::move(rep));
+    const bool known = std::any_of(versions.begin(), versions.end(), [&](const NodeReport& r) {
+      return r.view == t2.view && r.local_z == t2.local_z;
+    });
+    if (!known) versions.push_back(NodeReport{t2.subject, t2.view, t2.local_z});
   }
 
   NodeId self_;
@@ -107,6 +108,7 @@ class PkaNode final : public sim::ProtocolNode {
   TrailRelay relay_;
   DeciderMode mode_;
   DeciderLimits limits_;
+  RmtPka::DecideFn decide_;
   DecisionInput input_;
   DeciderStats stats_;
   std::optional<sim::Value> decision_;
@@ -114,11 +116,12 @@ class PkaNode final : public sim::ProtocolNode {
 
 }  // namespace
 
-RmtPka::RmtPka(DeciderMode mode, DeciderLimits limits) : mode_(mode), limits_(limits) {}
+RmtPka::RmtPka(DeciderMode mode, DeciderLimits limits, DecideFn decide)
+    : mode_(mode), limits_(limits), decide_(decide) {}
 
 std::unique_ptr<sim::ProtocolNode> RmtPka::make_node(const LocalKnowledge& lk,
                                                      const PublicInfo& pub) const {
-  return std::make_unique<PkaNode>(lk, pub, mode_, limits_);
+  return std::make_unique<PkaNode>(lk, pub, mode_, limits_, decide_);
 }
 
 }  // namespace rmt::protocols

@@ -24,7 +24,14 @@ namespace rmt::protocols {
 
 class RmtPka final : public Protocol {
  public:
-  explicit RmtPka(DeciderMode mode = DeciderMode::kExhaustive, DeciderLimits limits = {});
+  /// The receiver's decision subroutine. pka_decide in every shipped use;
+  /// tests and bench_decider_hotpath pass propcheck::reference_pka_decide
+  /// to replay a run against the kept reference.
+  using DecideFn = std::optional<sim::Value> (*)(const DecisionInput&, DeciderMode,
+                                                 const DeciderLimits&, DeciderStats*);
+
+  explicit RmtPka(DeciderMode mode = DeciderMode::kExhaustive, DeciderLimits limits = {},
+                  DecideFn decide = pka_decide);
 
   std::string name() const override {
     return mode_ == DeciderMode::kExhaustive ? "RMT-PKA" : "RMT-PKA(greedy)";
@@ -37,6 +44,7 @@ class RmtPka final : public Protocol {
  private:
   DeciderMode mode_;
   DeciderLimits limits_;
+  DecideFn decide_;
 };
 
 }  // namespace rmt::protocols

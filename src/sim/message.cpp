@@ -21,35 +21,47 @@ std::size_t payload_bytes(const Payload& p) {
 
 namespace {
 
-void append_u32(std::string& s, std::uint64_t v) {
-  s += std::to_string(v);
-  s += ',';
+// payload_serialize's encoding: a kind tag, then unsigned LEB128 varints,
+// every list prefixed with its length. Each varint and each list is
+// self-delimiting, so the bytes determine the payload and distinct
+// payloads never share an encoding.
+
+void append_varint(std::string& s, std::uint64_t v) {
+  while (v >= 0x80) {
+    s += static_cast<char>((v & 0x7F) | 0x80);
+    v >>= 7;
+  }
+  s += static_cast<char>(v);
 }
 
 void append_path(std::string& s, const Path& p) {
-  s += 'p';
-  for (NodeId v : p) append_u32(s, v);
-  s += ';';
+  append_varint(s, p.size());
+  for (NodeId v : p) append_varint(s, v);
 }
 
+void append_set(std::string& s, const NodeSet& set) {
+  append_varint(s, set.size());
+  set.for_each([&](NodeId v) { append_varint(s, v); });
+}
+
+/// Nodes, then the edge count and each edge {v, u} with v < u, in
+/// ascending order (Graph equality is node- and edge-set equality).
 void append_graph(std::string& s, const Graph& g) {
-  s += 'g';
-  g.nodes().for_each([&](NodeId v) { append_u32(s, v); });
-  s += '|';
-  for (const Edge& e : g.edges()) {
-    append_u32(s, e.a);
-    append_u32(s, e.b);
-  }
-  s += ';';
+  append_set(s, g.nodes());
+  append_varint(s, g.num_edges());
+  g.nodes().for_each([&](NodeId v) {
+    g.neighbors(v).for_each([&](NodeId u) {
+      if (v >= u) return;
+      append_varint(s, v);
+      append_varint(s, u);
+    });
+  });
 }
 
+/// The canonical antichain (structure equality is antichain equality).
 void append_structure(std::string& s, const AdversaryStructure& z) {
-  s += 'z';
-  for (const NodeSet& m : z.maximal_sets()) {
-    m.for_each([&](NodeId v) { append_u32(s, v); });
-    s += '|';
-  }
-  s += ';';
+  append_varint(s, z.maximal_sets().size());
+  for (const NodeSet& m : z.maximal_sets()) append_set(s, m);
 }
 
 }  // namespace
@@ -58,18 +70,18 @@ std::string payload_serialize(const Payload& p) {
   struct Ser {
     std::string operator()(const ValuePayload& m) const {
       std::string s = "V";
-      append_u32(s, m.x);
+      append_varint(s, m.x);
       return s;
     }
     std::string operator()(const PathValuePayload& m) const {
       std::string s = "1";
-      append_u32(s, m.x);
+      append_varint(s, m.x);
       append_path(s, m.trail);
       return s;
     }
     std::string operator()(const KnowledgePayload& m) const {
       std::string s = "2";
-      append_u32(s, m.subject);
+      append_varint(s, m.subject);
       append_graph(s, m.view);
       append_structure(s, m.local_z);
       append_path(s, m.trail);

@@ -65,8 +65,9 @@ struct Message {
 std::size_t payload_bytes(const Payload& p);
 
 /// Exact canonical serialization — two payloads serialize equal iff they
-/// are equal. Used for duplicate suppression in the flooding protocols
-/// (the adversary may replay; honest nodes must not amplify replays).
+/// are equal: a kind tag, then length-prefixed varints (binary, not
+/// text). Used for duplicate suppression in the flooding protocols (the
+/// adversary may replay; honest nodes must not amplify replays).
 std::string payload_serialize(const Payload& p);
 
 std::string payload_to_string(const Payload& p);

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <new>
 
 #include "obs/metrics.hpp"
+#include "svc/entry_codec.hpp"
 #include "svc/instance_key.hpp"
 #include "util/check.hpp"
 
@@ -22,35 +24,52 @@ constexpr std::size_t kMinBuckets = 16;
 
 }  // namespace
 
-/// The block header; key bytes and then value bytes follow it in the same
-/// allocation. Byte accounting stays key + value: the header, the bucket
-/// slot and the allocator's rounding are the cost of holding an entry,
-/// which bench_svc_throughput measures.
+/// The block header; the encoded key bytes and then the encoded value
+/// bytes (svc/entry_codec.hpp) follow it in the same allocation. Byte
+/// accounting stays logical, key + value before encoding: the header, the
+/// bucket slot, the allocator's rounding and the codec's savings are the
+/// cost of holding an entry, which bench_svc_throughput measures.
 struct ResultCache::Entry {
   Entry* newer = nullptr;
   Entry* older = nullptr;
   Entry* chain = nullptr;  ///< next entry in the same bucket
   std::uint64_t hash = 0;
-  std::uint32_t key_size = 0;
+  std::uint32_t key_size = 0;    ///< logical (decoded) sizes
   std::uint32_t value_size = 0;
 
-  char* bytes() { return reinterpret_cast<char*>(this + 1); }
-  const char* bytes() const { return reinterpret_cast<const char*>(this + 1); }
+  const unsigned char* encoded() const { return reinterpret_cast<const unsigned char*>(this + 1); }
   std::size_t accounted() const { return std::size_t(key_size) + value_size; }
-  bool has_key(std::uint64_t h, const std::string& key) const {
-    return hash == h && key_size == key.size() && std::memcmp(bytes(), key.data(), key_size) == 0;
+  /// Where the encoded value starts if this entry's key is `key`, else
+  /// nullptr: one pass over the stored encoding, nothing allocated.
+  const unsigned char* value_if_key(std::uint64_t h, const std::string& key) const {
+    if (hash != h || key_size != key.size()) return nullptr;
+    return codec::match(encoded(), key);
   }
-  std::string value() const { return std::string(bytes() + key_size, value_size); }
+  std::string decode_value(const unsigned char* at) const {
+    std::string out(value_size, '\0');
+    codec::decode(at, value_size, out.data());
+    return out;
+  }
 
   static Entry* make(std::uint64_t h, const std::string& key, const std::string& value) {
     RMT_REQUIRE(key.size() <= UINT32_MAX && value.size() <= UINT32_MAX,
                 "ResultCache: entry too large");
-    Entry* e = new (::operator new(sizeof(Entry) + key.size() + value.size())) Entry;
+    // Encode into scratch first so the block is allocated at its exact size.
+    const std::size_t bound = codec::max_encoded_size(key.size() + value.size());
+    unsigned char stack[2048];
+    std::unique_ptr<unsigned char[]> heap;
+    unsigned char* scratch = stack;
+    if (bound > sizeof stack) {
+      heap = std::make_unique_for_overwrite<unsigned char[]>(bound);
+      scratch = heap.get();
+    }
+    const std::size_t size =
+        std::size_t(codec::encode(value, codec::encode(key, scratch)) - scratch);
+    Entry* e = new (::operator new(sizeof(Entry) + size)) Entry;
     e->hash = h;
     e->key_size = std::uint32_t(key.size());
     e->value_size = std::uint32_t(value.size());
-    std::memcpy(e->bytes(), key.data(), key.size());
-    std::memcpy(e->bytes() + key.size(), value.data(), value.size());
+    std::memcpy(e + 1, scratch, size);
     return e;
   }
   static void destroy(Entry* e) {
@@ -67,10 +86,15 @@ ResultCache::Shard::~Shard() {
   }
 }
 
-ResultCache::Entry* ResultCache::Shard::find(std::uint64_t hash, const std::string& key) const {
+ResultCache::Entry* ResultCache::Shard::find(std::uint64_t hash, const std::string& key,
+                                             const unsigned char** value_at) const {
   if (buckets.empty()) return nullptr;
-  for (Entry* e = buckets[(hash >> 32) & (buckets.size() - 1)]; e != nullptr; e = e->chain)
-    if (e->has_key(hash, key)) return e;
+  for (Entry* e = buckets[(hash >> 32) & (buckets.size() - 1)]; e != nullptr; e = e->chain) {
+    if (const unsigned char* at = e->value_if_key(hash, key)) {
+      if (value_at != nullptr) *value_at = at;
+      return e;
+    }
+  }
   return nullptr;
 }
 
@@ -144,28 +168,31 @@ std::optional<std::string> ResultCache::lookup(const std::string& key, bool coun
   const std::uint64_t hash = fnv1a64(key);
   Shard& s = shard_of(hash);
   std::lock_guard<std::mutex> lock(s.m);
-  Entry* e = s.find(hash, key);
+  const unsigned char* value_at = nullptr;
+  Entry* e = s.find(hash, key, &value_at);
   if (e == nullptr) {
     if (count_miss) ++s.misses;
     return std::nullopt;
   }
   ++s.hits;
   s.move_to_newest(e);  // refresh recency
-  return e->value();
+  return e->decode_value(value_at);
 }
 
 void ResultCache::put(const std::string& key, std::string value) {
   const std::uint64_t hash = fnv1a64(key);
+  const std::size_t incoming = key.size() + value.size();
+  // Encoded outside the lock; an oversized payload is never encoded.
+  Entry* fresh = incoming > shard_budget_ ? nullptr : Entry::make(hash, key, value);
   Shard& s = shard_of(hash);
   std::lock_guard<std::mutex> lock(s.m);
   if (Entry* old = s.find(hash, key)) s.remove(old);
-  const std::size_t incoming = key.size() + value.size();
-  if (incoming > shard_budget_) return;  // would evict the whole shard for nothing
+  if (fresh == nullptr) return;  // would evict the whole shard for nothing
   while (s.bytes + incoming > shard_budget_ && s.oldest != nullptr) {
     s.remove(s.oldest);
     ++s.evictions;
   }
-  s.insert_newest(Entry::make(hash, key, value));
+  s.insert_newest(fresh);
 }
 
 ResultCache::Stats ResultCache::stats() const {

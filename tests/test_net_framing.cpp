@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <string>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace rmt::net {
 namespace {
@@ -90,8 +93,8 @@ TEST(NetFraming, OversizedBuffersStayBounded) {
   LineFramer framer(16);
   const std::string junk(1024, 'x');
   for (int i = 0; i < 64; ++i) framer.feed(junk.data(), junk.size());
-  // 64 KiB of a single unterminated line buffered at most cap+1 bytes.
-  EXPECT_LE(framer.buffered_bytes(), 17u);
+  // 64 KiB of a single unterminated line buffered at most cap bytes.
+  EXPECT_LE(framer.buffered_bytes(), 16u);
   EXPECT_TRUE(framer.mid_line());
   framer.feed("\n", 1);
   LineFramer::Frame frame;
@@ -175,6 +178,122 @@ TEST(NetFraming, ManyLinesOneFeed) {
     EXPECT_EQ(frame.line, "line" + std::to_string(i));
   }
   EXPECT_FALSE(framer.next(frame));
+}
+
+/// LineFramer::feed as it was, one byte at a time: the reference the
+/// memchr framer must match frame for frame.
+class ByteLoopFramer {
+ public:
+  explicit ByteLoopFramer(std::size_t cap) : cap_(cap) {}
+
+  void feed(const char* data, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const char c = data[i];
+      if (c == '\n') {
+        complete_line();
+        continue;
+      }
+      if (discarding_) {
+        ++dropped_;
+        continue;
+      }
+      if (c == '\0') saw_nul_ = true;
+      buf_.push_back(c);
+      if (buf_.size() > cap_) {
+        dropped_ = buf_.size();
+        buf_.clear();
+        discarding_ = true;
+      }
+    }
+  }
+  bool next(LineFramer::Frame& out) {
+    if (ready_.empty()) return false;
+    out = std::move(ready_.front());
+    ready_.pop_front();
+    return true;
+  }
+  bool mid_line() const { return !buf_.empty() || discarding_; }
+
+ private:
+  void complete_line() {
+    LineFramer::Frame f;
+    if (discarding_) {
+      f.kind = LineFramer::Kind::kOversized;
+      f.line_bytes = buf_.size() + dropped_;
+    } else if (saw_nul_) {
+      f.kind = LineFramer::Kind::kEmbeddedNul;
+      f.line_bytes = buf_.size();
+    } else {
+      if (!buf_.empty() && buf_.back() == '\r') buf_.pop_back();
+      f.line_bytes = buf_.size();
+      f.line = buf_;
+    }
+    ready_.push_back(std::move(f));
+    buf_.clear();
+    discarding_ = false;
+    saw_nul_ = false;
+    dropped_ = 0;
+  }
+
+  std::size_t cap_;
+  std::string buf_;
+  bool discarding_ = false;
+  bool saw_nul_ = false;
+  std::size_t dropped_ = 0;
+  std::deque<LineFramer::Frame> ready_;
+};
+
+TEST(NetFraming, MemchrFramerMatchesTheByteLoopAtEverySplit) {
+  // Streams of short, exact-cap, oversized, CRLF, NUL and empty lines,
+  // each fed at every chunk size (plus random splits); after every feed
+  // both framers must hold the same frames and agree on mid_line().
+  Rng rng(9);
+  const std::string alphabet = "ab{}\":,\r\r\n\n\n";
+  for (int stream = 0; stream < 60; ++stream) {
+    const std::size_t cap = 1 + rng.index(12);
+    std::string data;
+    for (std::size_t len = rng.index(120); data.size() < len;) {
+      const std::size_t pick = rng.index(10);
+      if (pick == 0) data += std::string(cap + rng.index(3), 'x') + "\n";
+      else if (pick == 1) data += '\0';
+      else if (pick == 2) data += std::string(cap, 'y') + "\r\n";
+      else data += alphabet[rng.index(alphabet.size())];
+    }
+    for (std::size_t chunk = 1; chunk <= data.size() + 1; ++chunk) {
+      LineFramer got(cap);
+      ByteLoopFramer want(cap);
+      for (std::size_t off = 0; off < data.size();) {
+        const std::size_t step =
+            chunk <= data.size() ? chunk : 1 + rng.index(data.size() - off);  // last: random
+        const std::size_t n = std::min(step, data.size() - off);
+        got.feed(data.data() + off, n);
+        want.feed(data.data() + off, n);
+        off += n;
+        LineFramer::Frame g, w;
+        for (;;) {
+          const bool has_g = got.next(g), has_w = want.next(w);
+          ASSERT_EQ(has_g, has_w) << "stream " << stream << " chunk " << chunk;
+          if (!has_g) break;
+          EXPECT_EQ(g.kind, w.kind) << "stream " << stream << " chunk " << chunk;
+          EXPECT_EQ(g.line, w.line) << "stream " << stream << " chunk " << chunk;
+          EXPECT_EQ(g.line_bytes, w.line_bytes) << "stream " << stream << " chunk " << chunk;
+        }
+        EXPECT_EQ(got.mid_line(), want.mid_line()) << "stream " << stream << " chunk " << chunk;
+        EXPECT_LE(got.buffered_bytes(), cap);
+      }
+    }
+  }
+}
+
+TEST(NetFraming, RejectMessagesNameTheCapAndTheLength) {
+  LineFramer framer(4);
+  const char data[] = "abcdef\nab\0c\n";
+  framer.feed(data, sizeof data - 1);
+  LineFramer::Frame frame;
+  ASSERT_TRUE(framer.next(frame));
+  EXPECT_EQ(framer.reject_message(frame), "rmt.request/1: line exceeds 4 bytes (got 6)");
+  ASSERT_TRUE(framer.next(frame));
+  EXPECT_EQ(framer.reject_message(frame), "rmt.request/1: line contains a NUL byte (4 bytes)");
 }
 
 }  // namespace

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "adversary/threshold.hpp"
+#include "check/reference_pka_decision.hpp"
 #include "graph/generators.hpp"
 #include "tests/test_util.hpp"
 
@@ -317,6 +321,169 @@ TEST(PkaDecision, MissingDealerReportBlocksDecision) {
   in.type1[5].insert(Path{0, 1, 2});
   in.reports[1].push_back(f.report(1, z));  // no report for D
   EXPECT_EQ(pka_decide(in, DeciderMode::kExhaustive, {}), std::nullopt);
+}
+
+// ---- differential: pka_decide against the kept reference -------------------
+
+/// A generated receiver state plus the limits to decide it under.
+struct GeneratedInput {
+  DecisionInput in;
+  DeciderLimits limits;
+};
+
+/// A structure a liar might claim over `view`'s nodes.
+AdversaryStructure forged_structure(const Graph& view, Rng& rng) {
+  switch (rng.index(4)) {
+    case 0: return AdversaryStructure::trivial();
+    case 1: return AdversaryStructure();  // the empty family
+    case 2: return AdversaryStructure::from_sets({view.nodes()});
+    default: return random_structure(view.nodes(), 1 + rng.index(3), 1 + rng.index(2), {}, rng);
+  }
+}
+
+/// Structure-aware DecisionInput generator: the honest reports and trails
+/// of a random instance, minus some, plus forged versions (edited honest
+/// views, phantom subjects, lying structures) and forged trails, under
+/// limits set at the max_subset_bits / max_snapshots edges where a branch
+/// flips between search and abstention.
+GeneratedInput generate_input(Rng& rng) {
+  const std::size_t n = 4 + rng.index(5);
+  const std::size_t radius[] = {0, 1, 2, SIZE_MAX};
+  const Instance inst = testing::random_instance(n, 0.3 + 0.1 * double(rng.index(4)),
+                                                 1 + rng.index(4), 1 + rng.index(2),
+                                                 radius[rng.index(4)], rng);
+  const Graph& g = inst.graph();
+  GeneratedInput out;
+  DecisionInput& in = out.in;
+  in.dealer = inst.dealer();
+  in.receiver = inst.receiver();
+  in.receiver_knowledge = inst.knowledge_of(in.receiver);
+  const auto add_version = [&](NodeId u, Graph view, AdversaryStructure z) {
+    auto& versions = in.reports[u];
+    NodeReport rep{u, std::move(view), std::move(z)};
+    if (std::find(versions.begin(), versions.end(), rep) == versions.end())
+      versions.push_back(std::move(rep));
+  };
+  g.nodes().for_each([&](NodeId v) {
+    if (v == in.dealer || rng.index(8) != 0) {
+      const LocalKnowledge lk = inst.knowledge_of(v);
+      add_version(v, lk.view, lk.local_z);
+    }
+  });
+  const NodeId phantom = NodeId(n);
+  for (std::size_t k = rng.index(4); k-- > 0;) {
+    const NodeId u = rng.index(4) == 0 ? NodeId(phantom + rng.index(2)) : NodeId(rng.index(n));
+    Graph view;
+    if (u < n && rng.index(2) == 0) view = inst.knowledge_of(u).view;  // an edited honest view
+    view.add_node(u);
+    for (std::size_t e = 1 + rng.index(3); e-- > 0;) {
+      const NodeId a = rng.index(2) == 0 ? u : NodeId(rng.index(n + 2));
+      const NodeId b = NodeId(rng.index(n + 2));
+      if (a == b) continue;
+      if (view.has_edge(a, b)) view.remove_edge(a, b);
+      else view.add_edge(a, b);
+    }
+    add_version(u, view, forged_structure(view, rng));
+  }
+  // The delivered trails: most honest D–R paths, and a few forgeries
+  // (random walks, possibly through phantoms) for the same or another value.
+  const sim::Value x = 5;
+  enumerate_simple_paths(
+      g, in.dealer, in.receiver,
+      [&](const Path& p) {
+        if (rng.index(4) != 0) in.type1[x].insert(p);
+        return true;
+      },
+      64);
+  for (std::size_t k = rng.index(3); k-- > 0;) {
+    Path p{in.dealer};
+    for (std::size_t hops = 1 + rng.index(3); hops-- > 0;) {
+      const NodeId v = NodeId(rng.index(n + 2));
+      if (std::find(p.begin(), p.end(), v) == p.end() && v != in.receiver) p.push_back(v);
+    }
+    p.push_back(in.receiver);
+    in.type1[rng.index(3) == 0 ? x + 1 : x].insert(p);
+  }
+  if (rng.index(20) == 0) in.direct_value = x;
+
+  // Limits: at the edges of the two budgets about half the time.
+  std::size_t optional = 0, snapshots = 1;  // R is pinned: never optional, one version
+  for (const auto& [u, versions] : in.reports) {
+    if (u != in.dealer && u != in.receiver) ++optional;
+    if (u != in.receiver) snapshots *= versions.size();
+  }
+  switch (rng.index(6)) {
+    case 0: out.limits.max_subset_bits = optional; break;
+    case 1: out.limits.max_subset_bits = optional == 0 ? 0 : optional - 1; break;
+    case 2: out.limits.max_snapshots = snapshots; break;
+    case 3: out.limits.max_snapshots = snapshots == 0 ? 0 : snapshots - 1; break;
+    case 4:
+      out.limits.max_paths = 1 + rng.index(4);
+      out.limits.max_cover_sets = 1 + rng.index(8);
+      break;
+    default: break;
+  }
+  return out;
+}
+
+/// Same decision and the same DeciderStats, field by field.
+void expect_same_as_reference(const GeneratedInput& gen, DeciderMode mode,
+                              const std::string& what) {
+  DeciderStats got, want;
+  const auto decided = pka_decide(gen.in, mode, gen.limits, &got);
+  const auto expected = propcheck::reference_pka_decide(gen.in, mode, gen.limits, &want);
+  EXPECT_EQ(decided, expected) << what;
+  EXPECT_EQ(got.snapshots, want.snapshots) << what;
+  EXPECT_EQ(got.subsets_tried, want.subsets_tried) << what;
+  EXPECT_EQ(got.fullness_checks, want.fullness_checks) << what;
+  EXPECT_EQ(got.cover_checks, want.cover_checks) << what;
+  EXPECT_EQ(got.budget_exhausted, want.budget_exhausted) << what;
+  EXPECT_EQ(got.decided_vm, want.decided_vm) << what;
+}
+
+TEST(PkaDecision, MatchesTheReferenceOnGeneratedInputs) {
+  Rng rng(2016);
+  std::size_t decided = 0, abstained = 0, exhausted = 0, forged = 0;
+  for (int i = 0; i < 1500; ++i) {
+    const GeneratedInput gen = generate_input(rng);
+    for (const DeciderMode mode : {DeciderMode::kExhaustive, DeciderMode::kGreedy}) {
+      expect_same_as_reference(gen, mode,
+                               "input " + std::to_string(i) + " mode " +
+                                   std::to_string(int(mode)));
+      DeciderStats stats;
+      const auto d = pka_decide(gen.in, mode, gen.limits, &stats);
+      ++(d ? decided : abstained);
+      exhausted += stats.budget_exhausted;
+    }
+    for (const auto& [u, versions] : gen.in.reports) forged += versions.size() > 1;
+  }
+  // The generator reaches every branch of the search.
+  EXPECT_GT(decided, 50u);
+  EXPECT_GT(abstained, 50u);
+  EXPECT_GT(exhausted, 20u);
+  EXPECT_GT(forged, 50u);
+}
+
+TEST(PkaDecision, MatchesTheReferenceOnTheHandBuiltStates) {
+  // The fixtures above, through both deciders: a forged report about R,
+  // a phantom world, and conflicting versions.
+  PathFixture f;
+  const auto z = structure({NodeSet{1}});
+  GeneratedInput gen;
+  gen.in = f.input(z);
+  gen.in.type1[5].insert(Path{0, 1, 2});
+  gen.in.type1[6].insert(Path{0, 9, 2});
+  gen.in.reports[0].push_back(f.report(0, z));
+  gen.in.reports[1].push_back(f.report(1, z));
+  Graph phantom_view;
+  phantom_view.add_edge(0, 9);
+  phantom_view.add_edge(9, 2);
+  gen.in.reports[9].push_back(NodeReport{9, phantom_view, AdversaryStructure::trivial()});
+  Graph fake_r;
+  fake_r.add_node(2);
+  gen.in.reports[2].push_back(NodeReport{2, fake_r, AdversaryStructure()});
+  for (const DeciderMode mode : {DeciderMode::kExhaustive, DeciderMode::kGreedy})
+    expect_same_as_reference(gen, mode, "phantom world");
 }
 
 }  // namespace

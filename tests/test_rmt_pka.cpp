@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/rmt_cut.hpp"
+#include "check/reference_pka_decision.hpp"
 #include "graph/generators.hpp"
 #include "protocols/runner.hpp"
 #include "sim/strategies.hpp"
@@ -164,6 +165,44 @@ TEST(RmtPka, MessageComplexityIsTracked) {
   const Outcome out = run_rmt(inst, RmtPka{}, 4, NodeSet{});
   EXPECT_GT(out.stats.honest_messages, 0u);
   EXPECT_GT(out.stats.honest_payload_bytes, out.stats.honest_messages);
+}
+
+TEST(RmtPka, WholeRunsMatchTheReferenceDecider) {
+  // Whole simulations, every served strategy, both decider modes: the
+  // receiver deciding through pka_decide and through the kept reference
+  // must produce the same Outcome — decision, rounds and every message
+  // count (the relays and their replay keys are shared, so any divergence
+  // is the decider's).
+  Rng rng(404);
+  std::size_t decided = 0;
+  for (int i = 0; i < 40; ++i) {
+    const std::size_t radius[] = {0, 1, SIZE_MAX};
+    const Instance inst = testing::random_instance(5 + rng.index(4), 0.4, 1 + rng.index(3), 1,
+                                                   radius[rng.index(3)], rng);
+    const auto& sets = inst.adversary().maximal_sets();
+    const NodeSet corrupted = sets[rng.index(sets.size())];
+    for (const char* name : {"silent", "value-flip", "random-lies", "phantom-world", "two-faced"}) {
+      for (const DeciderMode mode : {DeciderMode::kExhaustive, DeciderMode::kGreedy}) {
+        const auto run = [&](RmtPka::DecideFn decide) {
+          const auto strategy = sim::make_strategy(name, 17 + std::uint64_t(i));
+          return run_rmt(inst, RmtPka(mode, {}, decide), 7, corrupted, strategy.get());
+        };
+        const Outcome got = run(pka_decide);
+        const Outcome want = run(propcheck::reference_pka_decide);
+        const std::string what = "instance " + std::to_string(i) + " " + name;
+        EXPECT_EQ(got.decision, want.decision) << what;
+        EXPECT_EQ(got.correct, want.correct) << what;
+        EXPECT_EQ(got.wrong, want.wrong) << what;
+        EXPECT_EQ(got.stats.rounds, want.stats.rounds) << what;
+        EXPECT_EQ(got.stats.honest_messages, want.stats.honest_messages) << what;
+        EXPECT_EQ(got.stats.adversary_messages, want.stats.adversary_messages) << what;
+        EXPECT_EQ(got.stats.honest_payload_bytes, want.stats.honest_payload_bytes) << what;
+        EXPECT_FALSE(got.wrong) << what;
+        decided += got.decision.has_value();
+      }
+    }
+  }
+  EXPECT_GT(decided, 100u);
 }
 
 }  // namespace

@@ -209,21 +209,30 @@ def check_bench(doc, problems, args):
                                  f"(must be a non-negative finite number)")
     # BENCH_svc.json's heap footprint of a cached answer: a row that
     # measured one (accounted_b_per_entry > 0) may cost at most
-    # MAX_ENTRY_OVERHEAD_B of heap beyond its accounted key + value bytes —
-    # the gate bench_svc_throughput also RMT_CHECKs. Both cells must be
-    # usable non-negative finite numbers on every row.
+    # MAX_HEAP_RATIO × its accounted key + value bytes — the gate
+    # bench_svc_throughput also RMT_CHECKs — and must report the mean cost
+    # of a put and of a hit (put_ns / get_ns > 0). Every cell must be a
+    # usable non-negative finite number on every row.
     if "heap_b_per_entry" in columns:
+        for col in ("accounted_b_per_entry", "put_ns", "get_ns"):
+            if col not in columns:
+                problems.add(f"columns: a footprint table requires {col!r}")
         for i, row in enumerate(rows):
             if not isinstance(row, dict):
                 continue
             heap = row.get("heap_b_per_entry")
             accounted = row.get("accounted_b_per_entry")
-            if not (_is_size(heap) and _is_size(accounted)):
+            put_ns, get_ns = row.get("put_ns"), row.get("get_ns")
+            if not all(_is_size(v) for v in (heap, accounted, put_ns, get_ns)):
                 problems.add(f"rows[{i}]: heap_b_per_entry {heap!r} / accounted_b_per_entry "
-                             f"{accounted!r} (must be non-negative finite numbers)")
-            elif accounted > 0 and heap > accounted + MAX_ENTRY_OVERHEAD_B:
-                problems.add(f"rows[{i}].heap_b_per_entry: {heap} exceeds accounted "
-                             f"{accounted} + {MAX_ENTRY_OVERHEAD_B} B")
+                             f"{accounted!r} / put_ns {put_ns!r} / get_ns {get_ns!r} "
+                             f"(must be non-negative finite numbers)")
+            elif accounted > 0 and heap > MAX_HEAP_RATIO * accounted:
+                problems.add(f"rows[{i}].heap_b_per_entry: {heap} exceeds "
+                             f"{MAX_HEAP_RATIO} x accounted {accounted}")
+            elif accounted > 0 and not (put_ns > 0 and get_ns > 0):
+                problems.add(f"rows[{i}]: a footprint row must time its puts and hits "
+                             f"(put_ns {put_ns!r}, get_ns {get_ns!r})")
     # BENCH_decider.json: one row per (instance, decider) with a timing
     # column per path; a missing column is schema drift.
     if name == "bench_decider":
@@ -233,10 +242,32 @@ def check_bench(doc, problems, args):
         for i, row in enumerate(rows):
             if not isinstance(row, dict):
                 continue
+            decider = row.get("decider")
+            if decider not in DECIDER_NAMES:
+                problems.add(f"rows[{i}].decider: {decider!r} is not one of "
+                             f"{sorted(DECIDER_NAMES)}")
             for col in ("reference_ms", "shipped_ms", "scalar_ms", "pool_ms"):
                 if col in row and not _is_size(row[col]):
                     problems.add(f"rows[{i}].{col}: {row[col]!r} "
                                  f"(must be a non-negative finite number)")
+    # BENCH_net.json's framing row: the line framer's cost per byte. Every
+    # ns_per_byte cell is a usable number, and a table with a `section`
+    # column carries exactly one framing row that measured something.
+    if name == "bench_net" and "ns_per_byte" in columns:
+        framing = 0
+        for i, row in enumerate(rows):
+            if not isinstance(row, dict):
+                continue
+            v = row.get("ns_per_byte")
+            if not _is_size(v):
+                problems.add(f"rows[{i}].ns_per_byte: {v!r} "
+                             f"(must be a non-negative finite number)")
+            elif row.get("section") == "framing":
+                framing += 1
+                if v <= 0:
+                    problems.add(f"rows[{i}].ns_per_byte: the framing row measured nothing")
+        if "section" in columns and framing != 1:
+            problems.add(f"rows: bench_net needs exactly one framing row, found {framing}")
     check_metrics(doc.get("metrics"), problems, args.require_phases, args.require_sim)
 
 
@@ -245,9 +276,15 @@ def _is_size(v):
             and v >= 0)
 
 
-# The heap a cached answer may cost beyond its accounted bytes
-# (bench_svc_throughput's kMaxEntryOverhead).
-MAX_ENTRY_OVERHEAD_B = 112
+# The most heap a cached answer may cost per accounted byte
+# (bench_svc_throughput's kMaxHeapRatio).
+MAX_HEAP_RATIO = 0.75
+
+# bench_decider's rows: the four deciders, and the served `simulate` kind
+# against each sim::make_strategy strategy.
+SIM_STRATEGIES = ("silent", "value-flip", "random-lies", "phantom-world", "two-faced")
+DECIDER_NAMES = frozenset(["rmt", "zpp", "two-cover", "analyze"] +
+                          [f"simulate/{s}" for s in SIM_STRATEGIES])
 
 
 def check_analyze(doc, problems, args):
@@ -801,7 +838,15 @@ DECIDER_ROW = {"family": "5-paths h4", "n": 22, "structure": "2-threshold",
                "shipped_ms": 0.36, "scalar_ms": 0.44, "pool_ms": 0.41, "speedup": 21.0,
                "identical": True}
 SVC_FOOTPRINT_COLUMNS = ["section", "heap_b_per_entry", "accounted_b_per_entry",
-                         "identical"]
+                         "put_ns", "get_ns", "identical"]
+SVC_FOOTPRINT_ROW = {"section": "footprint", "heap_b_per_entry": 104.2,
+                     "accounted_b_per_entry": 167.1, "put_ns": 1545.0, "get_ns": 802.0,
+                     "identical": True}
+NET_COLUMNS = ["section", "clients", "qps_tcp", "ns_per_byte", "identical"]
+NET_TCP_ROW = {"section": "tcp", "clients": 1, "qps_tcp": 21753.0, "ns_per_byte": 0.0,
+               "identical": True}
+NET_FRAMING_ROW = {"section": "framing", "clients": 0, "qps_tcp": 0.0, "ns_per_byte": 0.32,
+                   "identical": True}
 
 
 def _selftest_docs():
@@ -815,15 +860,20 @@ def _selftest_docs():
          "rows": [{"n": 4}], "metrics": metrics},
         {"schema": "rmt.bench/1", "name": "bench_decider", "run": run,
          "columns": DECIDER_COLUMNS,
-         "rows": [dict(DECIDER_ROW, decider="rmt"), dict(DECIDER_ROW, decider="analyze")],
+         "rows": [dict(DECIDER_ROW, decider="rmt"), dict(DECIDER_ROW, decider="analyze"),
+                  dict(DECIDER_ROW, decider="simulate/phantom-world", pool_ms=0.0)],
          "metrics": metrics},
         # bench_svc's footprint row, and a row that measured none.
         {"schema": "rmt.bench/1", "name": "bench_svc", "run": run,
          "columns": SVC_FOOTPRINT_COLUMNS,
-         "rows": [{"section": "footprint", "heap_b_per_entry": 240.4,
-                   "accounted_b_per_entry": 172.0, "identical": True},
+         "rows": [SVC_FOOTPRINT_ROW,
                   {"section": "latency", "heap_b_per_entry": 0.0,
-                   "accounted_b_per_entry": 0.0, "identical": True}],
+                   "accounted_b_per_entry": 0.0, "put_ns": 0.0, "get_ns": 0.0,
+                   "identical": True}],
+         "metrics": metrics},
+        # bench_net with its tcp rows and its framing row.
+        {"schema": "rmt.bench/1", "name": "bench_net", "run": run,
+         "columns": NET_COLUMNS, "rows": [NET_TCP_ROW, NET_FRAMING_ROW],
          "metrics": metrics},
         {"schema": "rmt.bench/1", "name": "bench_trace", "run": run,
          "columns": ["row", "per_span_ns", "within_budget"],
@@ -920,17 +970,44 @@ def _selftest_docs():
          "columns": DECIDER_COLUMNS,
          "rows": [dict(DECIDER_ROW, shipped_ms=float("nan"))],
          "metrics": metrics},                                    # NaN timing
-        # Footprint gate: a cached answer over its heap slack, or a cell
-        # that is not a usable number.
+        # Footprint gate: a cached answer over its heap ratio (unencoded
+        # entries measure ~1.4x), a cell that is not a usable number, an
+        # untimed footprint row, or a table without the timing columns.
         {"schema": "rmt.bench/1", "name": "bench_svc", "run": run,
          "columns": SVC_FOOTPRINT_COLUMNS,
-         "rows": [{"section": "footprint", "heap_b_per_entry": 441.0,
-                   "accounted_b_per_entry": 162.0, "identical": True}],
+         "rows": [dict(SVC_FOOTPRINT_ROW, heap_b_per_entry=233.5)],
          "metrics": metrics},
         {"schema": "rmt.bench/1", "name": "bench_svc", "run": run,
          "columns": SVC_FOOTPRINT_COLUMNS,
-         "rows": [{"section": "footprint", "heap_b_per_entry": -1.0,
-                   "accounted_b_per_entry": 162.0, "identical": True}],
+         "rows": [dict(SVC_FOOTPRINT_ROW, heap_b_per_entry=-1.0)],
+         "metrics": metrics},
+        {"schema": "rmt.bench/1", "name": "bench_svc", "run": run,
+         "columns": SVC_FOOTPRINT_COLUMNS,
+         "rows": [dict(SVC_FOOTPRINT_ROW, get_ns=0.0)],
+         "metrics": metrics},
+        {"schema": "rmt.bench/1", "name": "bench_svc", "run": run,
+         "columns": ["section", "heap_b_per_entry", "accounted_b_per_entry", "identical"],
+         "rows": [{"section": "footprint", "heap_b_per_entry": 104.2,
+                   "accounted_b_per_entry": 167.1, "identical": True}],
+         "metrics": metrics},
+        # bench_decider's deciders are a closed vocabulary.
+        {"schema": "rmt.bench/1", "name": "bench_decider", "run": run,
+         "columns": DECIDER_COLUMNS,
+         "rows": [dict(DECIDER_ROW, decider="simulate/bogus")],
+         "metrics": metrics},
+        # bench_net's framing row: missing, duplicated, unmeasured or NaN.
+        {"schema": "rmt.bench/1", "name": "bench_net", "run": run,
+         "columns": NET_COLUMNS, "rows": [NET_TCP_ROW],
+         "metrics": metrics},
+        {"schema": "rmt.bench/1", "name": "bench_net", "run": run,
+         "columns": NET_COLUMNS, "rows": [NET_TCP_ROW, NET_FRAMING_ROW, NET_FRAMING_ROW],
+         "metrics": metrics},
+        {"schema": "rmt.bench/1", "name": "bench_net", "run": run,
+         "columns": NET_COLUMNS, "rows": [NET_TCP_ROW, dict(NET_FRAMING_ROW, ns_per_byte=0.0)],
+         "metrics": metrics},
+        {"schema": "rmt.bench/1", "name": "bench_net", "run": run,
+         "columns": NET_COLUMNS,
+         "rows": [NET_TCP_ROW, dict(NET_FRAMING_ROW, ns_per_byte=float("nan"))],
          "metrics": metrics},
         # Budget gate: within_budget is hard-checked the same way.
         {"schema": "rmt.bench/1", "name": "bench_trace", "run": run,

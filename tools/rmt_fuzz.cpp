@@ -18,8 +18,10 @@
 // matches texts on their first 32 bytes, as a hash- or prefix-only memo
 // would) and expects memo-diverged findings, a differential pass with a
 // two-cover that scans only pairs j > i (so it misses every cut one maximal
-// set covers alone) and expects decider-diverged findings, then a clean
-// pass with the real parser, memo and deciders and expects none. Wired as
+// set covers alone) and expects decider-diverged findings, a codec pass
+// with a lossy entry encoder (it truncates lowercase hex runs at 254
+// digits) and expects codec-diverged findings, then a clean pass with the
+// real parser, memo, deciders and codec and expects none. Wired as
 // the fuzz_selftest ctest — the fuzz gate is only trustworthy while this
 // stays green.
 #include <algorithm>
@@ -30,6 +32,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/feasibility.hpp"
@@ -37,6 +40,7 @@
 #include "graph/connectivity.hpp"
 #include "io/serialize.hpp"
 #include "obs/trace.hpp"
+#include "svc/entry_codec.hpp"
 
 namespace {
 
@@ -95,6 +99,19 @@ std::optional<rmt::analysis::TwoCoverWitness> off_diagonal_two_cover(
         return rmt::analysis::TwoCoverWitness{sets[i], sets[j]};
     }
   return std::nullopt;
+}
+
+/// Deliberately lossy: every run of lowercase hex digits longer than 254
+/// loses its tail before the real encoder sees it.
+std::string truncating_hex_encode(std::string_view in) {
+  std::string cut;
+  std::size_t run = 0;
+  for (const char c : in) {
+    const bool hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+    run = hex ? run + 1 : 0;
+    if (run <= 254) cut += c;
+  }
+  return rmt::svc::codec::encode(cut);
 }
 
 void print_findings(const FuzzReport& report) {
@@ -168,6 +185,18 @@ int self_test(FuzzOptions opts) {
               << ")\n";
     return 1;
   }
+  FuzzOptions broken_codec = opts;
+  broken_codec.parser_mutants = 0;
+  broken_codec.diff_checks = 0;
+  broken_codec.store_checks = 0;
+  broken_codec.codec_encode = truncating_hex_encode;
+  const FuzzReport codec_caught = rmt::propcheck::run_fuzz(broken_codec);
+  bool saw_codec_finding = false;
+  for (const auto& f : codec_caught.findings) saw_codec_finding |= f.kind == "codec-diverged";
+  if (!saw_codec_finding) {
+    std::cerr << "self-test: lossy codec was NOT caught (" << codec_caught.summary() << ")\n";
+    return 1;
+  }
   const FuzzReport clean = rmt::propcheck::run_fuzz(opts);
   if (!clean.ok()) {
     std::cerr << "self-test: real parser, memo and deciders produced findings:\n";
@@ -178,7 +207,8 @@ int self_test(FuzzOptions opts) {
             << " findings), broken parser caught (" << parser_caught.findings.size()
             << " findings), inexact memo caught (" << memo_caught.findings.size()
             << " findings), off-diagonal two-cover caught (" << cover_caught.findings.size()
-            << " findings), real parser, memo and deciders clean\n";
+            << " findings), lossy codec caught (" << codec_caught.findings.size()
+            << " findings), real parser, memo, deciders and codec clean\n";
   return 0;
 }
 

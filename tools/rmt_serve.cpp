@@ -14,7 +14,10 @@
 // In both modes requests accumulate into a batch; a blank line (from any
 // connection, in TCP mode), the batch limit, or — stdio only — EOF
 // flushes the batch through the engine and emits the responses in input
-// order. Deadlines (deadline_ms) count from the flush. In TCP mode a
+// order. Both transports frame lines with net::LineFramer under the wire
+// cap, so an oversized or NUL-embedded line gets the same error answer on
+// either (stdio reads fd 0 in 64 KiB chunks; a final line without '\n'
+// is still served). Deadlines (deadline_ms) count from the flush. In TCP mode a
 // request the memory result cache can answer skips the batch: the event
 // loop answers it at once (it still computes nothing), in order behind
 // its connection's earlier requests. Probe lines the engine never sees:
@@ -71,16 +74,19 @@
 //   --so-sndbuf N         SO_SNDBUF for accepted sockets (default kernel)
 //
 // Exit code 0 on EOF / graceful drain, 1 on usage or bind errors.
+#include <unistd.h>
+
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
+#include "net/framing.hpp"
 #include "net/server.hpp"
 #include "obs/trace.hpp"
 #include "svc/engine.hpp"
@@ -118,6 +124,17 @@ class StdioServer {
  public:
   StdioServer(exec::ThreadPool* pool, svc::Engine::Options opts, std::size_t batch_limit)
       : engine_(pool, opts), batch_limit_(batch_limit) {}
+
+  /// One framed stdin line; a rejection (oversized / NUL) is answered in
+  /// order with TCP's error text.
+  void handle_frame(const net::LineFramer& framer, const net::LineFramer::Frame& frame) {
+    if (frame.kind == net::LineFramer::Kind::kLine) {
+      handle_line(frame.line);
+      return;
+    }
+    slots_.push_back(
+        Slot{false, 0, "", svc::wire::format_parse_error("", framer.reject_message(frame))});
+  }
 
   void handle_line(const std::string& line) {
     if (line.empty()) {
@@ -242,8 +259,20 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "rmt_serve: %s\n", e.what());
       return 1;
     }
-    std::string line;
-    while (std::getline(std::cin, line)) server->handle_line(line);
+    net::LineFramer framer(svc::wire::kMaxRequestBytes);
+    net::LineFramer::Frame frame;
+    std::vector<char> buf(64 << 10);
+    for (;;) {
+      const ssize_t n = ::read(0, buf.data(), buf.size());
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;  // EOF, or a read error: answer what is queued
+      framer.feed(buf.data(), std::size_t(n));
+      while (framer.next(frame)) server->handle_frame(framer, frame);
+    }
+    if (framer.mid_line()) {
+      framer.feed("\n", 1);  // the final line needs no terminator
+      while (framer.next(frame)) server->handle_frame(framer, frame);
+    }
     server->flush();
     obs::trace::Recorder::global().dump_now("exit");
     return 0;

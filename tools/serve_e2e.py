@@ -38,12 +38,19 @@ asserts the serving semantics from the outside:
     a second) and a `corrupted` list of 513 entries (ids are capped, so a
     longer list must repeat one) — each get an "error" naming the field and
     the value sent; a 100 000-byte id gets an "error" naming the id cap,
-    answered with id "" so the hostile id is never echoed; and every
+    answered with id "" so the hostile id is never echoed; a line with a
+    raw NUL byte gets the framer's NUL error with id ""; a CRLF blank line
+    ("\r") flushes like a blank line and gets no answer; and every
     hostile line is followed by a request answered exactly as a fresh
-    server answers it. tcp_hostile_lines repeats this over TCP, where the
-    first of those requests goes through the one engine batch and the
-    other six are cache hits the event loop answers itself
-    (net.inline_hits == 6, net.batches == 1, engine.requests == 7).
+    server answers it. On stdio a 64 MiB line also gets the oversized
+    error, the server's VmHWM (read from /proc before stdin closes) rises
+    by less than 32 MiB across it — the framer discards an endless line
+    instead of buffering it — and a final line without '\n' is still
+    answered.
+    tcp_hostile_lines repeats the shared lines over TCP, where the first
+    of those requests goes through the one engine batch and the other
+    eight are cache hits the event loop answers itself
+    (net.inline_hits == 8, net.batches == 1, engine.requests == 9).
 
 Persistence (`--store-dir`) is exercised in BOTH transports:
 
@@ -162,7 +169,8 @@ def build_input():
 
 
 def hostile_lines():
-    """(line, id, error check) per hostile line, each answered "error"."""
+    """(line, id, error check) per hostile line, each answered "error" —
+    or, with id None, a blank line that gets no answer."""
     big = json.dumps({"schema": "rmt.request/1", "id": "big", "kind": "decide_rmt",
                       "instance": INSTANCE_A})
     big = big[:-1] + " " * (MAX_REQUEST_BYTES + 1 - len(big)) + "}"
@@ -192,30 +200,64 @@ def hostile_lines():
         (simulate("many", corrupted=[1] * (MAX_CORRUPTED_ENTRIES + 1)), "many",
          lambda e: e == f"rmt.request/1: 'params.corrupted' has {MAX_CORRUPTED_ENTRIES + 1} "
                         f"entries, more than {MAX_CORRUPTED_ENTRIES}"),
+        # Both transports frame lines alike: a raw NUL is refused unread.
+        (NUL_LINE, "",
+         lambda e: e == f"rmt.request/1: line contains a NUL byte ({len(NUL_LINE)} bytes)"),
+        ("\r", None, None),
     ]
 
 
-def check_hostile_answers(got, want, expect):
-    """`got` alternates hostile-line errors and answers to the next request."""
-    cases = hostile_lines()
-    expect(len(got) == 2 * len(cases), f"expected {2 * len(cases)} responses, got {len(got)}")
-    if len(got) != 2 * len(cases):
+# A request whose id holds a raw NUL byte (json.dumps would escape it).
+NUL_LINE = ('{"schema":"rmt.request/1","id":"n\x00ul","kind":"decide_rmt","instance":'
+            + json.dumps(INSTANCE_B) + "}")
+HUGE_LINE_BYTES = 64 << 20
+VMHWM_CAP_KB = 32 << 10
+
+
+def answer_count(cases):
+    """Answers a hostile stream gets: the error (none for a blank line)
+    and the request after each line."""
+    return sum(1 if rid is None else 2 for _, rid, _ in cases)
+
+
+def check_hostile_answers(got, want, expect, cases):
+    """`got` alternates hostile-line errors (none for a blank line) and
+    answers to the request after each."""
+    expected = answer_count(cases)
+    expect(len(got) == expected, f"expected {expected} responses, got {len(got)}")
+    if len(got) != expected:
         return
+    at = 0
     for k, (_, rid, error_ok) in enumerate(cases):
-        bad, answer = got[2 * k], got[2 * k + 1]
-        expect(bad["id"] == rid and bad["status"] == "error" and error_ok(bad["error"] or ""),
-               f"hostile line {k} answered {bad['id']!r} {bad['status']} {bad['error']!r}")
+        if rid is not None:
+            bad = got[at]
+            at += 1
+            expect(bad["id"] == rid and bad["status"] == "error"
+                   and error_ok(bad["error"] or ""),
+                   f"hostile line {k} answered {bad['id']!r} {bad['status']} {bad['error']!r}")
+        answer = got[at]
+        at += 1
         expect(answer["id"] == f"after{k}" and answer["status"] == "ok",
                f"request after hostile line {k}: {answer['id']!r} {answer['status']}")
         expect(all(answer[f] == want[f] for f in ("status", "key", "result", "error")),
                f"the request after hostile line {k} was answered differently")
 
 
-def hostile_stream():
+def hostile_stream(cases):
+    """Each hostile line, a blank line (unless it is one), then a request
+    and its flush."""
     parts = []
-    for k, (line, _, _) in enumerate(hostile_lines()):
-        parts += [line, "", request(f"after{k}", INSTANCE_B), ""]
+    for k, (line, rid, _) in enumerate(cases):
+        parts += [line] + ([""] if rid is not None else []) + [request(f"after{k}", INSTANCE_B), ""]
     return parts
+
+
+def vm_hwm_kb(pid):
+    with open(f"/proc/{pid}/status") as f:
+        for line in f:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+    raise AssertionError(f"no VmHWM in /proc/{pid}/status")
 
 
 def stdio_hostile_lines(server, jobs, failures):
@@ -224,8 +266,57 @@ def stdio_hostile_lines(server, jobs, failures):
             failures.append(f"stdio_hostile_lines: {msg}")
 
     want = run_server(server, jobs, request("after", INSTANCE_B) + "\n")[0]
-    got = run_server(server, jobs, "\n".join(hostile_stream()) + "\n")
-    check_hostile_answers(got, want, expect)
+    cases = hostile_lines()
+    # stdio only: a 64 MiB line (None below), streamed in 1 MiB writes.
+    cases.append((None, "",
+                  lambda e: e == f"rmt.request/1: line exceeds {MAX_REQUEST_BYTES} bytes "
+                                 f"(got {HUGE_LINE_BYTES})"))
+    proc = subprocess.Popen([server, "--jobs", str(jobs)], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    lines = []
+    reader = threading.Thread(target=lambda: lines.extend(proc.stdout))
+    reader.start()
+
+    def send(parts, answers):
+        """Write `parts` (None: the 64 MiB line), then wait for `answers`."""
+        for part in parts:
+            if part is None:
+                for _ in range(HUGE_LINE_BYTES >> 20):
+                    proc.stdin.write(b"[" * (1 << 20))
+                proc.stdin.write(b"\n")
+            else:
+                proc.stdin.write(part.encode() + b"\n")
+        proc.stdin.flush()
+        deadline = time.monotonic() + 90
+        while len(lines) < answers and time.monotonic() < deadline and proc.poll() is None:
+            time.sleep(0.01)
+
+    try:
+        # The peak is read before and after the 64 MiB line: buffering it
+        # whole would raise VmHWM by 64 MiB or more. A rise, not a level,
+        # holds sanitizer builds (shadow memory, quarantine) to the same cap.
+        stream = hostile_stream(cases)
+        split = len(hostile_stream(cases[:-1]))
+        send(stream[:split], answer_count(cases[:-1]))
+        before = vm_hwm_kb(proc.pid)
+        send(stream[split:], answer_count(cases))
+        after = vm_hwm_kb(proc.pid)
+        expect(after - before < VMHWM_CAP_KB,
+               f"VmHWM rose {before} -> {after} kB across a 64 MiB line (cap {VMHWM_CAP_KB} kB)")
+        # The last line has no terminator and is still answered.
+        proc.stdin.write(request("last", INSTANCE_B).encode())
+        proc.stdin.close()
+        expect(proc.wait(timeout=90) == 0, "rmt_serve exited non-zero")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        reader.join()
+    got = [json.loads(line) for line in lines if line.strip()]
+    expect(len(got) >= 1 and got[-1]["id"] == "last"
+           and all(got[-1][f] == want[f] for f in ("status", "key", "result", "error")),
+           "a final line without '\\n' was not answered as a fresh server answers it")
+    check_hostile_answers(got[:-1], want, expect, cases)
 
 
 def tcp_hostile_lines(server, jobs, failures):
@@ -237,7 +328,8 @@ def tcp_hostile_lines(server, jobs, failures):
     with TcpServer(server, jobs) as srv:
         client = TcpClient(srv.port)
         got = []
-        for part in hostile_stream():
+        cases = hostile_lines()
+        for part in hostile_stream(cases):
             client.send_line(part)
             if part == "":  # one line, then a flush: one answer
                 line = client.recv_line()
@@ -245,22 +337,22 @@ def tcp_hostile_lines(server, jobs, failures):
                     failures.append("tcp_hostile_lines: EOF before all responses")
                     return
                 got.append(json.loads(line))
-        check_hostile_answers(got, want, expect)
+        check_hostile_answers(got, want, expect, cases)
         # The four simulate lines resolve INSTANCE_A through the memo before
-        # their params are rejected; the deep, oversized and long-id lines
-        # never get that far. INSTANCE_A then INSTANCE_B: two misses, the
-        # rest hits.
+        # their params are rejected; the deep, oversized, long-id and NUL
+        # lines never get that far. INSTANCE_A then INSTANCE_B: two misses,
+        # the rest hits.
         stats = client.probe("stats", "st")["result"]
         memo = stats["memo"]
-        expect(memo["misses"] == 2 and memo["hits"] == 4 + 7 - 2,
-               f"memo hits/misses {memo['hits']}/{memo['misses']} != 9/2")
-        # after0 misses and its blank line submits the one batch; after1-6
+        expect(memo["misses"] == 2 and memo["hits"] == 4 + 9 - 2,
+               f"memo hits/misses {memo['hits']}/{memo['misses']} != 11/2")
+        # after0 misses and its blank line submits the one batch; after1-8
         # are cache hits answered on the loop thread. The blank lines after
-        # the error lines submit nothing.
+        # the error lines, and the CRLF one, submit nothing.
         net, engine = stats["net"], stats["engine"]
-        expect(net["inline_hits"] == 6 and net["batches"] == 1,
-               f"net inline_hits/batches {net['inline_hits']}/{net['batches']} != 6/1")
-        expect(engine["requests"] == 7, f"engine.requests={engine['requests']} != 7")
+        expect(net["inline_hits"] == 8 and net["batches"] == 1,
+               f"net inline_hits/batches {net['inline_hits']}/{net['batches']} != 8/1")
+        expect(engine["requests"] == 9, f"engine.requests={engine['requests']} != 9")
         client.close()
         expect(srv.terminate() == 0, "server exit code != 0 after SIGTERM")
 
