@@ -220,6 +220,32 @@ int main(int argc, char** argv) {
     }
   }
 
+  // cold_mix's wheel and G(n, p) cells, which carry its 5–20 ms maxima:
+  // generalized wheels (hub 0, spokes every other rim node) with a random
+  // antichain, D on a spoke and off one, and G(n, p) on 14 nodes, under
+  // full, 2-hop and 1-hop views. Most candidate B here sit next to D, so
+  // these rows show what the candidate rule (graph/cuts.hpp) skips; the
+  // reference column still walks every B.
+  for (std::size_t n : {16u, 20u}) {
+    const Graph g = generators::generalized_wheel(n, 2);
+    const NodeId r = NodeId(n / 2 + 2);
+    for (const NodeId d : {NodeId(1), NodeId(2)}) {
+      Rng rng(4242 + n + d);
+      const AdversaryStructure z = random_structure(g.nodes(), 5, 3, NodeSet{d, r}, rng);
+      const std::string family = std::string("wheel, D ") + (d == 1 ? "on" : "off") + " a spoke";
+      for (std::size_t v = 0; v < 3; ++v)
+        run(family, "random-5x3", kViews[v].label, Instance(g, z, kViews[v].build(g), d, r));
+    }
+  }
+  {
+    Rng rng(4256);
+    const Graph g = generators::random_connected_gnp(14, 0.25, rng);
+    const AdversaryStructure z = random_structure(g.nodes(), 5, 3, NodeSet{0, 13}, rng);
+    for (std::size_t v = 0; v < 3; ++v)
+      run("G(n, p) p=0.25", "random-5x3", kViews[v].label,
+          Instance(g, z, kViews[v].build(g), 0, 13));
+  }
+
   // The served `simulate` kind on cold_mix's three simulate cells, against
   // every strategy: corruption is one of Z's maximal sets, as cold_mix
   // draws it, and the seed is fixed per row.

@@ -34,7 +34,10 @@ bool solvable_by_zcpa(const Instance& inst);
 /// covering a D–R cut, if one exists. Independent of γ. Scans the maximal
 /// sets' pairs i ≤ j only (the union is symmetric, so the first row-major
 /// hit already has i ≤ j), with a one-word BFS when every node id is below
-/// 64; returns the first row-major witness.
+/// 64; returns the first row-major witness. Below 64 node ids the scan runs
+/// only after a greedy count of internally disjoint D–R paths stays at or
+/// below 2·max|Z|: more paths than that (Menger) leave no pair able to
+/// cover a cut, so the answer is nullopt without the scan.
 struct TwoCoverWitness {
   NodeSet z1;
   NodeSet z2;

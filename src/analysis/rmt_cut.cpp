@@ -16,14 +16,14 @@ namespace rmt::analysis {
 namespace {
 
 // The per-B test both find_rmt_cut overloads share, so their witnesses agree
-// by construction: with C = N(B), the first maximal M (antichain order)
+// by construction. B is a cut candidate (graph/cuts.hpp), so C = N(B)
+// already excludes D. With C = N(B), the first maximal M (antichain order)
 // whose C₂ = C ∖ M passes Thm 1's per-node conjunction, C₂ ∩ V(γ(v)) ∈ Z_v
 // for every v ∈ B. A slice x lies inside V(γ(v)), and for such x,
 // x ∈ Z_v = Z^{V(γ(v))} iff x ∈ Z (monotonicity), so each slice is tested
 // against Z itself. find_rmt_cut_reference keeps the explicit Z_v.
 std::optional<RmtCutWitness> cut_at(const Instance& inst, const NodeSet& b) {
   const NodeSet cut = inst.graph().boundary(b);
-  if (cut.contains(inst.dealer())) return std::nullopt;  // D may not sit inside the cut
   const AdversaryStructure& z = inst.adversary();
   for (const NodeSet& m : z.maximal_sets()) {
     NodeSet c2 = cut - m;
@@ -64,11 +64,10 @@ std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst) {
   RMT_AUDIT_VALIDATE(inst);
   if (solvable_by_two_cover_gate(inst)) return std::nullopt;
   std::optional<RmtCutWitness> witness;
-  enumerate_connected_subsets(inst.graph(), inst.receiver(), NodeSet::single(inst.dealer()),
-                              [&](const NodeSet& b) {
-                                witness = cut_at(inst, b);
-                                return !witness.has_value();
-                              });
+  enumerate_cut_candidates(inst.graph(), inst.dealer(), inst.receiver(), [&](const NodeSet& b) {
+    witness = cut_at(inst, b);
+    return !witness.has_value();
+  });
   return witness;
 }
 
@@ -155,12 +154,11 @@ std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst, exec::ThreadPool
     if (f.w) witness = std::move(*f.w);
   };
 
-  enumerate_connected_subsets(inst.graph(), inst.receiver(), NodeSet::single(inst.dealer()),
-                              [&](const NodeSet& b) {
-                                batch.push_back(b);
-                                if (batch.size() >= batch_size) flush();
-                                return !witness.has_value();
-                              });
+  enumerate_cut_candidates(inst.graph(), inst.dealer(), inst.receiver(), [&](const NodeSet& b) {
+    batch.push_back(b);
+    if (batch.size() >= batch_size) flush();
+    return !witness.has_value();
+  });
   flush();
   return witness;
 }

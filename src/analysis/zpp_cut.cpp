@@ -133,13 +133,13 @@ std::optional<ZppCutWitness> scan_maximal_sets(const NodeSet& b, const NodeSet& 
   return std::nullopt;
 }
 
-// Incremental decider state, driven by the push/pop enumeration: the
-// neighbour union ∪_{v∈B} N(v) and the compiled-row stack follow the DFS
-// by push/pop deltas; N(B) = ∪N(v) ∖ B per visit. A push is one
-// precompiled row-group append — no restriction, no NodeSet temporaries.
+// Incremental decider state, driven by the push/pop enumeration of cut
+// candidates (graph/cuts.hpp, so N(B) never contains D): the neighbour
+// union ∪_{v∈B} N(v) and the compiled-row stack follow the DFS by push/pop
+// deltas; N(B) = ∪N(v) ∖ B per visit. A push is one precompiled row-group
+// append — no restriction, no NodeSet temporaries.
 struct IncrementalScan {
   const Graph& g;
-  const NodeId d;
   const std::vector<CompiledGroup>& node_groups;
   const std::vector<NodeSet>& zmax;
   NodeSet nbrs;
@@ -162,7 +162,6 @@ struct IncrementalScan {
   bool visit(const NodeSet& b) {
     NodeSet cut = nbrs;
     cut -= b;
-    if (cut.contains(d)) return true;
     witness = scan_maximal_sets(b, cut, rows, zmax);
     return !witness.has_value();
   }
@@ -186,12 +185,10 @@ std::optional<ZppCutWitness> find_rmt_zpp_cut(const Instance& inst) {
   const std::vector<AdversaryStructure> local_z = local_structures(inst);
   const std::vector<CompiledGroup> node_groups = node_plausibility_groups(g, local_z);
 
-  IncrementalScan scan{g, inst.dealer(), node_groups, inst.adversary().maximal_sets(),
-                       {}, {},           {},          {}};
+  IncrementalScan scan{g, node_groups, inst.adversary().maximal_sets(), {}, {}, {}, {}};
   scan.rows.reserve(g.capacity(), g.capacity());
   scan.nbrs_save.reserve(g.capacity() + 1);
-  enumerate_connected_subsets_incremental(g, inst.receiver(), NodeSet::single(inst.dealer()),
-                                          scan);
+  enumerate_cut_candidates_incremental(g, inst.dealer(), inst.receiver(), scan);
   return std::move(scan.witness);
 }
 
@@ -234,15 +231,12 @@ std::optional<ZppCutWitness> find_rmt_zpp_cut(const Instance& inst, exec::Thread
               "find_rmt_zpp_cut: instance too large for the exact decider");
   RMT_AUDIT_VALIDATE(inst);
   const Graph& g = inst.graph();
-  const NodeId d = inst.dealer();
-  const NodeId r = inst.receiver();
   const std::vector<AdversaryStructure> local_z = local_structures(inst);
   const std::vector<CompiledGroup> node_groups = node_plausibility_groups(g, local_z);
   const std::vector<NodeSet>& zmax = inst.adversary().maximal_sets();
 
   const auto eval_b = [&](const NodeSet& b) -> std::optional<ZppCutWitness> {
     const NodeSet cut = g.boundary(b);
-    if (cut.contains(d)) return std::nullopt;
     ConjunctionRows rows;
     b.for_each([&](NodeId v) { rows.push_group(node_groups[v]); });
     return scan_maximal_sets(b, cut, rows, zmax);
@@ -279,7 +273,7 @@ std::optional<ZppCutWitness> find_rmt_zpp_cut(const Instance& inst, exec::Thread
     if (f.w) witness = std::move(*f.w);
   };
 
-  enumerate_connected_subsets(g, r, NodeSet::single(d), [&](const NodeSet& b) {
+  enumerate_cut_candidates(g, inst.dealer(), inst.receiver(), [&](const NodeSet& b) {
     batch.push_back(b);
     if (batch.size() >= batch_size) flush();
     return !witness.has_value();

@@ -27,6 +27,12 @@ bool enumerate_connected_subsets(const Graph& g, NodeId seed, const NodeSet& for
   return enumerate_connected_subsets_incremental(g, seed, forbidden, vis);
 }
 
+bool enumerate_cut_candidates(const Graph& g, NodeId d, NodeId r,
+                              const std::function<bool(const NodeSet&)>& visit) {
+  FnVisitor vis{visit};
+  return enumerate_cut_candidates_incremental(g, d, r, vis);
+}
+
 namespace {
 
 // Node-split max-flow (unit capacities) for vertex connectivity. Each node v

@@ -313,12 +313,16 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
-      // Copy the run up to the next quote or backslash in one append.
+      // Copy the run up to the next quote, backslash or control byte in one
+      // append. RFC 8259 requires U+0000–U+001F escaped inside strings.
       std::size_t end = pos_;
-      while (end < s_.size() && s_[end] != '"' && s_[end] != '\\') ++end;
+      while (end < s_.size() && s_[end] != '"' && s_[end] != '\\' &&
+             static_cast<unsigned char>(s_[end]) >= 0x20)
+        ++end;
       out.append(s_, pos_, end - pos_);
       pos_ = end;
       if (pos_ >= s_.size()) fail("unterminated string");
+      if (static_cast<unsigned char>(s_[pos_]) < 0x20) fail("unescaped control byte in string");
       if (s_[pos_++] == '"') return out;
       if (pos_ >= s_.size()) fail("unterminated escape");
       const char e = s_[pos_++];

@@ -29,19 +29,18 @@ class PkaNode final : public sim::ProtocolNode {
 
   std::vector<Message> on_start() override {
     std::vector<Message> out;
+    if (self_ == pub_.receiver) return out;
+    // One claim block for (γ(self), Z_self), shared by every copy.
+    const KnowledgePayload own{self_, knowledge_.view, knowledge_.local_z, Path{self_}};
     if (self_ == pub_.dealer) {
       RMT_CHECK(pub_.dealer_value.has_value(), "dealer node without a value");
       decision_ = *pub_.dealer_value;
       neighbors_.for_each([&](NodeId u) {
         out.push_back({self_, u, PathValuePayload{*pub_.dealer_value, Path{self_}}});
-        out.push_back(
-            {self_, u, KnowledgePayload{self_, knowledge_.view, knowledge_.local_z, Path{self_}}});
+        out.push_back({self_, u, own});
       });
-    } else if (self_ != pub_.receiver) {
-      neighbors_.for_each([&](NodeId u) {
-        out.push_back(
-            {self_, u, KnowledgePayload{self_, knowledge_.view, knowledge_.local_z, Path{self_}}});
-      });
+    } else {
+      neighbors_.for_each([&](NodeId u) { out.push_back({self_, u, own}); });
     }
     return out;
   }
@@ -93,12 +92,12 @@ class PkaNode final : public sim::ProtocolNode {
     if (!relay_.admissible(t2.trail, m.from)) return;
     // Reject structurally impossible claims outright: a view must contain
     // its subject (γ(u) ∋ u by definition).
-    if (!t2.view.has_node(t2.subject)) return;
+    if (!t2.view().has_node(t2.subject)) return;
     auto& versions = input_.reports[t2.subject];
     const bool known = std::any_of(versions.begin(), versions.end(), [&](const NodeReport& r) {
-      return r.view == t2.view && r.local_z == t2.local_z;
+      return r.view == t2.view() && r.local_z == t2.local_z();
     });
-    if (!known) versions.push_back(NodeReport{t2.subject, t2.view, t2.local_z});
+    if (!known) versions.push_back(NodeReport{t2.subject, t2.view(), t2.local_z()});
   }
 
   NodeId self_;

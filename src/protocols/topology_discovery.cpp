@@ -23,10 +23,9 @@ class DiscoveryNode final : public sim::ProtocolNode {
 
   std::vector<Message> on_start() override {
     std::vector<Message> out;
-    neighbors_.for_each([&](NodeId u) {
-      out.push_back(
-          {self_, u, KnowledgePayload{self_, knowledge_.view, knowledge_.local_z, Path{self_}}});
-    });
+    // One claim block for (γ(self), Z_self), shared by every copy.
+    const KnowledgePayload own{self_, knowledge_.view, knowledge_.local_z, Path{self_}};
+    neighbors_.for_each([&](NodeId u) { out.push_back({self_, u, own}); });
     return out;
   }
 
@@ -36,8 +35,8 @@ class DiscoveryNode final : public sim::ProtocolNode {
       const auto* t2 = std::get_if<KnowledgePayload>(&m.payload);
       if (!t2) continue;
       if (!relay_.admissible(t2->trail, m.from)) continue;
-      if (!t2->view.has_node(t2->subject)) continue;  // structurally impossible
-      record(t2->subject, t2->view);
+      if (!t2->view().has_node(t2->subject)) continue;  // structurally impossible
+      record(t2->subject, t2->view());
       relay_.relay(m, *t2, neighbors_, out);
     }
     return out;

@@ -27,10 +27,9 @@ std::vector<Message> PerNodeModeStrategy::act(const AdversaryView& view) {
   if (view.round == 1) {
     view.corrupted.for_each([&](NodeId c) {
       if (mode_of(c) == NodeMode::kSilent) return;
-      const LocalKnowledge lk = view.instance.knowledge_of(c);
-      g.neighbors(c).for_each([&](NodeId u) {
-        out.push_back({c, u, KnowledgePayload{c, lk.view, lk.local_z, Path{c}}});
-      });
+      LocalKnowledge lk = view.instance.knowledge_of(c);
+      const KnowledgePayload own{c, std::move(lk.view), std::move(lk.local_z), Path{c}};
+      g.neighbors(c).for_each([&](NodeId u) { out.push_back({c, u, own}); });
     });
     return out;
   }

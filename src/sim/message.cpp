@@ -1,6 +1,14 @@
 #include "sim/message.hpp"
 
+#include <utility>
+
 namespace rmt::sim {
+
+KnowledgePayload::KnowledgePayload(NodeId u, Graph view, AdversaryStructure local_z, Path p)
+    : subject(u),
+      claim(std::make_shared<const KnowledgeClaim>(
+          KnowledgeClaim{std::move(view), std::move(local_z)})),
+      trail(std::move(p)) {}
 
 std::size_t payload_bytes(const Payload& p) {
   struct Sizer {
@@ -10,8 +18,8 @@ std::size_t payload_bytes(const Payload& p) {
     }
     std::size_t operator()(const KnowledgePayload& m) const {
       std::size_t bytes = sizeof(NodeId) + m.trail.size() * sizeof(NodeId);
-      bytes += m.view.num_nodes() * sizeof(NodeId) + m.view.num_edges() * 2 * sizeof(NodeId);
-      for (const NodeSet& s : m.local_z.maximal_sets())
+      bytes += m.view().num_nodes() * sizeof(NodeId) + m.view().num_edges() * 2 * sizeof(NodeId);
+      for (const NodeSet& s : m.local_z().maximal_sets())
         bytes += (s.size() + 1) * sizeof(NodeId);
       return bytes;
     }
@@ -82,8 +90,8 @@ std::string payload_serialize(const Payload& p) {
     std::string operator()(const KnowledgePayload& m) const {
       std::string s = "2";
       append_varint(s, m.subject);
-      append_graph(s, m.view);
-      append_structure(s, m.local_z);
+      append_graph(s, m.view());
+      append_structure(s, m.local_z());
       append_path(s, m.trail);
       return s;
     }

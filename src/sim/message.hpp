@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -45,12 +46,35 @@ struct PathValuePayload {
   friend bool operator==(const PathValuePayload&, const PathValuePayload&) = default;
 };
 
-struct KnowledgePayload {
-  NodeId subject = 0;          ///< the node u this report is about
+/// The claimed initial knowledge (γ(u), Z_u) of a type-2 report.
+struct KnowledgeClaim {
   Graph view;                  ///< claimed γ(u)
   AdversaryStructure local_z;  ///< claimed Z_u
+  friend bool operator==(const KnowledgeClaim&, const KnowledgeClaim&) = default;
+};
+
+/// A type-2 report. Its claim lives in one immutable block: whoever
+/// originates the report builds the block once, and every copy (one per
+/// neighbour, one per relay hop) shares it, so a relay copies a pointer and
+/// a trail, not a graph and a structure. Equality and payload_serialize
+/// read the contents, never the block's address: equal claims built twice
+/// compare and serialize equal, which keeps replay suppression exact when
+/// the adversary rebuilds a block.
+struct KnowledgePayload {
+  /// Builds a fresh block holding (view, local_z); copies share it.
+  KnowledgePayload(NodeId u, Graph view, AdversaryStructure local_z, Path p);
+
+  const Graph& view() const { return claim->view; }
+  const AdversaryStructure& local_z() const { return claim->local_z; }
+
+  NodeId subject = 0;  ///< the node u this report is about
+  std::shared_ptr<const KnowledgeClaim> claim;
   Path trail;
-  friend bool operator==(const KnowledgePayload&, const KnowledgePayload&) = default;
+
+  friend bool operator==(const KnowledgePayload& a, const KnowledgePayload& b) {
+    return a.subject == b.subject && a.trail == b.trail &&
+           (a.claim == b.claim || *a.claim == *b.claim);
+  }
 };
 
 using Payload = std::variant<ValuePayload, PathValuePayload, KnowledgePayload>;

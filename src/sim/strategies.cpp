@@ -98,23 +98,27 @@ std::vector<Message> FictitiousWorldStrategy::act(const AdversaryView& view) {
       for (std::size_t i = 0; i + 1 < chain.size(); ++i) world.add_edge(chain[i], chain[i + 1]);
       g.neighbors(c).for_each([&](NodeId u) { world.add_edge(c, u); });
 
+      // Type-2 for each phantom: view = its chain segment, Z = trivial.
+      // Each fabricated report is built once and shared by its copies.
+      std::vector<KnowledgePayload> reports;
+      for (std::size_t i = 1; i + 1 < chain.size(); ++i) {
+        const NodeId q = chain[i];
+        Graph q_view;
+        q_view.add_edge(chain[i - 1], q);
+        q_view.add_edge(q, chain[i + 1]);
+        Path trail(chain.begin() + static_cast<std::ptrdiff_t>(i), chain.end());
+        reports.push_back(KnowledgePayload{q, std::move(q_view), AdversaryStructure::trivial(),
+                                           std::move(trail)});
+      }
+      // Type-2 for c itself: its real star plus the phantom link, and a
+      // maximally dishonest "nothing can be corrupted here" structure.
+      reports.push_back(
+          KnowledgePayload{c, std::move(world), AdversaryStructure::trivial(), Path{c}});
+
       g.neighbors(c).for_each([&](NodeId u) {
         // Type-1: the lie travelled the whole phantom chain.
         script_.push_back({c, u, PathValuePayload{lie, chain}});
-        // Type-2 for each phantom: view = its chain segment, Z = trivial.
-        for (std::size_t i = 1; i + 1 < chain.size(); ++i) {
-          const NodeId q = chain[i];
-          Graph q_view;
-          q_view.add_edge(chain[i - 1], q);
-          q_view.add_edge(q, chain[i + 1]);
-          Path trail(chain.begin() + static_cast<std::ptrdiff_t>(i), chain.end());
-          script_.push_back(
-              {c, u, KnowledgePayload{q, std::move(q_view), AdversaryStructure::trivial(),
-                                      std::move(trail)}});
-        }
-        // Type-2 for c itself: its real star plus the phantom link, and a
-        // maximally dishonest "nothing can be corrupted here" structure.
-        script_.push_back({c, u, KnowledgePayload{c, world, AdversaryStructure::trivial(), Path{c}}});
+        for (const KnowledgePayload& k : reports) script_.push_back({c, u, k});
       });
     });
   }
@@ -136,10 +140,9 @@ std::vector<Message> TwoFacedStrategy::act(const AdversaryView& view) {
   // lie as hard to dismiss as possible.
   if (view.round == 1) {
     view.corrupted.for_each([&](NodeId c) {
-      const LocalKnowledge lk = view.instance.knowledge_of(c);
-      g.neighbors(c).for_each([&](NodeId u) {
-        out.push_back({c, u, KnowledgePayload{c, lk.view, lk.local_z, Path{c}}});
-      });
+      LocalKnowledge lk = view.instance.knowledge_of(c);
+      const KnowledgePayload own{c, std::move(lk.view), std::move(lk.local_z), Path{c}};
+      g.neighbors(c).for_each([&](NodeId u) { out.push_back({c, u, own}); });
     });
     return out;
   }

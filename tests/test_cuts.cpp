@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
@@ -160,6 +162,64 @@ TEST(IncrementalEnumeration, Preconditions) {
                std::invalid_argument);
   EXPECT_THROW(enumerate_connected_subsets_incremental(g, 1, NodeSet{1}, vis),
                std::invalid_argument);
+}
+
+TEST(ConnectedSubsets, ForbiddingTheDealersNeighbourhoodDropsOnlyDeadSets) {
+  // The cut scans' candidate rule: enumerating with N[d] forbidden must
+  // visit exactly the sets the unpruned enumeration (only d forbidden)
+  // visits with d ∉ N(B), in the same order, through both surfaces.
+  std::size_t pruned_any = 0, adjacent = 0;
+  const auto check = [&](const Graph& g, NodeId d, NodeId r) {
+    const std::string what = "d=" + std::to_string(d) + " r=" + std::to_string(r) + " on " +
+                             std::to_string(g.num_nodes()) + " nodes";
+    std::vector<NodeSet> filtered;
+    std::size_t unpruned = 0;
+    enumerate_connected_subsets(g, r, NodeSet::single(d), [&](const NodeSet& b) {
+      ++unpruned;
+      if (!g.boundary(b).contains(d)) filtered.push_back(b);
+      return true;
+    });
+    std::vector<NodeSet> plain;
+    EXPECT_TRUE(enumerate_cut_candidates(g, d, r, [&](const NodeSet& b) {
+      plain.push_back(b);
+      return true;
+    })) << what;
+    EXPECT_EQ(plain, filtered) << what;
+    RecordingVisitor vis;
+    EXPECT_TRUE(enumerate_cut_candidates_incremental(g, d, r, vis)) << what;
+    EXPECT_EQ(vis.visited, filtered) << what;
+    EXPECT_TRUE(vis.deltas_match && vis.lifo_ok && vis.stack.empty()) << what;
+    if (g.has_edge(d, r)) {
+      EXPECT_TRUE(filtered.empty()) << what;  // no candidate, nothing visited
+      ++adjacent;
+    }
+    if (unpruned > filtered.size() && !filtered.empty()) ++pruned_any;
+  };
+  Rng rng(2016);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 6 + rng.index(6);
+    const Graph g = generators::random_connected_gnp(n, 0.2 + 0.1 * double(rng.index(3)), rng);
+    const NodeId d = NodeId(rng.index(n));
+    NodeId r = d;
+    while (r == d) r = NodeId(rng.index(n));
+    check(g, d, r);
+  }
+  // Generalized wheels (hub 0): D on a spoke and off one, R anywhere else.
+  std::size_t on_spoke = 0, off_spoke = 0;
+  for (const std::size_t n : {10u, 13u, 16u}) {
+    for (const std::size_t stride : {2u, 3u}) {
+      const Graph g = generators::generalized_wheel(n, stride);
+      for (NodeId d = 1; d < 4; ++d) {
+        (g.has_edge(0, d) ? on_spoke : off_spoke) += 1;
+        for (NodeId r = 0; r < NodeId(n); ++r)
+          if (r != d) check(g, d, r);
+      }
+    }
+  }
+  EXPECT_GT(on_spoke, 0u);
+  EXPECT_GT(off_spoke, 0u);
+  EXPECT_GT(adjacent, 0u);
+  EXPECT_GT(pruned_any, 0u);
 }
 
 TEST(MinVertexCut, KnownGraphs) {

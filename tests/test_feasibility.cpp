@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "exec/thread_pool.hpp"
+#include "graph/cuts.hpp"
 #include "graph/generators.hpp"
 #include "tests/test_util.hpp"
 
@@ -96,9 +100,10 @@ bool same_cover(const std::optional<TwoCoverWitness>& a,
 
 TEST(TwoCover, MatchesRowMajorReferenceAcrossTheWordBoundary) {
   // The shipped scan (pairs i <= j, one machine word per set while every
-  // node id is below 64) against the full row-major NodeSet scan, at graph
-  // capacities on both sides of the word boundary. Near-trees make single
-  // nodes separating, so both hits and misses occur.
+  // node id is below 64, behind the disjoint-path bound there) against the
+  // full row-major NodeSet scan, at graph capacities on both sides of the
+  // word boundary. Near-trees make single nodes separating, so both hits
+  // and misses occur.
   exec::ThreadPool pool(2);
   for (std::size_t cap : {63u, 64u, 65u, 130u}) {
     Rng rng(83 + cap);
@@ -119,6 +124,93 @@ TEST(TwoCover, MatchesRowMajorReferenceAcrossTheWordBoundary) {
     EXPECT_GT(hits, 0u) << "cap=" << cap;
     EXPECT_GT(misses, 0u) << "cap=" << cap;
   }
+  // Denser graphs at the boundary, where κ(D, R) often exceeds 2·max|Z|
+  // (the bound decides below 64 ids) and often does not (the scan decides).
+  for (std::size_t cap : {63u, 64u, 65u}) {
+    Rng rng(89 + cap);
+    std::size_t beyond = 0, within = 0;
+    for (int trial = 0; trial < 30; ++trial) {
+      const Graph g = generators::random_connected_gnp(cap, 0.02 + 0.02 * double(trial % 4), rng);
+      const NodeId d = trial % 2 ? NodeId(cap - 1) : NodeId(rng.index(cap));
+      NodeId r = d;
+      while (r == d || g.has_edge(d, r)) r = NodeId(rng.index(cap));
+      const AdversaryStructure z =
+          random_structure(g.nodes(), 2 + rng.index(6), 1 + rng.index(2), NodeSet{d, r}, rng);
+      const auto want = find_two_cover_cut_reference(g, z, d, r);
+      if (min_vertex_cut(g, d, r) > 2 * z.max_corruption_size()) {
+        EXPECT_FALSE(want.has_value()) << "cap=" << cap;  // Menger
+        ++beyond;
+      } else {
+        ++within;
+      }
+      EXPECT_TRUE(same_cover(find_two_cover_cut(g, z, d, r), want)) << "cap=" << cap;
+      EXPECT_TRUE(same_cover(find_two_cover_cut(g, z, d, r, &pool), want)) << "cap=" << cap;
+    }
+    EXPECT_GT(beyond, 0u) << "cap=" << cap;
+    EXPECT_GT(within, 0u) << "cap=" << cap;
+  }
+}
+
+TEST(TwoCover, GreedyPathsThatBlockEachOtherStayExact) {
+  // D=0 and R=5 have two internally disjoint paths, 0-1-3-5 and 0-4-2-5,
+  // but the first shortest path the greedy count takes, 0-1-2-5, crosses
+  // both: after blocking {1, 2} no path is left, so greedy counts one path
+  // for κ = 2. Undercounting only lets the pair scan run, so every answer
+  // must still be the reference's, under either endpoint labelling.
+  Graph g;
+  for (const auto& [a, b] : {std::pair<NodeId, NodeId>{0, 1}, {1, 2}, {2, 5}, {1, 3}, {3, 5},
+                             {0, 4}, {4, 2}})
+    g.add_edge(a, b);
+  ASSERT_EQ(min_vertex_cut(g, 0, 5), 2u);
+  exec::ThreadPool pool(2);
+  const NodeSet relays{1, 2, 3, 4};
+  const std::vector<AdversaryStructure> zs = {
+      AdversaryStructure::trivial(), threshold_structure(relays, 1),
+      structure({NodeSet{1}, NodeSet{4}}), structure({NodeSet{1, 4}, NodeSet{2}}),
+      structure({NodeSet{3}, NodeSet{4}})};
+  std::size_t covers = 0;
+  for (const AdversaryStructure& z : zs) {
+    for (const auto& [d, r] : {std::pair<NodeId, NodeId>{0, 5}, {5, 0}}) {
+      const auto want = find_two_cover_cut_reference(g, z, d, r);
+      EXPECT_TRUE(same_cover(find_two_cover_cut(g, z, d, r), want)) << z.to_string();
+      EXPECT_TRUE(same_cover(find_two_cover_cut(g, z, d, r, &pool), want)) << z.to_string();
+      covers += want.has_value();
+    }
+  }
+  EXPECT_GT(covers, 0u);  // {1} ∪ {2} and {1} ∪ {4} cover cuts
+}
+
+TEST(TwoCover, DisjointPathBoundDecides) {
+  // More than 2·max|Z| internally disjoint D–R paths leave no pair able to
+  // cover a cut: k parallel paths against a t-threshold with k > 2t, a
+  // complete graph less the D–R edge, and adjacent endpoints (no separator at all). Each
+  // answer is nullopt, as the reference's full scan finds.
+  exec::ThreadPool pool(2);
+  const auto check = [&](const Graph& g, const AdversaryStructure& z, NodeId d, NodeId r) {
+    const auto want = find_two_cover_cut_reference(g, z, d, r);
+    EXPECT_FALSE(want.has_value()) << z.to_string();
+    EXPECT_FALSE(find_two_cover_cut(g, z, d, r).has_value()) << z.to_string();
+    EXPECT_FALSE(find_two_cover_cut(g, z, d, r, &pool).has_value()) << z.to_string();
+  };
+  for (const std::size_t t : {1u, 2u}) {
+    const Graph g = generators::parallel_paths(2 * t + 1, 4);
+    const NodeId r = NodeId(g.num_nodes() - 1);
+    check(g, threshold_structure(g.nodes() - NodeSet{0, r}, t), 0, r);
+  }
+  Graph k8 = generators::complete_graph(8);
+  k8.remove_edge(0, 7);  // κ(0, 7) = 6 > 2·2
+  check(k8, threshold_structure(k8.nodes() - NodeSet{0, 7}, 2), 0, 7);
+  Graph adjacent = generators::parallel_paths(2, 3);
+  const NodeId r = NodeId(adjacent.num_nodes() - 1);
+  adjacent.add_edge(0, r);
+  check(adjacent, threshold_structure(adjacent.nodes() - NodeSet{0, r}, 3), 0, r);
+  // One path short of the bound: 2t parallel paths are covered by two sets.
+  const Graph four = generators::parallel_paths(4, 3);
+  const NodeId r4 = NodeId(four.num_nodes() - 1);
+  const AdversaryStructure t2 = threshold_structure(four.nodes() - NodeSet{0, r4}, 2);
+  const auto want = find_two_cover_cut_reference(four, t2, 0, r4);
+  ASSERT_TRUE(want.has_value());
+  EXPECT_TRUE(same_cover(find_two_cover_cut(four, t2, 0, r4), want));
 }
 
 TEST(TwoCover, SingleMaximalSetThatSeparatesAlone) {

@@ -168,10 +168,36 @@ TEST(Network, PayloadSerializeIsInjectiveOnDistinctContent) {
   EXPECT_NE(payload_serialize(a), payload_serialize(d));
   EXPECT_EQ(payload_serialize(a), payload_serialize(PathValuePayload{1, {0, 1}}));
   // Knowledge payloads differing only in the claimed structure.
-  KnowledgePayload k1{3, generators::path_graph(2), AdversaryStructure::trivial(), {3}};
-  KnowledgePayload k2 = k1;
-  k2.local_z = AdversaryStructure::from_sets({NodeSet{0}});
+  const KnowledgePayload k1{3, generators::path_graph(2), AdversaryStructure::trivial(), {3}};
+  const KnowledgePayload k2{3, generators::path_graph(2),
+                            AdversaryStructure::from_sets({NodeSet{0}}), {3}};
   EXPECT_NE(payload_serialize(Payload{k1}), payload_serialize(Payload{k2}));
+  EXPECT_NE(k1, k2);
+}
+
+TEST(Network, KnowledgeClaimsCompareAndSerializeByContent) {
+  const KnowledgePayload a{3, generators::path_graph(4), threshold_structure(NodeSet{1, 2}, 1),
+                           {3, 2}};
+  const KnowledgePayload b{3, generators::path_graph(4), threshold_structure(NodeSet{1, 2}, 1),
+                           {3, 2}};
+  // Two blocks with equal contents: equal payloads, equal bytes.
+  ASSERT_NE(a.claim, b.claim);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(Payload{a}, Payload{b});
+  EXPECT_EQ(payload_serialize(Payload{a}), payload_serialize(Payload{b}));
+  EXPECT_EQ(payload_bytes(Payload{a}), payload_bytes(Payload{b}));
+  // A copy shares the block; only its trail is its own.
+  KnowledgePayload relayed = a;
+  relayed.trail.push_back(1);
+  EXPECT_EQ(relayed.claim, a.claim);
+  EXPECT_NE(relayed, a);
+  EXPECT_EQ(a.trail, (Path{3, 2}));
+  // Equal trails but a claim differing in one edge.
+  Graph other = generators::path_graph(4);
+  other.add_edge(0, 3);
+  const KnowledgePayload c{3, other, threshold_structure(NodeSet{1, 2}, 1), {3, 2}};
+  EXPECT_NE(a, c);
+  EXPECT_NE(payload_serialize(Payload{a}), payload_serialize(Payload{c}));
 }
 
 }  // namespace

@@ -237,6 +237,31 @@ TEST(JsonValue, StringsKeepEscapesBetweenPlainRuns) {
   EXPECT_THROW(json::Value::parse(R"("dangling\)"), std::invalid_argument);
 }
 
+TEST(JsonValue, RawControlBytesInStringsAreRejected) {
+  // RFC 8259 requires U+0000–U+001F escaped inside strings: each raw byte
+  // is a precise rejection at its own offset, and the same byte escaped
+  // parses to that byte.
+  for (int c = 0; c < 0x20; ++c) {
+    SCOPED_TRACE(c);
+    const std::string raw = std::string(R"(["a)") + char(c) + R"(b"])";
+    try {
+      json::Value::parse(raw);
+      ADD_FAILURE() << "raw byte accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "json::parse: unescaped control byte in string at offset 3");
+    }
+    char escaped[8];
+    std::snprintf(escaped, sizeof escaped, "\\u%04x", unsigned(c));
+    const json::Value v = json::Value::parse(std::string(R"(["a)") + escaped + R"(b"])");
+    EXPECT_EQ(v.array()[0].as_string(), std::string("a") + char(c) + "b");
+  }
+  // In a key and right after an escape, too; DEL and UTF-8 bytes are text.
+  EXPECT_THROW(json::Value::parse("{\"k\x01\":1}"), std::invalid_argument);
+  EXPECT_THROW(json::Value::parse("[\"\\n\x1f\"]"), std::invalid_argument);
+  EXPECT_EQ(json::Value::parse("[\"\x7f\xc3\xa9\"]").array()[0].as_string(), "\x7f\xc3\xa9");
+}
+
 TEST(JsonSnapshot, ContainsAllSections) {
   Registry r;
   r.counter("msgs", {{"proto", "zcpa"}}).inc(7);

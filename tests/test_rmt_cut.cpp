@@ -246,6 +246,35 @@ TEST(RmtCutDeciderPool, PooledWitnessIsSequentialWitness) {
   EXPECT_TRUE(same_witness(find_rmt_cut(big), find_rmt_cut(big, &pool)));
 }
 
+TEST(RmtCut, AdjacentEndpointsHaveNoCut) {
+  // With D adjacent to R every B ∋ R has D in N(B): no cut exists, and the
+  // shipped overloads return before enumerating (R would be a forbidden
+  // seed). The reference still walks every B and rejects each one.
+  exec::ThreadPool pool(4);
+  Rng rng(2017);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t n = 6 + rng.index(5);
+    Graph g = generators::random_connected_gnp(n, 0.3, rng);
+    const NodeId d = NodeId(rng.index(n));
+    NodeId r = d;
+    while (r == d) r = NodeId(rng.index(n));
+    g.add_edge(d, r);
+    const AdversaryStructure z =
+        random_structure(g.nodes(), 2 + rng.index(4), 1 + rng.index(3), NodeSet{d, r}, rng);
+    for (const ViewFunction& gamma :
+         {ViewFunction::ad_hoc(g), ViewFunction::k_hop(g, 1), ViewFunction::full(g)}) {
+      const Instance inst(g, z, gamma, d, r);
+      const auto want = find_rmt_cut_reference(inst);
+      EXPECT_FALSE(want.has_value()) << inst.to_string();
+      std::optional<RmtCutWitness> seq, pooled;
+      EXPECT_NO_THROW(seq = find_rmt_cut(inst)) << inst.to_string();
+      EXPECT_NO_THROW(pooled = find_rmt_cut(inst, &pool)) << inst.to_string();
+      EXPECT_TRUE(same_witness(seq, want)) << inst.to_string();
+      EXPECT_TRUE(same_witness(pooled, want)) << inst.to_string();
+    }
+  }
+}
+
 TEST(RmtCut, RejectsOversizedInstance) {
   const Graph g = generators::path_graph(kMaxExactNodes + 2);
   const Instance inst =

@@ -114,8 +114,8 @@ TEST(Strategies, TwoFacedPublishesTruthfulKnowledgeThenFlipsValues) {
     ASSERT_NE(k, nullptr);
     EXPECT_EQ(k->subject, 1u);
     // Truthful round-1 self-report.
-    EXPECT_EQ(k->view, f.inst.gamma().view(1));
-    EXPECT_EQ(k->local_z, f.inst.local_structure(1));
+    EXPECT_EQ(k->view(), f.inst.gamma().view(1));
+    EXPECT_EQ(k->local_z(), f.inst.local_structure(1));
   }
   // Round 2: a type-1 arriving at the corrupted node is re-sent with the
   // flipped value and an extended trail.

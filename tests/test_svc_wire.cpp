@@ -291,6 +291,29 @@ TEST(SvcWire, DeeplyNestedLineIsAnErrorResponse) {
   EXPECT_NE(nested.error.find("nesting deeper than"), std::string::npos);
 }
 
+TEST(SvcWire, RawControlByteInAStringIsAnErrorResponse) {
+  // JSON requires U+0000–U+001F escaped inside strings. A raw one makes the
+  // line a parse error answered with id "", so the hostile id is never
+  // echoed; escaped, the same id is an ordinary one.
+  const std::string raw = "{\"schema\":\"rmt.request/1\",\"id\":\"a\x01"
+                          "b\",\"kind\":\"stats\"}";
+  const Envelope env = parse_line(raw);
+  EXPECT_EQ(env.kind, Envelope::Kind::kError);
+  EXPECT_EQ(env.id, "");
+  EXPECT_EQ(env.error, "json::parse: unescaped control byte in string at offset " +
+                           std::to_string(raw.find('\x01')));
+  EXPECT_EQ(extract_id(raw), "");
+  const Envelope escaped =
+      parse_line(R"({"schema":"rmt.request/1","id":"a\u0001b","kind":"stats"})");
+  EXPECT_EQ(escaped.kind, Envelope::Kind::kStats);
+  EXPECT_EQ(escaped.id, std::string("a\x01") + "b");
+  // A raw tab inside the instance text of a request is refused the same way.
+  std::string tab = request_line();
+  tab.insert(tab.find("rmt-instance") + 3, "\t");
+  EXPECT_EQ(parse_line(tab).kind, Envelope::Kind::kError);
+  EXPECT_NE(parse_line(tab).error.find("unescaped control byte"), std::string::npos);
+}
+
 TEST(SvcWire, FormatsOkResponse) {
   Response resp;
   resp.status = Response::Status::kOk;

@@ -39,7 +39,9 @@ asserts the serving semantics from the outside:
     longer list must repeat one) — each get an "error" naming the field and
     the value sent; a 100 000-byte id gets an "error" naming the id cap,
     answered with id "" so the hostile id is never echoed; a line with a
-    raw NUL byte gets the framer's NUL error with id ""; a CRLF blank line
+    raw NUL byte gets the framer's NUL error with id ""; a stats probe
+    whose id holds a raw U+0001 gets the JSON parser's control-byte error
+    with id "" (it used to be answered "ok", echoing the byte); a CRLF blank line
     ("\r") flushes like a blank line and gets no answer; and every
     hostile line is followed by a request answered exactly as a fresh
     server answers it. On stdio a 64 MiB line also gets the oversized
@@ -49,8 +51,8 @@ asserts the serving semantics from the outside:
     answered.
     tcp_hostile_lines repeats the shared lines over TCP, where the first
     of those requests goes through the one engine batch and the other
-    eight are cache hits the event loop answers itself
-    (net.inline_hits == 8, net.batches == 1, engine.requests == 9).
+    nine are cache hits the event loop answers itself
+    (net.inline_hits == 9, net.batches == 1, engine.requests == 10).
 
 Persistence (`--store-dir`) is exercised in BOTH transports:
 
@@ -200,6 +202,11 @@ def hostile_lines():
         (simulate("many", corrupted=[1] * (MAX_CORRUPTED_ENTRIES + 1)), "many",
          lambda e: e == f"rmt.request/1: 'params.corrupted' has {MAX_CORRUPTED_ENTRIES + 1} "
                         f"entries, more than {MAX_CORRUPTED_ENTRIES}"),
+        # JSON requires control bytes escaped inside strings: a raw one in
+        # the id is a parse error, so that id is never echoed.
+        (CTRL_LINE, "",
+         lambda e: e == "json::parse: unescaped control byte in string at offset "
+                        f"{CTRL_LINE.index(chr(1))}"),
         # Both transports frame lines alike: a raw NUL is refused unread.
         (NUL_LINE, "",
          lambda e: e == f"rmt.request/1: line contains a NUL byte ({len(NUL_LINE)} bytes)"),
@@ -207,6 +214,8 @@ def hostile_lines():
     ]
 
 
+# A stats probe whose id holds a raw U+0001 (json.dumps would escape it).
+CTRL_LINE = '{"schema":"rmt.request/1","id":"a\x01b","kind":"stats"}'
 # A request whose id holds a raw NUL byte (json.dumps would escape it).
 NUL_LINE = ('{"schema":"rmt.request/1","id":"n\x00ul","kind":"decide_rmt","instance":'
             + json.dumps(INSTANCE_B) + "}")
@@ -339,20 +348,23 @@ def tcp_hostile_lines(server, jobs, failures):
                 got.append(json.loads(line))
         check_hostile_answers(got, want, expect, cases)
         # The four simulate lines resolve INSTANCE_A through the memo before
-        # their params are rejected; the deep, oversized, long-id and NUL
-        # lines never get that far. INSTANCE_A then INSTANCE_B: two misses,
-        # the rest hits.
+        # their params are rejected; the deep, oversized, long-id, control
+        # byte and NUL lines never get that far. INSTANCE_A then INSTANCE_B:
+        # two misses, the rest hits (one "after" request per case).
         stats = client.probe("stats", "st")["result"]
         memo = stats["memo"]
-        expect(memo["misses"] == 2 and memo["hits"] == 4 + 9 - 2,
-               f"memo hits/misses {memo['hits']}/{memo['misses']} != 11/2")
-        # after0 misses and its blank line submits the one batch; after1-8
-        # are cache hits answered on the loop thread. The blank lines after
-        # the error lines, and the CRLF one, submit nothing.
+        after = len(cases)
+        expect(memo["misses"] == 2 and memo["hits"] == 4 + after - 2,
+               f"memo hits/misses {memo['hits']}/{memo['misses']} != {4 + after - 2}/2")
+        # after0 misses and its blank line submits the one batch; the other
+        # after-requests are cache hits answered on the loop thread. The
+        # blank lines after the error lines, and the CRLF one, submit nothing.
         net, engine = stats["net"], stats["engine"]
-        expect(net["inline_hits"] == 8 and net["batches"] == 1,
-               f"net inline_hits/batches {net['inline_hits']}/{net['batches']} != 8/1")
-        expect(engine["requests"] == 9, f"engine.requests={engine['requests']} != 9")
+        expect(net["inline_hits"] == after - 1 and net["batches"] == 1,
+               f"net inline_hits/batches {net['inline_hits']}/{net['batches']} "
+               f"!= {after - 1}/1")
+        expect(engine["requests"] == after,
+               f"engine.requests={engine['requests']} != {after}")
         client.close()
         expect(srv.terminate() == 0, "server exit code != 0 after SIGTERM")
 
