@@ -58,12 +58,6 @@ void AdversaryStructure::probe_batch(const NodeSet* probes, std::size_t k, bool*
   for (std::size_t i = 0; i < k; ++i) out[i] = contains(probes[i]);
 }
 
-std::size_t AdversaryStructure::max_corruption_size() const {
-  std::size_t best = 0;
-  for (const NodeSet& m : maximal_) best = std::max(best, m.size());
-  return best;
-}
-
 AdversaryStructure AdversaryStructure::restricted_to(const NodeSet& a) const {
   RMT_OBS_SCOPE("adversary.restrict");
   RMT_AUDIT_VALIDATE(*this);
@@ -149,12 +143,17 @@ void AdversaryStructure::debug_validate() const {
                                          " entries for " + std::to_string(maximal_.size()) +
                                          " maximal sets");
   NodeSet expect_support;
+  std::uint32_t expect_max = 0;
   for (std::size_t i = 0; i < maximal_.size(); ++i) {
     if (sizes_[i] != maximal_[i].size())
       audit::detail::fail("adversary", "popcount cache wrong at index " + std::to_string(i) +
                                            " for " + maximal_[i].to_string());
     expect_support |= maximal_[i];
+    expect_max = std::max(expect_max, sizes_[i]);
   }
+  if (max_size_ != expect_max)
+    audit::detail::fail("adversary", "largest-set cache " + std::to_string(max_size_) +
+                                         " != " + std::to_string(expect_max));
   if (!(expect_support == support_))
     audit::detail::fail("adversary", "support cache " + support_.to_string() +
                                          " != union of maximal sets " + expect_support.to_string());
@@ -225,9 +224,11 @@ void AdversaryStructure::prune_and_sort() {
 void AdversaryStructure::rebuild_cache() {
   support_.clear();
   sizes_.resize(maximal_.size());
+  max_size_ = 0;
   for (std::size_t i = 0; i < maximal_.size(); ++i) {
     support_ |= maximal_[i];
     sizes_[i] = static_cast<std::uint32_t>(maximal_[i].size());
+    max_size_ = std::max(max_size_, sizes_[i]);
   }
   if (maximal_.size() >= kMatrixBuildRows)
     matrix_.build(maximal_);

@@ -64,7 +64,7 @@ class AdversaryStructure {
   std::size_t num_maximal_sets() const { return maximal_.size(); }
 
   /// Largest cardinality among maximal sets (0 for trivial/empty family).
-  std::size_t max_corruption_size() const;
+  std::size_t max_corruption_size() const { return max_size_; }
 
   /// Restriction Z^A = {Z ∩ A : Z ∈ Z} (§2). Monotone again; computed by
   /// intersecting the maximal sets and re-pruning.
@@ -110,6 +110,7 @@ class AdversaryStructure {
   // SoA layout the SIMD subset kernel scans.
   NodeSet support_;
   std::vector<std::uint32_t> sizes_;  // sizes_[i] == maximal_[i].size()
+  std::uint32_t max_size_ = 0;        // max of sizes_: max_corruption_size()
   SubsetMatrix matrix_;               // popcount-bucketed SoA antichain
 };
 
