@@ -42,6 +42,7 @@ struct AuditTestAccess {
   }
   static void bump_popcount_cache(AdversaryStructure& z) { z.sizes_.front() += 1; }
   static void inflate_support_cache(AdversaryStructure& z) { z.support_.insert(31); }
+  static void bump_largest_size_cache(AdversaryStructure& z) { z.max_size_ += 1; }
   static void add_one_directional_edge(Graph& g, NodeId u, NodeId v) { g.adj_[u].insert(v); }
   static void add_self_loop(Graph& g, NodeId v) { g.adj_[v].insert(v); }
   static void append_maximal_set(AdversaryStructure& z, NodeSet s) {
@@ -125,6 +126,13 @@ TEST(AuditValidate, NodeSetInlineCapacityOverrunDetected) {
 TEST(AuditValidate, AdversaryPopcountCacheDriftDetected) {
   AdversaryStructure z = structure({NodeSet{1}, NodeSet{2, 3}});
   AuditTestAccess::bump_popcount_cache(z);
+  EXPECT_EQ(failing_component([&] { audit::validate(z); }), "adversary");
+}
+
+TEST(AuditValidate, AdversaryLargestSizeCacheDriftDetected) {
+  AdversaryStructure z = structure({NodeSet{1}, NodeSet{2, 3}});
+  ASSERT_EQ(z.max_corruption_size(), 2u);
+  AuditTestAccess::bump_largest_size_cache(z);
   EXPECT_EQ(failing_component([&] { audit::validate(z); }), "adversary");
 }
 
