@@ -10,13 +10,7 @@
 //   shipped_ms   — what the library serves: find_rmt_cut (definitional scan
 //                  behind the full-view two-cover gate), find_rmt_zpp_cut
 //                  (incremental), find_two_cover_cut (pairs i ≤ j, one-word
-//                  BFS), analysis::analyze (skips the implied decider);
-//   scalar_ms    — the shipped path with the vector kernels disabled
-//                  (simd::force_scalar): the backend may change how fast a
-//                  boolean is computed, never which;
-//   pool_ms      — the pooled overload over the same per-B / per-pair test
-//                  (0 for `analyze` and `simulate`, which have no pooled
-//                  path).
+//                  BFS), analysis::analyze (skips the implied decider).
 // speedup = reference_ms / shipped_ms.
 //
 // The `simulate/<strategy>` rows are the served `simulate` kind on
@@ -24,10 +18,10 @@
 // 1-threshold and full views, cycle-16 ad hoc, wheel-13 with 1-hop views)
 // against each of the five strategies: one whole RMT-PKA run, whose
 // receiver decides through propcheck::reference_pka_decide (reference_ms)
-// or pka_decide (shipped_ms, scalar_ms). Relays and the simulator are the
+// or pka_decide (shipped_ms). Relays and the simulator are the
 // same code in both, so the column isolates the receiver's decision.
 //
-// The `identical` column compares every path's answer with the reference
+// The `identical` column compares the shipped answer with the reference
 // (witness bit for bit; for `analyze` the witness and both booleans; for
 // `simulate` the whole Outcome — decision, rounds, message counts) and is
 // also a hard RMT_CHECK: a path that ever returns a different answer fails
@@ -44,7 +38,6 @@
 #include "protocols/rmt_pka.hpp"
 #include "protocols/runner.hpp"
 #include "sim/strategies.hpp"
-#include "util/simd.hpp"
 
 namespace {
 
@@ -111,34 +104,18 @@ int main(int argc, char** argv) {
 
   Reporter rep(argc, argv, "bench_decider");
   rep.columns({"family", "n", "structure", "views", "decider", "reference_ms", "shipped_ms",
-               "scalar_ms", "pool_ms", "speedup", "identical"});
+               "speedup", "identical"});
 
-  const std::size_t jobs = rep.exec().jobs > 1
-                               ? rep.exec().jobs
-                               : std::max<std::size_t>(2, exec::ThreadPool::hardware_concurrency());
-  exec::ThreadPool pool(jobs);
-
-  // Time the reference, shipped, forced-scalar and pooled paths of one
-  // decider, emit its row, and fail hard unless all answers agree.
+  // Time the reference and shipped paths of one decider, emit its row, and
+  // fail hard unless the answers agree.
   const auto measure = [&](const std::string& family, std::uint64_t n, const std::string& zkind,
                            const std::string& views, const std::string& decider,
-                           const auto& reference, const auto& shipped, const auto* pooled,
-                           const auto& same) {
-    decltype(reference()) want, got, scal, pooled_got;
+                           const auto& reference, const auto& shipped, const auto& same) {
+    decltype(reference()) want, got;
     const double ref_ms = best_ms([&] { want = reference(); });
     const double ship_ms = best_ms([&] { got = shipped(); });
-    double scal_ms = 0;
-    {
-      const simd::ScopedForceScalar scalar_only;
-      scal_ms = best_ms([&] { scal = shipped(); });
-    }
-    double pool_ms = 0;
-    bool identical = same(want, got) && same(want, scal);
-    if (pooled != nullptr) {
-      pool_ms = best_ms([&] { pooled_got = (*pooled)(); });
-      identical = identical && same(want, pooled_got);
-    }
-    rep.row({family, n, zkind, views, decider, ref_ms, ship_ms, scal_ms, pool_ms,
+    const bool identical = same(want, got);
+    rep.row({family, n, zkind, views, decider, ref_ms, ship_ms,
              ship_ms > 0 ? ref_ms / ship_ms : 0.0, identical});
     RMT_CHECK(identical, "bench_decider: " + family + "/" + zkind + "/" + views + " " + decider +
                              " diverged from its reference");
@@ -150,25 +127,19 @@ int main(int argc, char** argv) {
     const Graph& g = inst.graph();
     const AdversaryStructure& z = inst.adversary();
     const NodeId d = inst.dealer(), r = inst.receiver();
-    const auto rmt_pool = [&] { return analysis::find_rmt_cut(inst, &pool); };
     measure(
         family, n, zkind, views, "rmt", [&] { return analysis::find_rmt_cut_reference(inst); },
-        [&] { return analysis::find_rmt_cut(inst); }, &rmt_pool,
-        same_cut<analysis::RmtCutWitness>);
-    const auto zpp_pool = [&] { return analysis::find_rmt_zpp_cut(inst, &pool); };
+        [&] { return analysis::find_rmt_cut(inst); }, same_cut<analysis::RmtCutWitness>);
     measure(
         family, n, zkind, views, "zpp", [&] { return analysis::find_rmt_zpp_cut_reference(inst); },
-        [&] { return analysis::find_rmt_zpp_cut(inst); }, &zpp_pool,
-        same_cut<analysis::ZppCutWitness>);
-    const auto cover_pool = [&] { return analysis::find_two_cover_cut(g, z, d, r, &pool); };
+        [&] { return analysis::find_rmt_zpp_cut(inst); }, same_cut<analysis::ZppCutWitness>);
     measure(
         family, n, zkind, views, "two-cover",
         [&] { return analysis::find_two_cover_cut_reference(g, z, d, r); },
-        [&] { return analysis::find_two_cover_cut(g, z, d, r); }, &cover_pool, same_cover);
-    const auto shipped_analyze = [&] { return analysis::analyze(inst); };
+        [&] { return analysis::find_two_cover_cut(g, z, d, r); }, same_cover);
     measure(
         family, n, zkind, views, "analyze", [&] { return analysis::analyze_reference(inst); },
-        shipped_analyze, static_cast<decltype(&shipped_analyze)>(nullptr), same_analysis);
+        [&] { return analysis::analyze(inst); }, same_analysis);
   };
 
   // The fig_f4 shapes (cycles and 3 parallel paths, ad hoc knowledge,
@@ -263,7 +234,7 @@ int main(int argc, char** argv) {
       const auto reference = [&] { return run_with(propcheck::reference_pka_decide); };
       const auto shipped = [&] { return run_with(protocols::pka_decide); };
       measure(family, inst.num_players(), zkind, views, std::string("simulate/") + strategy,
-              reference, shipped, static_cast<decltype(&shipped)>(nullptr), same_outcome);
+              reference, shipped, same_outcome);
     }
   };
   {
@@ -281,8 +252,6 @@ int main(int argc, char** argv) {
              Instance(g, AdversaryStructure::trivial(), ViewFunction::k_hop(g, 1), 3, 9));
   }
 
-  pool.publish_stats();
-  rep.finish("DECIDER — reference vs. shipped deciders, " + std::to_string(jobs) +
-             "-thread pool (identical answers)");
+  rep.finish("DECIDER — reference vs. shipped deciders (identical answers)");
   return 0;
 }

@@ -1,11 +1,8 @@
 // bench_exec — the rmt::exec acceptance benchmark: 1-thread vs N-thread
-// wall time for the two hot layers the pool accelerates, with a result-
-// identity check on every comparison.
+// wall time for the layer the pool accelerates, with a result-identity
+// check on every comparison.
 //
-// Workloads:
-//  * rmt-cut    — the exact RMT-cut decider on an F2-sized instance, via
-//                 the batched parallel scan of analysis/rmt_cut.hpp;
-//  * two-cover  — the full-knowledge pair-grid decider;
+// Workload:
 //  * adv-search — exhaustive per-node-mode strategy enumeration
 //                 (sim/adversary_search.hpp), 3^|T| protocol runs per
 //                 maximal corruption set.
@@ -18,8 +15,6 @@
 // speedup artifact referenced by the acceptance criteria.
 #include <string>
 
-#include "analysis/feasibility.hpp"
-#include "analysis/rmt_cut.hpp"
 #include "bench_util.hpp"
 #include "protocols/zcpa.hpp"
 #include "sim/adversary_search.hpp"
@@ -27,13 +22,6 @@
 namespace {
 
 using namespace rmt;
-
-bool same_witness(const std::optional<analysis::RmtCutWitness>& a,
-                  const std::optional<analysis::RmtCutWitness>& b) {
-  if (a.has_value() != b.has_value()) return false;
-  if (!a) return true;
-  return a->c1 == b->c1 && a->c2 == b->c2 && a->b == b->b;
-}
 
 bool same_search(const sim::SearchResult& a, const sim::SearchResult& b) {
   if (a.behaviors_tried != b.behaviors_tried) return false;
@@ -73,46 +61,6 @@ int main(int argc, char** argv) {
     RMT_CHECK(same, "bench_exec: " + workload + " answers diverged between 1 and " +
                         std::to_string(jobs) + " jobs");
   };
-
-  // --- rmt-cut: the exact decider on an F2-sized instance ----------------
-  {
-    Rng rng(1214);
-    const std::size_t n = 16;
-    const Graph g = generators::random_connected_gnp(n, 0.25, rng);
-    const AdversaryStructure z = random_structure(g.nodes(), 4, 3, NodeSet{0, NodeId(n - 1)}, rng);
-    const Instance inst(g, z, ViewFunction::k_hop(g, 1), 0, NodeId(n - 1));
-    std::optional<analysis::RmtCutWitness> w_seq, w_par;
-    compare(
-        "rmt-cut", [&] { return time_us([&] { w_seq = analysis::find_rmt_cut(inst); }) / 1000.0; },
-        [&] { return time_us([&] { w_par = analysis::find_rmt_cut(inst, &pool); }) / 1000.0; },
-        [&] { return same_witness(w_seq, w_par); });
-  }
-
-  // --- two-cover: the full-knowledge pair grid ----------------------------
-  {
-    Rng rng(77);
-    const std::size_t n = 18;
-    const Graph g = generators::random_connected_gnp(n, 0.2, rng);
-    const AdversaryStructure z =
-        random_structure(g.nodes(), 24, 3, NodeSet{0, NodeId(n - 1)}, rng);
-    std::optional<analysis::TwoCoverWitness> w_seq, w_par;
-    compare(
-        "two-cover",
-        [&] {
-          return time_us([&] { w_seq = analysis::find_two_cover_cut(g, z, 0, NodeId(n - 1)); }) /
-                 1000.0;
-        },
-        [&] {
-          return time_us([&] {
-                   w_par = analysis::find_two_cover_cut(g, z, 0, NodeId(n - 1), &pool);
-                 }) /
-                 1000.0;
-        },
-        [&] {
-          return w_seq.has_value() == w_par.has_value() &&
-                 (!w_seq || (w_seq->z1 == w_par->z1 && w_seq->z2 == w_par->z2));
-        });
-  }
 
   // --- adv-search: exhaustive strategy enumeration ------------------------
   {

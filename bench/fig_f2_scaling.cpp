@@ -32,9 +32,7 @@ int main(int argc, char** argv) {
         random_structure(g.nodes(), 3, 2, NodeSet{0, NodeId(n - 1)}, rng);
     const Instance inst(g, z, ViewFunction::k_hop(g, 1), 0, NodeId(n - 1));
 
-    // --jobs N parallelizes the B-set scan (identical witness; see
-    // analysis/rmt_cut.hpp); pool() is null for the sequential default.
-    const double cut_us = time_us([&] { analysis::find_rmt_cut(inst, rep.pool()); });
+    const double cut_us = time_us([&] { analysis::find_rmt_cut(inst); });
 
     // ⊕ over every node's restricted structure, explicit vs lazy.
     JointStructure joint;

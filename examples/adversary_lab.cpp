@@ -10,7 +10,7 @@
 //
 //   $ ./adversary_lab
 #include <cstdio>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "analysis/feasibility.hpp"
@@ -19,19 +19,6 @@
 #include "protocols/runner.hpp"
 #include "sim/strategies.hpp"
 #include "util/fmt.hpp"
-
-namespace {
-
-std::unique_ptr<rmt::sim::AdversaryStrategy> make_strategy(const std::string& name) {
-  using namespace rmt::sim;
-  if (name == "silent") return std::make_unique<SilentStrategy>();
-  if (name == "value-flip") return std::make_unique<ValueFlipStrategy>();
-  if (name == "random-lies") return std::make_unique<RandomLieStrategy>(rmt::Rng{17}, 4);
-  if (name == "phantom-world") return std::make_unique<FictitiousWorldStrategy>();
-  return std::make_unique<TwoFacedStrategy>();
-}
-
-}  // namespace
 
 int main() {
   using namespace rmt;
@@ -56,7 +43,7 @@ int main() {
     for (const std::string& sname : strategies) {
       for (const NodeSet& t : inst.adversary().maximal_sets()) {
         if (t.empty()) continue;
-        auto strategy = make_strategy(sname);
+        auto strategy = sim::make_strategy(sname, 17);
         const protocols::Outcome out =
             protocols::run_rmt(inst, protocols::RmtPka{}, 42, t, strategy.get());
         rows.push_back(

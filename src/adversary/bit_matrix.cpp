@@ -1,145 +1,8 @@
 #include "adversary/bit_matrix.hpp"
 
 #include <algorithm>
-#include <numeric>
-#include <string>
-
-#include "obs/metrics.hpp"
-#include "obs/timer.hpp"
-#include "util/audit.hpp"
 
 namespace rmt {
-
-namespace {
-
-// Rows are padded to a full vector chunk so the column stride is uniform;
-// padding lanes stay zero (a zero row can never be a superset of a
-// non-empty candidate, and the kernels only scan [bucket, nrows) anyway).
-constexpr std::size_t kRowPad = 8;
-
-std::size_t padded_rows(std::size_t n) { return (n + kRowPad - 1) / kRowPad * kRowPad; }
-
-}  // namespace
-
-void SubsetMatrix::build(const std::vector<NodeSet>& antichain) {
-  RMT_OBS_SCOPE("adversary.matrix_build");
-  nrows_ = antichain.size();
-  src_.resize(nrows_);
-  pops_.resize(nrows_);
-  words_ = 0;
-  if (nrows_ == 0) {
-    stride_ = 0;
-    data_.clear();
-    bucket_start_.assign(1, 0);
-    return;
-  }
-  std::iota(src_.begin(), src_.end(), 0u);
-  std::vector<std::uint32_t> pop_of(nrows_);
-  for (std::size_t i = 0; i < nrows_; ++i) {
-    pop_of[i] = static_cast<std::uint32_t>(antichain[i].size());
-    words_ = std::max(words_, antichain[i].word_span().count);
-  }
-  // Popcount buckets: ascending popcount, canonical antichain order within
-  // a bucket (stable); membership is order-independent, so only the skip
-  // threshold semantics matter. Counting sort — popcounts are tiny, and a
-  // comparison sort here would dominate the per-restriction build cost.
-  std::uint32_t max_pop_of = 0;
-  for (std::size_t i = 0; i < nrows_; ++i) max_pop_of = std::max(max_pop_of, pop_of[i]);
-  if (!std::is_sorted(pop_of.begin(), pop_of.end())) {
-    std::vector<std::uint32_t> slot(max_pop_of + 2, 0);  // slot[p]: next row for popcount p
-    for (std::size_t i = 0; i < nrows_; ++i) ++slot[pop_of[i] + 1];
-    for (std::size_t b = 1; b < slot.size(); ++b) slot[b] += slot[b - 1];
-    for (std::size_t i = 0; i < nrows_; ++i)
-      src_[slot[pop_of[i]]++] = static_cast<std::uint32_t>(i);
-  }
-  stride_ = padded_rows(nrows_);
-  data_.assign(words_ * stride_, 0);
-  for (std::size_t r = 0; r < nrows_; ++r) {
-    pops_[r] = pop_of[src_[r]];
-    const NodeSet::WordSpan ws = antichain[src_[r]].word_span();
-    for (std::size_t w = 0; w < ws.count; ++w) data_[w * stride_ + r] = ws.words[w];
-  }
-  const std::size_t max_pop = pops_.back();
-  bucket_start_.assign(max_pop + 2, static_cast<std::uint32_t>(nrows_));
-  for (std::size_t r = nrows_; r-- > 0;)
-    for (std::size_t p = 0; p <= pops_[r]; ++p)
-      bucket_start_[p] = static_cast<std::uint32_t>(r);
-  if (obs::enabled()) obs::Registry::global().counter("structure.matrix_builds").inc();
-}
-
-NodeSet SubsetMatrix::row_as_set(std::size_t r) const {
-  RMT_REQUIRE(r < nrows_, "SubsetMatrix::row_as_set: row out of range");
-  NodeSet out;
-  for (std::size_t w = 0; w < words_; ++w) {
-    std::uint64_t bits = data_[w * stride_ + r];
-    while (bits != 0) {
-      const int b = __builtin_ctzll(bits);
-      out.insert(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b)));
-      bits &= bits - 1;
-    }
-  }
-  return out;
-}
-
-void SubsetMatrix::debug_validate_against(const std::vector<NodeSet>& antichain,
-                                          const char* component) const {
-  if (nrows_ != antichain.size())
-    audit::detail::fail(component, "bit matrix row count " + std::to_string(nrows_) +
-                                       " != antichain size " + std::to_string(antichain.size()));
-  if (nrows_ == 0) {
-    // Never-built (default) and built-empty states are both valid: the
-    // skip table is absent or the single sentinel 0, and no row storage.
-    if (!data_.empty() || bucket_start_.size() > 1 ||
-        (bucket_start_.size() == 1 && bucket_start_[0] != 0))
-      audit::detail::fail(component, "empty bit matrix carries stale data");
-    return;
-  }
-  if (stride_ < nrows_ || data_.size() != words_ * stride_)
-    audit::detail::fail(component, "bit matrix storage geometry inconsistent: stride " +
-                                       std::to_string(stride_) + ", rows " +
-                                       std::to_string(nrows_) + ", words " +
-                                       std::to_string(words_));
-  std::vector<bool> hit(nrows_, false);
-  for (std::size_t r = 0; r < nrows_; ++r) {
-    if (src_[r] >= nrows_ || hit[src_[r]])
-      audit::detail::fail(component,
-                          "bit matrix source map is not a permutation of the antichain");
-    hit[src_[r]] = true;
-    // The load-bearing check: every matrix row must round-trip to its
-    // canonical source set bit for bit, or contains() silently diverges
-    // from the antichain definition.
-    const NodeSet round_trip = row_as_set(r);
-    if (!(round_trip == antichain[src_[r]]))
-      audit::detail::fail(component, "bit matrix row " + std::to_string(r) +
-                                         " does not round-trip: " + round_trip.to_string() +
-                                         " != " + antichain[src_[r]].to_string());
-    if (pops_[r] != antichain[src_[r]].size())
-      audit::detail::fail(component,
-                          "bit matrix popcount wrong for row " + std::to_string(r));
-    if (r > 0 && pops_[r] < pops_[r - 1])
-      audit::detail::fail(component, "bit matrix rows not sorted by popcount at row " +
-                                         std::to_string(r));
-  }
-  for (std::size_t p = 0; p < bucket_start_.size(); ++p) {
-    std::size_t expect = nrows_;
-    for (std::size_t r = 0; r < nrows_; ++r) {
-      if (pops_[r] >= p) {
-        expect = r;
-        break;
-      }
-    }
-    if (bucket_start_[p] != expect)
-      audit::detail::fail(component, "bit matrix skip threshold wrong for popcount " +
-                                         std::to_string(p));
-  }
-  if (bucket_start_.size() != static_cast<std::size_t>(pops_.back()) + 2)
-    audit::detail::fail(component, "bit matrix skip table has wrong length");
-  for (std::size_t w = 0; w < words_; ++w)
-    for (std::size_t r = nrows_; r < stride_; ++r)
-      if (data_[w * stride_ + r] != 0)
-        audit::detail::fail(component, "bit matrix padding lane not zero at row " +
-                                           std::to_string(r));
-}
 
 CompiledGroup CompiledGroup::complement(const NodeSet& ground,
                                         const std::vector<NodeSet>& antichain) {
@@ -198,7 +61,7 @@ void ConjunctionRows::push_group_restride(const CompiledGroup& g) {
 bool ConjunctionRows::contains_wide(const NodeSet& x) const {
   const NodeSet::WordSpan xs = x.word_span();
   const std::size_t nw = std::min(xs.count, words_);
-  for (const simd::RowRange& g : groups_) {
+  for (const RowRange& g : groups_) {
     bool satisfied = false;
     for (std::uint32_t r = g.begin; r < g.end && !satisfied; ++r) {
       std::uint64_t overlap = 0;

@@ -40,10 +40,10 @@ class JointStructure {
   void add_constraint(const RestrictedStructure& c);
 
   /// Conjunction membership test (see header), evaluated against the
-  /// compiled forbidden rows (adversary/bit_matrix.hpp) with the SIMD
-  /// kernels. With no constraints every set is a member (the join over an
-  /// empty index set is the full structure over ∅ — every X restricted to
-  /// ∅ is ∅ ∈ anything monotone); callers that need a stricter default add
+  /// compiled forbidden rows (adversary/bit_matrix.hpp). With no
+  /// constraints every set is a member (the join over an empty index set
+  /// is the full structure over ∅ — every X restricted to ∅ is
+  /// ∅ ∈ anything monotone); callers that need a stricter default add
   /// constraints first.
   bool contains(const NodeSet& x) const { return rows_.contains(x); }
 

@@ -45,17 +45,20 @@ void AdversaryStructure::add(const NodeSet& s) {
 
 bool AdversaryStructure::contains(const NodeSet& x) const {
   if (!x.is_subset_of(support_)) return false;
-  if (matrix_.num_rows() != 0) return matrix_.contains_subset(x);
-  // Below kMatrixBuildRows the matrix is not built; the popcount-filtered
-  // scan over the canonical antichain answers identically.
   const std::size_t n = x.size();
-  for (std::size_t i = 0; i < maximal_.size(); ++i)
-    if (sizes_[i] >= n && x.is_subset_of(maximal_[i])) return true;
+  if (n > max_size_) return false;
+  // x ⊆ M word by word, inline. Canonical sets carry no trailing zero
+  // word, so an x with more words than M has a bit outside M.
+  const NodeSet::WordSpan xs = x.word_span();
+  for (std::size_t i = 0; i < maximal_.size(); ++i) {
+    if (sizes_[i] < n) continue;
+    const NodeSet::WordSpan ms = maximal_[i].word_span();
+    if (xs.count > ms.count) continue;
+    std::uint64_t outside = 0;
+    for (std::size_t w = 0; w < xs.count; ++w) outside |= xs.words[w] & ~ms.words[w];
+    if (outside == 0) return true;
+  }
   return false;
-}
-
-void AdversaryStructure::probe_batch(const NodeSet* probes, std::size_t k, bool* out) const {
-  for (std::size_t i = 0; i < k; ++i) out[i] = contains(probes[i]);
 }
 
 AdversaryStructure AdversaryStructure::restricted_to(const NodeSet& a) const {
@@ -157,11 +160,6 @@ void AdversaryStructure::debug_validate() const {
   if (!(expect_support == support_))
     audit::detail::fail("adversary", "support cache " + support_.to_string() +
                                          " != union of maximal sets " + expect_support.to_string());
-  // Built matrices must round-trip to the antichain; a missing matrix on an
-  // antichain past the build threshold is itself a stale cache (the
-  // row-count check inside fails it).
-  if (matrix_.num_rows() != 0 || maximal_.size() >= kMatrixBuildRows)
-    matrix_.debug_validate_against(maximal_, "adversary");
 }
 
 std::string AdversaryStructure::to_string() const {
@@ -230,10 +228,6 @@ void AdversaryStructure::rebuild_cache() {
     sizes_[i] = static_cast<std::uint32_t>(maximal_[i].size());
     max_size_ = std::max(max_size_, sizes_[i]);
   }
-  if (maximal_.size() >= kMatrixBuildRows)
-    matrix_.build(maximal_);
-  else
-    matrix_.clear();
 }
 
 }  // namespace rmt

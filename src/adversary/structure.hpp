@@ -13,11 +13,11 @@
 // pairs a structure with its ground set where the ⊕ algebra needs one.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "adversary/bit_matrix.hpp"
 #include "graph/node_set.hpp"
 
 namespace rmt {
@@ -39,22 +39,8 @@ class AdversaryStructure {
   /// Add one admissible set (and implicitly all its subsets).
   void add(const NodeSet& s);
 
-  /// Antichains at least this large get the SoA bit matrix built for
-  /// contains(); smaller families scan maximal_ directly — the build cost
-  /// (allocations + fills) never amortizes on the per-B restrictions the
-  /// deciders churn through, which have a handful of maximal sets.
-  static constexpr std::size_t kMatrixBuildRows = 8;
-
   /// Membership: X ∈ Z iff X is a subset of some maximal set.
   bool contains(const NodeSet& x) const;
-
-  /// Batched membership: out[i] = contains(probes[i]). One call per
-  /// candidate block keeps the bit matrix hot across probes.
-  void probe_batch(const NodeSet* probes, std::size_t k, bool* out) const;
-
-  /// The SoA bit-matrix view of the antichain (bit_matrix.hpp) that
-  /// contains() scans. Exposed for benches/tests.
-  const SubsetMatrix& matrix() const { return matrix_; }
 
   /// The antichain of maximal sets, canonically sorted. An empty vector
   /// means the empty family.
@@ -105,13 +91,12 @@ class AdversaryStructure {
   std::vector<NodeSet> maximal_;  // canonical: antichain, sorted ascending
   // Membership-test accelerators, derived from maximal_ (debug_validate
   // checks consistency): the support union rejects any probe with a node
-  // outside ∪Z in one word-parallel subset test, the popcount cache skips
-  // maximal sets too small to contain the probe, and the bit matrix is the
-  // SoA layout the SIMD subset kernel scans.
+  // outside ∪Z in one word-parallel subset test, and the popcount cache
+  // rejects probes larger than every maximal set and skips the maximal
+  // sets too small to contain the probe.
   NodeSet support_;
   std::vector<std::uint32_t> sizes_;  // sizes_[i] == maximal_[i].size()
   std::uint32_t max_size_ = 0;        // max of sizes_: max_corruption_size()
-  SubsetMatrix matrix_;               // popcount-bucketed SoA antichain
 };
 
 }  // namespace rmt

@@ -2,9 +2,7 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 
-#include "exec/thread_pool.hpp"
 #include "graph/connectivity.hpp"
 #include "obs/timer.hpp"
 #include "obs/trace.hpp"
@@ -20,8 +18,8 @@ std::uint64_t low_word(const NodeSet& s) {
   return span.count == 0 ? 0 : span.words[0];
 }
 
-// The per-pair test the sequential and pooled scans share: do the maximal
-// sets i and j together cover a D–R cut? When every node id is below 64,
+// The per-pair test: do the maximal sets i and j together cover a D–R
+// cut? When every node id is below 64,
 // each set is one machine word and a BFS level costs a few word operations;
 // otherwise the NodeSet path. Maximal sets suffice: unions of smaller
 // admissible sets are subsets of unions of maximal ones, and "separates" is
@@ -142,47 +140,6 @@ std::optional<TwoCoverWitness> find_two_cover_cut_reference(const Graph& g,
       if (separates(g, cut, dealer, receiver)) return TwoCoverWitness{z1, z2};
     }
   return std::nullopt;
-}
-
-std::optional<TwoCoverWitness> find_two_cover_cut(const Graph& g, const AdversaryStructure& z,
-                                                  NodeId dealer, NodeId receiver,
-                                                  exec::ThreadPool* pool) {
-  if (pool == nullptr || pool->num_workers() <= 1)
-    return find_two_cover_cut(g, z, dealer, receiver);
-  RMT_OBS_SCOPE("feasibility.two_cover");
-  RMT_TRACE_SPAN("feasibility.two_cover");
-  RMT_REQUIRE(g.has_node(dealer) && g.has_node(receiver) && dealer != receiver,
-              "find_two_cover_cut: bad endpoints");
-  RMT_AUDIT_VALIDATE(g);
-  RMT_AUDIT_VALIDATE(z);
-  const auto& max_sets = z.maximal_sets();
-  const std::size_t n = max_sets.size();
-  if (n == 0) return std::nullopt;
-  const PairTest covers(g, max_sets, dealer, receiver);
-  if (covers.exceeds_two_covers(z.max_corruption_size())) return std::nullopt;
-
-  // Flatten the pair grid to row-major indices and keep the lowest hit:
-  // the same (z1, z2) the sequential scan returns (pairs below the
-  // diagonal are skipped for the same symmetry reason).
-  struct First {
-    std::size_t index = std::numeric_limits<std::size_t>::max();
-  };
-  const First f = exec::parallel_reduce<First>(
-      pool, 0, n * n, exec::suggest_grain(n * n, pool), First{},
-      [&](std::size_t lo, std::size_t hi) {
-        First p;
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (i % n < i / n) continue;
-          if (covers(i / n, i % n)) {
-            p.index = i;
-            break;
-          }
-        }
-        return p;
-      },
-      [](First a, First b) { return a.index <= b.index ? a : b; });
-  if (f.index == std::numeric_limits<std::size_t>::max()) return std::nullopt;
-  return TwoCoverWitness{max_sets[f.index / n], max_sets[f.index % n]};
 }
 
 bool solvable_full_knowledge(const Graph& g, const AdversaryStructure& z, NodeId dealer,

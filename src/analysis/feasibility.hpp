@@ -17,10 +17,6 @@
 #include "analysis/rmt_cut.hpp"
 #include "analysis/zpp_cut.hpp"
 
-namespace rmt::exec {
-class ThreadPool;
-}
-
 namespace rmt::analysis {
 
 /// Solvability of the instance by *any* safe-and-resilient protocol
@@ -50,13 +46,6 @@ std::optional<TwoCoverWitness> find_two_cover_cut(const Graph& g, const Adversar
 std::optional<TwoCoverWitness> find_two_cover_cut_reference(const Graph& g,
                                                             const AdversaryStructure& z,
                                                             NodeId dealer, NodeId receiver);
-
-/// Parallel variant: scans the (Z₁, Z₂) pair grid across `pool` and keeps
-/// the lowest row-major witness — identical to the sequential answer at
-/// any worker count. pool == nullptr falls back to the sequential scan.
-std::optional<TwoCoverWitness> find_two_cover_cut(const Graph& g, const AdversaryStructure& z,
-                                                  NodeId dealer, NodeId receiver,
-                                                  exec::ThreadPool* pool);
 
 /// Solvability under full knowledge (no two-cover cut).
 bool solvable_full_knowledge(const Graph& g, const AdversaryStructure& z, NodeId dealer,

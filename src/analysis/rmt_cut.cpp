@@ -1,10 +1,8 @@
 #include "analysis/rmt_cut.hpp"
 
-#include <limits>
 #include <utility>
 
 #include "analysis/feasibility.hpp"
-#include "exec/thread_pool.hpp"
 #include "graph/cuts.hpp"
 #include "obs/timer.hpp"
 #include "obs/trace.hpp"
@@ -15,8 +13,7 @@ namespace rmt::analysis {
 
 namespace {
 
-// The per-B test both find_rmt_cut overloads share, so their witnesses agree
-// by construction. B is a cut candidate (graph/cuts.hpp), so C = N(B)
+// The per-B test. B is a cut candidate (graph/cuts.hpp), so C = N(B)
 // already excludes D. With C = N(B), the first maximal M (antichain order)
 // whose C₂ = C ∖ M passes Thm 1's per-node conjunction, C₂ ∩ V(γ(v)) ∈ Z_v
 // for every v ∈ B. A slice x lies inside V(γ(v)), and for such x,
@@ -108,58 +105,6 @@ std::optional<RmtCutWitness> find_rmt_cut_reference(const Instance& inst) {
     }
     return true;
   });
-  return witness;
-}
-
-std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst, exec::ThreadPool* pool) {
-  if (pool == nullptr || pool->num_workers() <= 1) return find_rmt_cut(inst);
-  RMT_OBS_SCOPE("rmt_cut.find");
-  RMT_TRACE_SPAN("rmt_cut.find");
-  RMT_REQUIRE(inst.num_players() <= kMaxExactNodes,
-              "find_rmt_cut: instance too large for the exact decider");
-  RMT_AUDIT_VALIDATE(inst);
-  if (solvable_by_two_cover_gate(inst)) return std::nullopt;
-
-  // The enumeration itself is a sequential DFS, so the pipeline is:
-  // collect a batch of candidate Bs, fan the batch out over the pool,
-  // keep the lowest-index witness (== the first in enumeration order, so
-  // the answer matches the sequential decider bit for bit), stop at the
-  // first batch that produced one.
-  struct First {
-    std::size_t index = std::numeric_limits<std::size_t>::max();
-    std::optional<RmtCutWitness> w;
-  };
-  const std::size_t batch_size = 64 * pool->num_workers();
-  std::vector<NodeSet> batch;
-  batch.reserve(batch_size);
-  std::optional<RmtCutWitness> witness;
-
-  const auto flush = [&]() {
-    if (batch.empty() || witness) return;
-    First f = exec::parallel_reduce<First>(
-        pool, 0, batch.size(), exec::suggest_grain(batch.size(), pool), First{},
-        [&](std::size_t lo, std::size_t hi) {
-          First p;
-          for (std::size_t i = lo; i < hi; ++i) {
-            if (std::optional<RmtCutWitness> w = cut_at(inst, batch[i])) {
-              p.index = i;
-              p.w = std::move(w);
-              break;  // lowest index within the chunk; rest cannot win
-            }
-          }
-          return p;
-        },
-        [](First a, First b2) { return a.index <= b2.index ? std::move(a) : std::move(b2); });
-    batch.clear();
-    if (f.w) witness = std::move(*f.w);
-  };
-
-  enumerate_cut_candidates(inst.graph(), inst.dealer(), inst.receiver(), [&](const NodeSet& b) {
-    batch.push_back(b);
-    if (batch.size() >= batch_size) flush();
-    return !witness.has_value();
-  });
-  flush();
   return witness;
 }
 

@@ -24,10 +24,6 @@
 
 #include "instance/instance.hpp"
 
-namespace rmt::exec {
-class ThreadPool;
-}
-
 namespace rmt::analysis {
 
 /// A concrete RMT-cut, returned as proof of infeasibility.
@@ -56,13 +52,6 @@ std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst);
 /// Tests and tools/rmt_fuzz assert find_rmt_cut returns this witness bit
 /// for bit; bench_decider_hotpath measures the gap as BENCH_decider.json.
 std::optional<RmtCutWitness> find_rmt_cut_reference(const Instance& inst);
-
-/// Parallel decider: batches the connected-subset enumeration and
-/// evaluates each batch across `pool` with the sequential per-B test,
-/// keeping the lowest-index witness — so the returned witness is exactly
-/// the sequential one at any worker count. pool == nullptr (or a
-/// one-worker pool) falls back to the sequential scan above.
-std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst, exec::ThreadPool* pool);
 
 bool rmt_cut_exists(const Instance& inst);
 

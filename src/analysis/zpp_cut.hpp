@@ -24,10 +24,6 @@
 
 #include "instance/instance.hpp"
 
-namespace rmt::exec {
-class ThreadPool;
-}
-
 namespace rmt::analysis {
 
 struct ZppCutWitness {
@@ -37,19 +33,16 @@ struct ZppCutWitness {
 };
 
 /// Find an RMT Z-pp cut (Def. 7), or nullopt (⇒ Z-CPA succeeds, Thm 7).
-/// Incremental scan (graph/cuts.hpp): N(B) and the member list follow the
-/// connected-subset DFS by push/pop deltas; allocation-free at
-/// kMaxExactNodes.
+/// Incremental scan (graph/cuts.hpp): N(B) and the per-node compiled rows
+/// follow the connected-subset DFS by push/pop deltas; allocation-free at
+/// kMaxExactNodes. Each slice N(u) ∩ C₂ is tested against Z itself, which
+/// answers as Z_u does because the view floor puts N(u) inside V(γ(u)).
 std::optional<ZppCutWitness> find_rmt_zpp_cut(const Instance& inst);
 
-/// The straightforward per-B-rebuild decider, kept as the cross-check
-/// baseline for witness identity and the BENCH_decider.json comparison.
+/// The straightforward per-B decider against the explicit local structures
+/// Z_u, kept as the cross-check baseline for witness identity and the
+/// BENCH_decider.json comparison.
 std::optional<ZppCutWitness> find_rmt_zpp_cut_reference(const Instance& inst);
-
-/// Parallel decider: batched scan over `pool`, lowest-index witness — the
-/// returned witness is exactly the sequential one at any worker count.
-/// pool == nullptr (or a one-worker pool) falls back to the sequential scan.
-std::optional<ZppCutWitness> find_rmt_zpp_cut(const Instance& inst, exec::ThreadPool* pool);
 
 bool rmt_zpp_cut_exists(const Instance& inst);
 

@@ -20,7 +20,6 @@
 #include "svc/wire.hpp"
 #include "util/audit.hpp"
 #include "util/check.hpp"
-#include "util/simd.hpp"
 
 namespace rmt::propcheck {
 
@@ -31,7 +30,7 @@ namespace {
 // seeds recorded in artifacts and regression comments depend on them.
 constexpr std::uint64_t kMutantDomain = 0x4d55544e;  // "MUTN"
 constexpr std::uint64_t kDiffDomain = 0x44494646;    // "DIFF"
-constexpr std::uint64_t kKernelDomain = 0x4b524e4c;  // "KRNL"
+constexpr std::uint64_t kMembershipDomain = 0x4b524e4c;  // "KRNL"
 constexpr std::uint64_t kStoreDomain = 0x53544f52;   // "STOR"
 constexpr std::uint64_t kCodecDomain = 0x434f4443;   // "CODC"
 
@@ -805,16 +804,14 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
       report.findings.push_back(FuzzFinding{
           "full-implication-violated", "RMT solvable but a two-cover exists", text, seed, i});
 
-    // Batched vs per-candidate membership kernels on this instance's
-    // adversary structure: probe_batch must agree with contains
-    // probe-for-probe, under the compiled vector backend AND with the
-    // scalar reference forced — four answers per probe, one truth. The
-    // probes straddle the popcount-bucket boundaries: each maximal set
-    // itself, one node more, one node fewer, plus seeded random subsets.
+    // Membership against its definition on this instance's adversary
+    // structure: contains(x) must say whether some maximal M ⊇ x. The
+    // probes straddle the popcount filters: each maximal set itself, one
+    // node more, one node fewer, plus seeded random subsets.
     {
       const AdversaryStructure& z = inst->adversary();
       const NodeSet nodes = inst->graph().nodes();
-      Rng krng(unit_seed(opts.seed, kKernelDomain, i));
+      Rng krng(unit_seed(opts.seed, kMembershipDomain, i));
       constexpr std::size_t kMaxProbes = 64;
       NodeSet probes[kMaxProbes];
       std::size_t nprobes = 0;
@@ -839,29 +836,16 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
         });
         probes[nprobes++] = std::move(s);
       }
-      bool vec_batch[kMaxProbes];
-      bool scal_batch[kMaxProbes];
-      z.probe_batch(probes, nprobes, vec_batch);
-      {
-        const simd::ScopedForceScalar scalar_only;
-        z.probe_batch(probes, nprobes, scal_batch);
-      }
       for (std::size_t j = 0; j < nprobes; ++j) {
-        report.kernel_probes += 1;
-        const bool vec_one = z.contains(probes[j]);
-        bool scal_one = false;
-        {
-          const simd::ScopedForceScalar scalar_only;
-          scal_one = z.contains(probes[j]);
-        }
-        if (vec_batch[j] != vec_one || scal_batch[j] != scal_one || vec_one != scal_one)
+        report.membership_probes += 1;
+        const bool got = z.contains(probes[j]);
+        bool want = false;
+        for (const NodeSet& m : z.maximal_sets()) want = want || probes[j].is_subset_of(m);
+        if (got != want)
           report.findings.push_back(FuzzFinding{
-              "kernel-diverged",
-              "probe " + set_str(probes[j]) + ": batch/vector=" +
-                  std::to_string(vec_batch[j]) + " single/vector=" +
-                  std::to_string(vec_one) + " batch/scalar=" +
-                  std::to_string(scal_batch[j]) + " single/scalar=" +
-                  std::to_string(scal_one),
+              "membership-diverged",
+              "probe " + set_str(probes[j]) + ": contains=" + std::to_string(got) +
+                  " some maximal superset=" + std::to_string(want),
               text, seed, i});
       }
     }
@@ -953,8 +937,8 @@ std::string FuzzReport::summary() const {
          " rejected), " + std::to_string(memo_checks) + " memo checks, " +
          std::to_string(roundtrip_checks) + " round-trips, " +
          std::to_string(audit_checks) + " audits, " + std::to_string(diff_checks) +
-         " differential checks, " + std::to_string(kernel_probes) +
-         " kernel probes, " + std::to_string(store_checks) + " store images (" +
+         " differential checks, " + std::to_string(membership_probes) +
+         " membership probes, " + std::to_string(store_checks) + " store images (" +
          std::to_string(store_rejected) + " rejected, " + std::to_string(store_repaired) +
          " repaired, " + std::to_string(store_records) + " records), " +
          std::to_string(codec_checks) + " codec checks, " + std::to_string(findings.size()) +

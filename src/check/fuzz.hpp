@@ -34,10 +34,9 @@
 //     the engine's `analyze` answer — which skips the implied decider —
 //     must equal the one formatted from all three oracles
 //     (analyze-diverged). This path never skips a decider. The same
-//     instances feed a membership-kernel differential:
-//     AdversaryStructure::probe_batch vs per-candidate contains, under the
-//     compiled vector backend and again with simd::force_scalar — four
-//     answers per probe, one truth.
+//     instances feed a membership differential: AdversaryStructure::
+//     contains against its definition, some maximal M ⊇ x
+//     (membership-diverged).
 //
 //   * Store images: synthetic record logs (header_line + encode_record,
 //     valid by construction) are truncated, bit-flipped, spliced and
@@ -124,7 +123,7 @@ struct FuzzFinding {
                        ///< | audit-violation | decider-diverged
                        ///< | zcpa-implication-violated
                        ///< | full-implication-violated | analyze-diverged
-                       ///< | kernel-diverged | svc-diverged
+                       ///< | membership-diverged | svc-diverged
                        ///< | generator-invalid | store-crash
                        ///< | store-roundtrip-diverged | store-audit-violation
                        ///< | store-repair-diverged | codec-diverged
@@ -142,7 +141,7 @@ struct FuzzReport {
   std::size_t roundtrip_checks = 0;  ///< serialize∘parse fixed-point checks run
   std::size_t audit_checks = 0;      ///< deep-validator passes over accepted mutants
   std::size_t diff_checks = 0;       ///< differential decider/svc checks run
-  std::size_t kernel_probes = 0;     ///< probe_batch-vs-contains probes compared
+  std::size_t membership_probes = 0;  ///< contains-vs-definition probes compared
   std::size_t store_checks = 0;      ///< mutated store images scanned
   std::size_t store_rejected = 0;    ///< hostile identity lines cleanly rejected
   std::size_t store_repaired = 0;    ///< scans that tore and kept a valid prefix

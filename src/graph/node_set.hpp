@@ -158,13 +158,10 @@ class NodeSet {
     std::size_t count;
   };
 
-  /// Bulk word export for the bit-matrix builder and the audit
-  /// cross-checks, replacing per-bit iteration. Reads of words [0, count)
-  /// are value-defined; the pointer additionally stays dereferenceable up
-  /// to kInlineWords (inline sets) or the allocated capacity (spilled
-  /// sets), so padded vector loads past `count` are memory-safe but read
-  /// unspecified values. Canonical form guarantees count == 0 or
-  /// words[count-1] != 0.
+  /// Bulk word export for the compiled conjunction rows, the inline
+  /// membership scan and the audit cross-checks, replacing per-bit
+  /// iteration. Reads of words [0, count) are value-defined. Canonical
+  /// form guarantees count == 0 or words[count-1] != 0.
   WordSpan word_span() const { return {words(), nwords_}; }
 
   bool is_subset_of(const NodeSet& o) const;

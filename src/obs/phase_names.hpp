@@ -20,8 +20,7 @@
 namespace rmt::obs {
 
 // lint:phase-registry-begin
-inline constexpr std::array<std::string_view, 20> kPhaseNames = {
-    "adversary.matrix_build",
+inline constexpr std::array<std::string_view, 19> kPhaseNames = {
     "adversary.oplus",
     "adversary.restrict",
     "audit.validate",

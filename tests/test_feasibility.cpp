@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "exec/thread_pool.hpp"
 #include "graph/cuts.hpp"
 #include "graph/generators.hpp"
 #include "tests/test_util.hpp"
@@ -104,7 +103,6 @@ TEST(TwoCover, MatchesRowMajorReferenceAcrossTheWordBoundary) {
   // full row-major NodeSet scan, at graph capacities on both sides of the
   // word boundary. Near-trees make single nodes separating, so both hits
   // and misses occur.
-  exec::ThreadPool pool(2);
   for (std::size_t cap : {63u, 64u, 65u, 130u}) {
     Rng rng(83 + cap);
     std::size_t hits = 0, misses = 0;
@@ -118,7 +116,6 @@ TEST(TwoCover, MatchesRowMajorReferenceAcrossTheWordBoundary) {
           random_structure(g.nodes(), 2 + rng.index(6), 1 + rng.index(3), NodeSet{d, r}, rng);
       const auto want = find_two_cover_cut_reference(g, z, d, r);
       EXPECT_TRUE(same_cover(find_two_cover_cut(g, z, d, r), want)) << "cap=" << cap;
-      EXPECT_TRUE(same_cover(find_two_cover_cut(g, z, d, r, &pool), want)) << "cap=" << cap;
       (want ? hits : misses) += 1;
     }
     EXPECT_GT(hits, 0u) << "cap=" << cap;
@@ -144,7 +141,6 @@ TEST(TwoCover, MatchesRowMajorReferenceAcrossTheWordBoundary) {
         ++within;
       }
       EXPECT_TRUE(same_cover(find_two_cover_cut(g, z, d, r), want)) << "cap=" << cap;
-      EXPECT_TRUE(same_cover(find_two_cover_cut(g, z, d, r, &pool), want)) << "cap=" << cap;
     }
     EXPECT_GT(beyond, 0u) << "cap=" << cap;
     EXPECT_GT(within, 0u) << "cap=" << cap;
@@ -162,7 +158,6 @@ TEST(TwoCover, GreedyPathsThatBlockEachOtherStayExact) {
                              {0, 4}, {4, 2}})
     g.add_edge(a, b);
   ASSERT_EQ(min_vertex_cut(g, 0, 5), 2u);
-  exec::ThreadPool pool(2);
   const NodeSet relays{1, 2, 3, 4};
   const std::vector<AdversaryStructure> zs = {
       AdversaryStructure::trivial(), threshold_structure(relays, 1),
@@ -173,7 +168,6 @@ TEST(TwoCover, GreedyPathsThatBlockEachOtherStayExact) {
     for (const auto& [d, r] : {std::pair<NodeId, NodeId>{0, 5}, {5, 0}}) {
       const auto want = find_two_cover_cut_reference(g, z, d, r);
       EXPECT_TRUE(same_cover(find_two_cover_cut(g, z, d, r), want)) << z.to_string();
-      EXPECT_TRUE(same_cover(find_two_cover_cut(g, z, d, r, &pool), want)) << z.to_string();
       covers += want.has_value();
     }
   }
@@ -185,12 +179,10 @@ TEST(TwoCover, DisjointPathBoundDecides) {
   // cover a cut: k parallel paths against a t-threshold with k > 2t, a
   // complete graph less the D–R edge, and adjacent endpoints (no separator at all). Each
   // answer is nullopt, as the reference's full scan finds.
-  exec::ThreadPool pool(2);
-  const auto check = [&](const Graph& g, const AdversaryStructure& z, NodeId d, NodeId r) {
+  const auto check = [](const Graph& g, const AdversaryStructure& z, NodeId d, NodeId r) {
     const auto want = find_two_cover_cut_reference(g, z, d, r);
     EXPECT_FALSE(want.has_value()) << z.to_string();
     EXPECT_FALSE(find_two_cover_cut(g, z, d, r).has_value()) << z.to_string();
-    EXPECT_FALSE(find_two_cover_cut(g, z, d, r, &pool).has_value()) << z.to_string();
   };
   for (const std::size_t t : {1u, 2u}) {
     const Graph g = generators::parallel_paths(2 * t + 1, 4);

@@ -305,15 +305,22 @@ TEST(NetServer, SlowClientIsDisconnected) {
   slow.set_recv_buffer(4096);
   slow.connect(rs.port());
   // Pump responses at a client that never reads. Cached answers (~600 B
-  // each) accumulate in the write queue once both socket buffers fill.
+  // each) accumulate in the write queue once both socket buffers fill. The
+  // whole burst goes out in one write, so the server's first recv(2)
+  // already holds more answers than the hard cap: the queue passes the cap
+  // whatever the budget does to later reads. Sent line by line, reads
+  // could pause with the queue between the budget and the cap, and the
+  // client would never be dropped.
   const std::string req = request_line("r", "slowkey");
-  for (int i = 0; i < 400 && rs.server().stats().slow_client_disconnects == 0; ++i) {
-    try {
-      slow.send_line(req);
-      slow.send_line("");
-    } catch (const std::exception&) {
-      break;  // server already dropped us mid-send — that is the point
-    }
+  std::string burst;
+  for (int i = 0; i < 400; ++i) {
+    burst += req;
+    burst += "\n\n";
+  }
+  try {
+    slow.send_raw(burst.data(), burst.size());
+  } catch (const std::exception&) {
+    // the server already dropped us mid-send — that is the point
   }
   ASSERT_TRUE(rs.wait_for([&] { return rs.server().stats().slow_client_disconnects >= 1; }))
       << "slow client was never disconnected";

@@ -251,9 +251,10 @@ TEST(NodeSetProperty, MatchesReferenceImplementation) {
   EXPECT_EQ(s.to_vector(), std::vector<NodeId>(ref.begin(), ref.end()));
 }
 
-// word_span is the bulk export the bit-matrix builder packs rows from: it
-// must expose exactly the canonical no-trailing-zero-word form, inline and
-// spilled alike, and round-trip bit for bit.
+// word_span is the bulk export the compiled rows and the membership scan
+// read words from: it must expose exactly the canonical
+// no-trailing-zero-word form, inline and spilled alike, and round-trip bit
+// for bit.
 TEST(NodeSet, WordSpanIsCanonicalAndRoundTrips) {
   EXPECT_EQ(NodeSet{}.word_span().count, 0u);
   const NodeSet inline_set{0, 3, 64};  // two inline words

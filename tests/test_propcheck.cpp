@@ -2,12 +2,12 @@
 //
 // The headline suite here is the acceptance-bar product: ONE property
 // declaration swept over graph family × adversary-structure family × view
-// floor × D,R placement × worker count × simd-backend/bucket-boundary
-// = 4·3·2·2·2·4 = 384 cells, with the per-cell seed proven to be a pure
-// function of (root seed, coordinates) by running the sweep twice and
-// recomputing one seed by hand. Each cell checks the shipped RMT-cut
-// decider against its reference and both implications, Z-CPA solvable ⇒
-// RMT solvable ⇒ full-knowledge solvable.
+// floor × D,R placement × same-size antichain = 4·3·2·2·2 = 96 cells, with
+// the per-cell seed proven to be a pure function of (root seed,
+// coordinates) by running the sweep twice and recomputing one seed by
+// hand. Each cell checks the shipped RMT-cut and Z-pp cut deciders against
+// their references, witness for witness, and both implications, Z-CPA
+// solvable ⇒ RMT solvable ⇒ full-knowledge solvable.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,13 +20,11 @@
 #include "analysis/feasibility.hpp"
 #include "check/parameterize.hpp"
 #include "exec/campaign.hpp"
-#include "exec/thread_pool.hpp"
 #include "graph/generators.hpp"
 #include "instance/instance.hpp"
 #include "knowledge/view.hpp"
 #include "tests/test_util.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace rmt {
 namespace {
@@ -35,7 +33,7 @@ using propcheck::CellFailure;
 using propcheck::Result;
 using propcheck::Runner;
 
-// -- the acceptance-bar product: 4 x 3 x 2 x 2 x 2 x 4 = 384 cells ----------
+// -- the acceptance-bar product: 4 x 3 x 2 x 2 x 2 = 96 cells ----------------
 
 /// Structure recipe an axis can pick; realized per cell from the cell seed.
 struct StructureRecipe {
@@ -72,32 +70,23 @@ RMT_PARAMETERIZE(placements, Placement, p,
     RMT_OPTION(p, Placement{true});
 )
 
-RMT_PARAMETERIZE(worker_counts, std::size_t, w,
-    RMT_OPTION(w, std::size_t{0});      // sequential (pool = nullptr)
-    RMT_OPTION(w, std::size_t{2});
+/// `at_boundary` swaps the random antichain for the 2-threshold one over
+/// the players: every maximal set has the same size, so each probe the
+/// popcount filters see sits exactly on their threshold, and the antichain
+/// width C(players, 2) runs from 6 rows on barbell to 15–21 on the wider
+/// families.
+RMT_PARAMETERIZE(boundary_cells, bool, at_boundary,
+    RMT_OPTION(at_boundary, false);
+    RMT_OPTION(at_boundary, true);
 )
 
-/// The simd-backend × popcount-bucket-boundary face of the product.
-/// `scalar` routes every kernel through the scalar reference twin
-/// (simd::force_scalar); `at_boundary` swaps the random antichain for the
-/// 2-threshold one over the players — every maximal set has popcount 2, so
-/// the SubsetMatrix collapses to a single popcount bucket and each probe
-/// sits exactly on the bucket skip threshold, while the antichain width
-/// C(players, 2) straddles AdversaryStructure::kMatrixBuildRows across the
-/// graph-family axis (6 rows on barbell, 15–21 on the wider families).
-struct KernelCell {
-  bool scalar = false;
-  bool at_boundary = false;
-};
+template <typename W>
+bool same_witness(const std::optional<W>& a, const std::optional<W>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  return !a || (a->c1 == b->c1 && a->c2 == b->c2 && a->b == b->b);
+}
 
-RMT_PARAMETERIZE(kernel_cells, KernelCell, kc,
-    RMT_OPTION(kc, KernelCell{false, false});
-    RMT_OPTION(kc, KernelCell{false, true});
-    RMT_OPTION(kc, KernelCell{true, false});
-    RMT_OPTION(kc, KernelCell{true, true});
-)
-
-/// Run the differential decider property over the full 384-cell product,
+/// Run the differential decider property over the full 96-cell product,
 /// recording each cell's seed into `seeds`.
 Result sweep_decider_product(std::uint64_t root_seed,
                              std::vector<std::uint64_t>* seeds) {
@@ -106,8 +95,7 @@ Result sweep_decider_product(std::uint64_t root_seed,
   StructureRecipe recipe;
   std::size_t floor = 0;
   Placement place;
-  std::size_t workers = 0;
-  KernelCell kernel;
+  bool at_boundary = false;
   return runner.check(
       [&](std::uint64_t cell_seed) {
         if (seeds) seeds->push_back(cell_seed);
@@ -116,48 +104,38 @@ Result sweep_decider_product(std::uint64_t root_seed,
         const NodeId r = place.reversed ? NodeId(0) : NodeId(n - 1);
         Rng rng(cell_seed);
         const AdversaryStructure z =
-            kernel.at_boundary
+            at_boundary
                 ? threshold_structure(g.nodes() - NodeSet{d, r}, 2)
                 : random_structure(g.nodes(), recipe.sets, recipe.size, NodeSet{d, r}, rng);
         ViewFunction gamma = (floor == SIZE_MAX) ? ViewFunction::full(g)
                                                  : ViewFunction::ad_hoc(g);
         const Instance inst(g, z, std::move(gamma), d, r);
-        const simd::ScopedForceScalar backend(kernel.scalar);
         const auto expect = analysis::find_rmt_cut_reference(inst);
-        std::optional<analysis::RmtCutWitness> got;
-        if (workers == 0) {
-          got = analysis::find_rmt_cut(inst);
-        } else {
-          exec::ThreadPool pool(workers);
-          got = analysis::find_rmt_cut(inst, &pool);
-        }
-        if (expect.has_value() != got.has_value())
-          throw std::runtime_error("decider existence diverged from reference");
-        if (expect &&
-            !(expect->c1 == got->c1 && expect->c2 == got->c2 && expect->b == got->b))
-          throw std::runtime_error("decider witness diverged from reference");
+        if (!same_witness(expect, analysis::find_rmt_cut(inst)))
+          throw std::runtime_error("RMT-cut witness diverged from reference");
+        const auto zpp = analysis::find_rmt_zpp_cut_reference(inst);
+        if (!same_witness(zpp, analysis::find_rmt_zpp_cut(inst)))
+          throw std::runtime_error("Z-pp cut witness diverged from reference");
         // The characterizations nest: Z-CPA solvable ⇒ RMT solvable ⇒
         // full-knowledge solvable. Served `analyze` skips a decider on the
         // strength of these, so every cell checks them.
-        if (!analysis::find_rmt_zpp_cut(inst) && expect)
+        if (!zpp && expect)
           throw std::runtime_error("Z-CPA solvable but an RMT-cut exists");
         if (!expect && analysis::find_two_cover_cut(g, z, d, r))
           throw std::runtime_error("RMT solvable but a two-cover exists");
       },
       RMT_PC_AXIS(graph_families, g), RMT_PC_AXIS(structure_recipes, recipe),
       RMT_PC_AXIS(view_floors, floor), RMT_PC_AXIS(placements, place),
-      RMT_PC_AXIS(worker_counts, workers), RMT_PC_AXIS(kernel_cells, kernel));
+      RMT_PC_AXIS(boundary_cells, at_boundary));
 }
 
 TEST(Propcheck, DeciderProductSweepsAllCells) {
   std::vector<std::uint64_t> seeds;
   const Result r = sweep_decider_product(0x9c0ffee0, &seeds);
   EXPECT_TRUE(r.ok()) << r.summary();
-  EXPECT_EQ(r.cells, 384u);
-  EXPECT_EQ(r.shape, (std::vector<std::size_t>{4, 3, 2, 2, 2, 4}));
-  EXPECT_EQ(seeds.size(), 384u);
-  // The backend hook is scoped: a sweep never leaks a forced-scalar state.
-  EXPECT_FALSE(simd::scalar_forced());
+  EXPECT_EQ(r.cells, 96u);
+  EXPECT_EQ(r.shape, (std::vector<std::size_t>{4, 3, 2, 2, 2}));
+  EXPECT_EQ(seeds.size(), 96u);
 }
 
 TEST(Propcheck, CellSeedsAreDeterministicAcrossSweeps) {
@@ -170,9 +148,9 @@ TEST(Propcheck, CellSeedsAreDeterministicAcrossSweeps) {
   (void)sweep_decider_product(0x12345, &other);
   EXPECT_NE(first, other);
   // And the seed of a given coordinate is exactly the frozen splitmix64
-  // chain folded over the coordinates — recompute cell (0,0,0,0,0,1) by hand.
+  // chain folded over the coordinates — recompute cell (0,0,0,0,1) by hand.
   std::uint64_t s = 0x9c0ffee0;
-  for (const std::size_t idx : {0, 0, 0, 0, 0, 1}) s = exec::derive_seed(s, idx);
+  for (const std::size_t idx : {0, 0, 0, 0, 1}) s = exec::derive_seed(s, idx);
   EXPECT_EQ(first[1], s);
 }
 

@@ -8,7 +8,6 @@
 
 #include "adversary/threshold.hpp"
 #include "analysis/feasibility.hpp"
-#include "exec/thread_pool.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
@@ -229,28 +228,10 @@ TEST(RmtCut, FullViewGateDecidesByTheTwoCover) {
   }
 }
 
-TEST(RmtCutDeciderPool, PooledWitnessIsSequentialWitness) {
-  // The pooled scan keeps the lowest-index candidate per batch, so its
-  // answer must be bit-identical to the sequential one — here against both
-  // the shipped and the reference decider.
-  exec::ThreadPool pool(4);
-  Rng rng(67);
-  for (int trial = 0; trial < 25; ++trial) {
-    const Instance inst = testing::random_instance(7, 0.3, 3, 2, 1 + trial % 3, rng);
-    const auto seq = find_rmt_cut(inst);
-    EXPECT_TRUE(same_witness(seq, find_rmt_cut(inst, &pool))) << inst.to_string();
-    EXPECT_TRUE(same_witness(seq, find_rmt_cut_reference(inst))) << inst.to_string();
-  }
-  const Instance big =
-      Instance::ad_hoc(generators::cycle_graph(20), AdversaryStructure::trivial(), 0, 10);
-  EXPECT_TRUE(same_witness(find_rmt_cut(big), find_rmt_cut(big, &pool)));
-}
-
 TEST(RmtCut, AdjacentEndpointsHaveNoCut) {
   // With D adjacent to R every B ∋ R has D in N(B): no cut exists, and the
-  // shipped overloads return before enumerating (R would be a forbidden
+  // shipped decider returns before enumerating (R would be a forbidden
   // seed). The reference still walks every B and rejects each one.
-  exec::ThreadPool pool(4);
   Rng rng(2017);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = 6 + rng.index(5);
@@ -266,11 +247,9 @@ TEST(RmtCut, AdjacentEndpointsHaveNoCut) {
       const Instance inst(g, z, gamma, d, r);
       const auto want = find_rmt_cut_reference(inst);
       EXPECT_FALSE(want.has_value()) << inst.to_string();
-      std::optional<RmtCutWitness> seq, pooled;
-      EXPECT_NO_THROW(seq = find_rmt_cut(inst)) << inst.to_string();
-      EXPECT_NO_THROW(pooled = find_rmt_cut(inst, &pool)) << inst.to_string();
-      EXPECT_TRUE(same_witness(seq, want)) << inst.to_string();
-      EXPECT_TRUE(same_witness(pooled, want)) << inst.to_string();
+      std::optional<RmtCutWitness> got;
+      EXPECT_NO_THROW(got = find_rmt_cut(inst)) << inst.to_string();
+      EXPECT_TRUE(same_witness(got, want)) << inst.to_string();
     }
   }
 }

@@ -4,13 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <memory>
 #include <set>
 #include <vector>
 
 #include "tests/test_util.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace rmt {
 namespace {
@@ -138,38 +136,28 @@ TEST(Structure, EnumerateMembersStops) {
   EXPECT_EQ(n, 3u);
 }
 
-// -- the SoA bit-matrix membership kernels -----------------------------------
-
-TEST(StructureKernels, MatrixBuildsOnlyAboveThreshold) {
-  // Small antichains stay on the scalar maximal_ scan (a matrix build never
-  // amortizes there); crossing kMatrixBuildRows flips rebuild_cache to the
-  // column-block-major SoA layout.
-  std::vector<NodeSet> sets;
-  for (NodeId v = 0; v + 1 < AdversaryStructure::kMatrixBuildRows; ++v)
-    sets.push_back(NodeSet{v});
-  AdversaryStructure z = AdversaryStructure::from_sets(sets);
-  EXPECT_EQ(z.num_maximal_sets(), AdversaryStructure::kMatrixBuildRows - 1);
-  EXPECT_EQ(z.matrix().num_rows(), 0u);
-  z.add(NodeSet{NodeId(AdversaryStructure::kMatrixBuildRows + 3)});
-  EXPECT_EQ(z.num_maximal_sets(), AdversaryStructure::kMatrixBuildRows);
-  EXPECT_EQ(z.matrix().num_rows(), z.num_maximal_sets());
-  // Shrinking back below the threshold drops the matrix again.
-  const AdversaryStructure zr = z.restricted_to(NodeSet{0, 1});
-  EXPECT_EQ(zr.matrix().num_rows(), 0u);
-}
-
-TEST(StructureKernels, ProbeBatchMatchesContainsUnderBothBackends) {
-  // probe_batch vs per-candidate contains, with the compiled vector
-  // kernels and again with the scalar reference forced: four answers per
-  // probe, one truth. Antichain widths straddle kMatrixBuildRows, probe
-  // popcounts straddle each bucket threshold (every maximal set itself,
-  // one node fewer, one node more).
+TEST(Structure, ContainsMatchesSomeMaximalSuperset) {
+  // contains(x) against its definition, some maximal M ⊇ x. Probes sit on
+  // the popcount filters (every maximal set itself, one node fewer, one
+  // node more), plus the empty set, an over-wide set and random subsets.
+  // Random antichains from 2, 8 and 40 generators, and exact widths 7–9
+  // around the 8 rows where the scan used to switch layouts.
   Rng rng(77);
-  for (const std::size_t nsets : {2u, 8u, 40u}) {
+  std::vector<AdversaryStructure> structures;
+  for (const std::size_t ngen : {2u, 8u, 40u}) {
     std::vector<NodeSet> gen;
-    for (std::size_t i = 0; i < nsets; ++i)
+    for (std::size_t i = 0; i < ngen; ++i)
       gen.push_back(testing::from_mask(rng.uniform(1, 4095), 12));
-    const AdversaryStructure z = AdversaryStructure::from_sets(gen);
+    structures.push_back(AdversaryStructure::from_sets(gen));
+  }
+  for (const NodeId width : {7u, 8u, 9u}) {
+    std::vector<NodeSet> pairs;
+    for (NodeId v = 0; v < width; ++v) pairs.push_back(NodeSet{v, NodeId(v + 3)});
+    structures.push_back(AdversaryStructure::from_sets(pairs));
+    EXPECT_EQ(structures.back().num_maximal_sets(), width);
+  }
+  for (const AdversaryStructure& z : structures) {
+    const std::size_t nsets = z.num_maximal_sets();
     std::vector<NodeSet> probes{NodeSet{}, NodeSet::full(13)};
     for (const NodeSet& m : z.maximal_sets()) {
       probes.push_back(m);
@@ -182,23 +170,10 @@ TEST(StructureKernels, ProbeBatchMatchesContainsUnderBothBackends) {
     }
     for (int i = 0; i < 16; ++i)
       probes.push_back(testing::from_mask(rng.uniform(0, 8191), 13));
-    const std::unique_ptr<bool[]> vec(new bool[probes.size()]);
-    const std::unique_ptr<bool[]> scal(new bool[probes.size()]);
-    z.probe_batch(probes.data(), probes.size(), vec.get());
-    {
-      const simd::ScopedForceScalar scalar_only;
-      z.probe_batch(probes.data(), probes.size(), scal.get());
-    }
     for (std::size_t j = 0; j < probes.size(); ++j) {
-      const bool one = z.contains(probes[j]);
-      bool one_scal = false;
-      {
-        const simd::ScopedForceScalar scalar_only;
-        one_scal = z.contains(probes[j]);
-      }
-      ASSERT_EQ(vec[j], one) << nsets << " sets, probe " << j;
-      ASSERT_EQ(scal[j], one) << nsets << " sets, probe " << j;
-      ASSERT_EQ(one_scal, one) << nsets << " sets, probe " << j;
+      bool want = false;
+      for (const NodeSet& m : z.maximal_sets()) want = want || probes[j].is_subset_of(m);
+      ASSERT_EQ(z.contains(probes[j]), want) << nsets << " sets, probe " << j;
     }
   }
 }

@@ -236,7 +236,7 @@ def check_bench(doc, problems, args):
     # BENCH_decider.json: one row per (instance, decider) with a timing
     # column per path; a missing column is schema drift.
     if name == "bench_decider":
-        for col in ("decider", "reference_ms", "shipped_ms", "pool_ms", "identical"):
+        for col in ("decider", "reference_ms", "shipped_ms", "identical"):
             if col not in columns:
                 problems.add(f"columns: bench_decider requires {col!r}")
         for i, row in enumerate(rows):
@@ -246,7 +246,7 @@ def check_bench(doc, problems, args):
             if decider not in DECIDER_NAMES:
                 problems.add(f"rows[{i}].decider: {decider!r} is not one of "
                              f"{sorted(DECIDER_NAMES)}")
-            for col in ("reference_ms", "shipped_ms", "scalar_ms", "pool_ms"):
+            for col in ("reference_ms", "shipped_ms"):
                 if col in row and not _is_size(row[col]):
                     problems.add(f"rows[{i}].{col}: {row[col]!r} "
                                  f"(must be a non-negative finite number)")
@@ -832,11 +832,10 @@ def check_file(path, args):
 
 
 DECIDER_COLUMNS = ["family", "n", "structure", "views", "decider", "reference_ms",
-                   "shipped_ms", "scalar_ms", "pool_ms", "speedup", "identical"]
+                   "shipped_ms", "speedup", "identical"]
 DECIDER_ROW = {"family": "5-paths h4", "n": 22, "structure": "2-threshold",
                "views": "full", "decider": "rmt", "reference_ms": 7.6,
-               "shipped_ms": 0.36, "scalar_ms": 0.44, "pool_ms": 0.41, "speedup": 21.0,
-               "identical": True}
+               "shipped_ms": 0.36, "speedup": 21.0, "identical": True}
 SVC_FOOTPRINT_COLUMNS = ["section", "heap_b_per_entry", "accounted_b_per_entry",
                          "put_ns", "get_ns", "identical"]
 SVC_FOOTPRINT_ROW = {"section": "footprint", "heap_b_per_entry": 104.2,
@@ -861,7 +860,7 @@ def _selftest_docs():
         {"schema": "rmt.bench/1", "name": "bench_decider", "run": run,
          "columns": DECIDER_COLUMNS,
          "rows": [dict(DECIDER_ROW, decider="rmt"), dict(DECIDER_ROW, decider="analyze"),
-                  dict(DECIDER_ROW, decider="simulate/phantom-world", pool_ms=0.0)],
+                  dict(DECIDER_ROW, decider="simulate/phantom-world")],
          "metrics": metrics},
         # bench_svc's footprint row, and a row that measured none.
         {"schema": "rmt.bench/1", "name": "bench_svc", "run": run,

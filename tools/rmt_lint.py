@@ -78,16 +78,6 @@ catch by hand (wired into ctest as lint_project / lint_selftest):
                     registry). The store phase names ("store.load",
                     "store.append", "store.compact") belong to the phase
                     registry and are exempt here.
-  simd-discipline   raw SIMD intrinsics (_mm*, vld1q*/vst1q*,
-                    __builtin_ia32*, vendor vector types) and their
-                    <immintrin.h>/<arm_neon.h> includes only inside
-                    src/util/simd.hpp — every other layer calls the
-                    rmt::simd kernels, so the scalar reference path, the
-                    force_scalar hook, and the backend identity sweeps
-                    cover ALL vector code in the tree. The
-                    lint:simd-backend-registry markers in that header must
-                    list exactly the RMT_SIMD_BACKEND_*-gated backends
-                    (both directions checked).
 
 Usage:
   rmt_lint.py [--repo DIR]   lint the repository (default: the linter's
@@ -256,80 +246,6 @@ def check_io_discipline(relpath, text):
             yield (f"{relpath}:{i}: io-discipline: raw POSIX file io outside "
                    f"src/store/ — go through store::Store, or justify the line "
                    f"with '// {RAW_IO_ALLOWED_MARK}: why'")
-
-
-# Raw vendor intrinsics, vector register types, and the intrinsics headers.
-# The lookbehind rejects longer identifiers (commit_mm_totals, a_mm_count) so
-# only the vendor namespace itself trips the rule.
-SIMD_FILE = "src/util/simd.hpp"
-SIMD_INTRINSIC_RE = re.compile(
-    r"(?<!\w)(?:_mm\d*_[a-z0-9_]+|__m(?:64|128|256|512)[id]?\b"
-    r"|__builtin_ia32_\w+|vld\d+q?_[a-z0-9_]+|vst\d+q?_[a-z0-9_]+"
-    r"|(?:u?int|float|poly)(?:8|16|32|64)x\d+(?:x\d+)?_t\b)")
-SIMD_INCLUDE_RE = re.compile(
-    r"#\s*include\s*<(?:immintrin|x86intrin|arm_neon|arm_sve"
-    r"|[exapstw]mmintrin|avx\w*intrin)\.h>")
-
-
-def check_simd_discipline(relpath, text):
-    # src/util/simd.hpp owns every intrinsic: the kernels there carry the
-    # scalar reference twin, the force_scalar hook, and the dispatch probe.
-    # An intrinsic anywhere else is vector code the backend-identity sweeps
-    # cannot reach.
-    if relpath == SIMD_FILE:
-        return
-    for i, line in enumerate(strip_line_comments(text).splitlines(), 1):
-        if SIMD_INTRINSIC_RE.search(line) or SIMD_INCLUDE_RE.search(line):
-            yield (f"{relpath}:{i}: simd-discipline: raw SIMD intrinsic/vector type "
-                   f"outside {SIMD_FILE} — use the rmt::simd kernels")
-
-
-SIMD_BACKEND_DEFINE_RE = re.compile(r"#define\s+RMT_SIMD_BACKEND_([A-Z0-9_]+)\b")
-
-
-def parse_simd_backend_registry(text):
-    """Backend names listed between the lint:simd-backend-registry markers."""
-    m = re.search(r"lint:simd-backend-registry-begin(.*?)lint:simd-backend-registry-end",
-                  text, re.S)
-    if not m:
-        return None
-    return set(re.findall(r"^\s*//\s*([a-z0-9_]+)\s*$", m.group(1), re.M))
-
-
-def simd_backend_findings(registry, simd_text):
-    """The both-direction backend check as a pure function (self-tested).
-
-    Every RMT_SIMD_BACKEND_* gate in the header must be listed in the
-    registry markers, and every listed backend must keep its gate — so
-    adding a backend (or retiring one) forces the registry comment, the
-    propcheck axis docs, and the reviewer to notice.
-    """
-    findings = []
-    gated = {name.lower() for name in SIMD_BACKEND_DEFINE_RE.findall(simd_text)}
-    for name in sorted(gated - registry):
-        findings.append(
-            f"{SIMD_FILE}:1: simd-discipline: backend '{name}' is gated by an "
-            f"RMT_SIMD_BACKEND_ define but not listed in the "
-            f"lint:simd-backend-registry markers")
-    for name in sorted(registry - gated):
-        findings.append(
-            f"{SIMD_FILE}:1: simd-discipline: registered backend '{name}' has "
-            f"no RMT_SIMD_BACKEND_ define left")
-    return findings
-
-
-def check_simd_backend_registry(repo, findings):
-    path = repo / SIMD_FILE
-    if not path.is_file():
-        findings.append(f"{SIMD_FILE}:1: simd-discipline: kernel header is missing")
-        return
-    text = path.read_text(encoding="utf-8")
-    registry = parse_simd_backend_registry(text)
-    if registry is None:
-        findings.append(f"{SIMD_FILE}:1: simd-discipline: "
-                        f"lint:simd-backend-registry markers not found")
-        return
-    findings.extend(simd_backend_findings(registry, text))
 
 
 def function_body(text, name):
@@ -695,7 +611,7 @@ def check_store_metric_registry(repo, sources, findings):
 LINT_DIRS = ["src", "bench", "tests", "tools", "examples"]
 PER_FILE_RULES = [check_pragma_once, check_header_namespace, check_banned_tokens,
                   check_thread_spawn, check_rng_discipline, check_socket_discipline,
-                  check_io_discipline, check_simd_discipline]
+                  check_io_discipline]
 
 
 def gather_sources(repo):
@@ -718,7 +634,6 @@ def lint_repo(repo):
         for rule in PER_FILE_RULES:
             findings.extend(rule(relpath, text))
     check_entry_requires(repo, findings)
-    check_simd_backend_registry(repo, findings)
     check_phase_registry(repo, sources, findings)
     check_span_registry(repo, sources, findings)
     check_svc_metric_registry(repo, sources, findings)
@@ -791,31 +706,6 @@ SELFTEST_CASES = [
     (check_io_discipline, "src/x.cpp", "reopen(log);\n", False),
     (check_io_discipline, "src/x.cpp", "pwrite_all(fd, buf);\n", False),
     (check_io_discipline, "src/x.cpp", "// raw ::write( is banned here\n", False),
-    (check_simd_discipline, "src/adversary/bit_matrix.cpp",
-     "__m256i v = _mm256_setzero_si256();\n", True),
-    (check_simd_discipline, "src/util/simd.hpp",
-     "__m256i v = _mm256_setzero_si256();\n", False),
-    (check_simd_discipline, "bench/x.cpp", "uint64x2_t r = vld1q_u64(p);\n", True),
-    (check_simd_discipline, "tests/test_x.cpp", "__builtin_ia32_pand(a, b);\n", True),
-    (check_simd_discipline, "src/x.cpp", "#include <immintrin.h>\n", True),
-    (check_simd_discipline, "src/x.cpp", "#include <arm_neon.h>\n", True),
-    # Longer identifiers and comment mentions are not the vendor namespace.
-    (check_simd_discipline, "src/x.cpp", "commit_mm_totals(x);\n", False),
-    (check_simd_discipline, "src/x.cpp", "// _mm256_or_si256 lives in simd.hpp\n", False),
-    (check_simd_discipline, "src/x.cpp", "simd::subset_any(cols, 1, 1, n, cand);\n", False),
-]
-
-# (registry, simd.hpp text, expect_finding) for simd_backend_findings.
-SIMD_BACKEND_CASES = [
-    # Gates and registry agree: clean.
-    ({"avx2", "neon"},
-     "#define RMT_SIMD_BACKEND_AVX2 1\n#define RMT_SIMD_BACKEND_NEON 1\n", False),
-    # A gated backend missing from the markers is a finding.
-    ({"avx2"},
-     "#define RMT_SIMD_BACKEND_AVX2 1\n#define RMT_SIMD_BACKEND_NEON 1\n", True),
-    # A registered backend with no gate left is a finding.
-    ({"avx2", "neon", "sve"},
-     "#define RMT_SIMD_BACKEND_AVX2 1\n#define RMT_SIMD_BACKEND_NEON 1\n", True),
 ]
 
 # (span_registry, phase_names, sources, expect_finding) for span_findings.
@@ -950,17 +840,6 @@ def self_test():
     if registry != {"a.b", "c.d"}:
         failures.append(f"parse_phase_registry: got {registry!r}")
 
-    simd_registry = parse_simd_backend_registry(
-        "// lint:simd-backend-registry-begin\n//   avx2\n//   neon\n"
-        "// lint:simd-backend-registry-end\n")
-    if simd_registry != {"avx2", "neon"}:
-        failures.append(f"parse_simd_backend_registry: got {simd_registry!r}")
-    for case, (reg, text, expect) in enumerate(SIMD_BACKEND_CASES):
-        got = bool(simd_backend_findings(reg, text))
-        if got != expect:
-            failures.append(f"simd-backend case {case}: expected "
-                            f"{'a finding' if expect else 'clean'}, got the opposite")
-
     span_registry = parse_span_registry(
         '// lint:span-registry-begin\n"exec.task",\n"svc.join",\n'
         '// lint:span-registry-end\n')
@@ -1007,7 +886,7 @@ def self_test():
     for f in failures:
         print(f"self-test: {f}", file=sys.stderr)
     total = len(SELFTEST_CASES) + len(SPAN_CASES) + len(SVC_METRIC_CASES) \
-        + len(NET_METRIC_CASES) + len(STORE_METRIC_CASES) + len(SIMD_BACKEND_CASES) + 8
+        + len(NET_METRIC_CASES) + len(STORE_METRIC_CASES) + 7
     print(f"self-test: {total} checks, {len(failures)} failures")
     return 1 if failures else 0
 

@@ -1136,13 +1136,17 @@ def tcp_slow_client(server, jobs, failures):
              "--write-hard-cap", "4096"]
     with TcpServer(server, jobs, flags) as srv:
         slow = TcpClient(srv.port, rcvbuf=4096)
+        # Pipeline answered-but-unread work until the server's write queue
+        # blows past the hard cap. The whole burst goes out in one write, so
+        # the server's first recv(2) already holds more answers than the
+        # cap: the queue passes it whatever the budget does to later reads.
+        # Sent line by line, reads could pause with the queue between the
+        # budget and the cap, and the client would never be dropped. The
+        # send fails once the server resets the connection — that is the
+        # success condition.
+        burst = "".join(request(f"s{i}", INSTANCE_A) + "\n\n" for i in range(400))
         try:
-            # Pipeline answered-but-unread work until the server's write
-            # queue blows past the hard cap. Sends start failing once the
-            # server resets the connection — that is the success condition.
-            for i in range(400):
-                slow.send_line(request(f"s{i}", INSTANCE_A))
-                slow.send_line("")
+            slow.send_raw(burst.encode())
         except OSError:
             pass
 
