@@ -29,6 +29,21 @@
 // (svc/entry_codec.hpp) keeps a whole entry below its logical size.
 // (Sanitizer builds replace malloc; they do not run this bench.)
 //
+// Io section ("io" rows, one per cold_mix family × view kind): the cost of
+// turning instance text into an Instance and its key, the layer a cold
+// request pays before any decider runs. kIoTexts canonical texts per row —
+// cold_mix's families (k parallel paths, cycles, generalised wheels, random
+// connected G(n, p), all with n <= 26) under a random relabelling, with a
+// 1- or 2-threshold over the relays or a random antichain — under ad hoc,
+// 1-hop, 2-hop or full views. parse_ns_per_b / key_ns_per_b are the best
+// of kReps passes of io::parse_instance_string and svc::instance_key per
+// text byte; parse_ref_ns_per_b / key_ref_ns_per_b the same for
+// propcheck::reference_parse_instance and for the reference serializer
+// followed by svc::key_of_text. Timings are reported, never gated: a
+// wall-clock floor on a bench this short flakes under a parallel ctest.
+// The row's `identical` is: both parsers give every text back as its own
+// canonical text, and the streamed key equals the key of that text.
+//
 // The `identical` column is the determinism gate: every response in the
 // row — cached, coalesced, fresh, any worker count — must be byte-equal
 // to the sequential fresh-engine answer for its key (footprint: every
@@ -46,7 +61,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "check/reference_parser.hpp"
 #include "exec/campaign.hpp"
+#include "io/serialize.hpp"
 #include "svc/engine.hpp"
 #include "svc/instance_key.hpp"
 
@@ -65,6 +82,7 @@ inline constexpr double kMinWarmSpeedup = 3.0;
 // allocator rounding included; unencoded entries cost ~1.4×).
 inline constexpr std::size_t kFootprintEntries = 8000;
 inline constexpr double kMaxHeapRatio = 0.75;
+inline constexpr std::size_t kIoTexts = 48;
 inline constexpr std::size_t kStreamLen = 96;
 inline constexpr std::size_t kBatch = 16;
 inline constexpr std::size_t kHotSet = 4;
@@ -211,6 +229,39 @@ std::vector<Answer> real_answers(exec::ThreadPool& pool, std::size_t count) {
   return out;
 }
 
+/// kIoTexts canonical texts of one cold_mix family under one view kind
+/// (see the io section above). Deterministic in the family and view names.
+std::vector<std::string> io_texts(const std::string& family, const std::string& views) {
+  Rng rng(std::hash<std::string>{}(family + "/" + views) % 1000003);
+  std::vector<std::string> out;
+  while (out.size() < kIoTexts) {
+    const Graph base = family == "k-paths" ? generators::parallel_paths(3 + rng.index(3),
+                                                                        2 + rng.index(3))
+                       : family == "cycle" ? generators::cycle_graph(12 + rng.index(15))
+                       : family == "wheel"
+                           ? generators::generalized_wheel(12 + rng.index(14), 2 + rng.index(2))
+                           : generators::random_connected_gnp(12 + rng.index(15), 0.15, rng);
+    const std::size_t n = base.num_nodes();
+    std::vector<NodeId> perm(n);
+    for (std::size_t i = 0; i < n; ++i) perm[i] = NodeId(i);
+    std::shuffle(perm.begin(), perm.end(), rng.engine());
+    Graph g(n);
+    for (const Edge& e : base.edges()) g.add_edge(perm[e.a], perm[e.b]);
+    const NodeId d = perm[0], r = perm[n / 2];
+    const NodeSet relays = g.nodes() - NodeSet{d, r};
+    const std::size_t pick = rng.index(3);
+    const AdversaryStructure z =
+        pick == 2 ? random_structure(relays, 4 + rng.index(8), 2 + rng.index(3), NodeSet{d, r}, rng)
+                  : threshold_structure(relays, 1 + pick);
+    const ViewFunction gamma = views == "adhoc"    ? ViewFunction::ad_hoc(g)
+                               : views == "k-hop1" ? ViewFunction::k_hop(g, 1)
+                               : views == "k-hop2" ? ViewFunction::k_hop(g, 2)
+                                                   : ViewFunction::full(g);
+    out.push_back(propcheck::reference_serialize_instance(Instance(g, z, gamma, d, r)));
+  }
+  return out;
+}
+
 template <typename F>
 double best_us(F&& f) {
   double best = 0;
@@ -230,7 +281,8 @@ int main(int argc, char** argv) {
   Reporter rep(argc, argv, "bench_svc");
   rep.columns({"section", "workload", "jobs", "hit_pct", "requests", "cold_us", "warm_us",
                "speedup", "qps", "p50_us", "p95_us", "p99_us", "hit_rate", "heap_b_per_entry",
-               "accounted_b_per_entry", "put_ns", "get_ns", "identical"});
+               "accounted_b_per_entry", "put_ns", "get_ns", "bytes_per_text", "parse_ns_per_b",
+               "parse_ref_ns_per_b", "key_ns_per_b", "key_ref_ns_per_b", "identical"});
 
   const std::size_t jobs = rep.exec().jobs > 1
                                ? rep.exec().jobs
@@ -265,7 +317,8 @@ int main(int argc, char** argv) {
 
     const double speedup = warm_us > 0 ? cold_us / warm_us : 0.0;
     rep.row({"latency", name, std::uint64_t(jobs), std::uint64_t(100), std::uint64_t(1), cold_us,
-             warm_us, speedup, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, identical});
+             warm_us, speedup, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+             0.0, identical});
     RMT_CHECK(identical, "bench_svc: " + name + " served bytes diverged from fresh sequential");
     RMT_CHECK(speedup >= kMinWarmSpeedup,
               "bench_svc: " + name + " warm decide only " + fmt::fixed(speedup, 2) +
@@ -334,7 +387,7 @@ int main(int argc, char** argv) {
 
       rep.row({"throughput", "cycle-16", std::uint64_t(run_jobs), std::uint64_t(hit_pct),
                completed, 0.0, 0.0, 0.0, qps, lat.p50(), lat.p95(), lat.p99(), hit_rate, 0.0,
-               0.0, 0.0, 0.0, identical});
+               0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, identical});
       RMT_CHECK(identical, "bench_svc: throughput stream (jobs=" + std::to_string(run_jobs) +
                                ", hit=" + std::to_string(hit_pct) +
                                "%) served bytes diverged from fresh sequential");
@@ -369,7 +422,7 @@ int main(int argc, char** argv) {
     const double per = 1000.0 / double(answers.size());
     rep.row({"footprint", "real answers", std::uint64_t(1), std::uint64_t(0),
              std::uint64_t(answers.size()), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, heap,
-             accounted, put_us * per, get_us * per, identical});
+             accounted, put_us * per, get_us * per, 0.0, 0.0, 0.0, 0.0, 0.0, identical});
     RMT_CHECK(identical, "bench_svc: cached answers did not read back byte-equal");
     RMT_CHECK(heap <= kMaxHeapRatio * accounted,
               "bench_svc: a cached answer costs " + fmt::fixed(heap, 1) + " B of heap for " +
@@ -377,8 +430,51 @@ int main(int argc, char** argv) {
                   fmt::fixed(kMaxHeapRatio, 2) + "x)");
   }
 
+  // ---- Io: instance text to Instance and key, against the references ---
+  for (const char* family : {"k-paths", "cycle", "wheel", "gnp"}) {
+    for (const char* views : {"adhoc", "k-hop1", "k-hop2", "full"}) {
+      const std::vector<std::string> texts = io_texts(family, views);
+      double bytes = 0;
+      for (const std::string& t : texts) bytes += double(t.size());
+      bool identical = true;
+      std::vector<Instance> parsed;
+      for (const std::string& t : texts) {
+        parsed.push_back(io::parse_instance_string(t));
+        const Instance ref = propcheck::reference_parse_instance(t);
+        identical = identical && io::serialize_instance(parsed.back()) == t &&
+                    propcheck::reference_serialize_instance(ref) == t &&
+                    svc::instance_key(parsed.back()) == svc::key_of_text(t);
+      }
+      std::size_t sink = 0;
+      const double parse_us = best_us([&] {
+        for (const std::string& t : texts) sink += io::parse_instance_string(t).num_players();
+      });
+      const double parse_ref_us = best_us([&] {
+        for (const std::string& t : texts)
+          sink += propcheck::reference_parse_instance(t).num_players();
+      });
+      const double key_us = best_us([&] {
+        for (const Instance& inst : parsed) sink += svc::instance_key(inst).lo & 1;
+      });
+      const double key_ref_us = best_us([&] {
+        for (const Instance& inst : parsed)
+          sink += svc::key_of_text(propcheck::reference_serialize_instance(inst)).lo & 1;
+      });
+      RMT_CHECK(sink > 0, "bench_svc: io rows parsed nothing");
+      const double per_b = 1000.0 / bytes;
+      const std::string name = std::string(family) + "/" + views;
+      rep.row({"io", name, std::uint64_t(1), std::uint64_t(0), std::uint64_t(texts.size()), 0.0,
+               0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+               bytes / double(texts.size()), parse_us * per_b, parse_ref_us * per_b,
+               key_us * per_b, key_ref_us * per_b, identical});
+      RMT_CHECK(identical, "bench_svc: io row " + name +
+                               ": a parser, the serializer or the key diverged from the "
+                               "references");
+    }
+  }
+
   pool.publish_stats();
-  rep.finish("SVC — memoizing query service: cold/warm latency, throughput and heap per "
-             "cached answer (identical bytes)");
+  rep.finish("SVC — memoizing query service: cold/warm latency, throughput, heap per "
+             "cached answer and instance parse/key cost (identical bytes)");
   return 0;
 }

@@ -598,6 +598,21 @@ std::string parser_divergence(const std::string& text, const std::optional<Insta
   return "";
 }
 
+/// Where the canonical text or the key of an accepted instance departs
+/// from the references, or "" when both agree: io::serialize_instance must
+/// write the reference serializer's bytes, and `key_fn` (the streamed
+/// svc::instance_key) must equal svc::key_of_text of those bytes.
+std::string key_divergence(const Instance& inst,
+                           const std::function<svc::InstanceKey(const Instance&)>& key_fn) {
+  const std::string want = reference_serialize_instance(inst);
+  if (io::serialize_instance(inst) != want)
+    return "serialize_instance differs from the reference serializer";
+  const svc::InstanceKey key = key_fn(inst), want_key = svc::key_of_text(want);
+  if (key != want_key)
+    return "instance_key " + key.to_hex() + " | key_of_text " + want_key.to_hex();
+  return "";
+}
+
 /// Where resolving `text` inside a request line through `memo` — cold,
 /// then warm — disagrees with the memo-free wire::parse_request, or "" when
 /// all three agree on accept or reject, the message and the key, and the
@@ -664,6 +679,9 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
   const auto parser = opts.parser ? opts.parser : [](const std::string& t) {
     return io::parse_instance_string(t);
   };
+  const auto key_fn = opts.instance_key ? opts.instance_key : [](const Instance& i) {
+    return svc::instance_key(i);
+  };
   // One memo for the whole loop, at the serving default budget, so later
   // mutants meet the entries earlier texts left behind.
   constexpr std::size_t kMemoBytes = 1u << 20;
@@ -706,6 +724,9 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
       continue;
     }
     report.parsed_ok += 1;
+    report.key_checks += 1;
+    if (const std::string diff = key_divergence(*inst, key_fn); !diff.empty())
+      report.findings.push_back(FuzzFinding{"key-diverged", diff, text, seed, i});
 
     // Accept-then-diverge: the accepted mutant must reach the round-trip
     // fixed point (serialize ∘ parse ∘ serialize is the identity on the
@@ -935,7 +956,8 @@ std::string FuzzReport::summary() const {
   return "fuzz: " + std::to_string(parser_mutants) + " parser mutants (" +
          std::to_string(parsed_ok) + " parsed, " + std::to_string(rejected) +
          " rejected), " + std::to_string(memo_checks) + " memo checks, " +
-         std::to_string(roundtrip_checks) + " round-trips, " +
+         std::to_string(roundtrip_checks) + " round-trips, " + std::to_string(key_checks) +
+         " key checks, " +
          std::to_string(audit_checks) + " audits, " + std::to_string(diff_checks) +
          " differential checks, " + std::to_string(membership_probes) +
          " membership probes, " + std::to_string(store_checks) + " store images (" +

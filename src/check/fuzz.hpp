@@ -14,6 +14,11 @@
 //     stream-based original: both must accept or both reject, with the
 //     same message, and accepted instances must serialize identically.
 //
+//     Every accepted mutant's canonical text (io::serialize_instance) must
+//     equal the reference serializer's, and its svc::instance_key — which
+//     hashes the canonical text as it is written, never building it — must
+//     equal svc::key_of_text of that text (key-diverged).
+//
 //     Each mutant is also embedded in an rmt.request/1 line and resolved
 //     through one svc::InstanceMemo twice (cold, then as a hit) via
 //     wire::parse_line, and once through the memo-free parse_request: all
@@ -57,8 +62,8 @@
 //     consuming exactly the encoding, match() must accept x and reject x
 //     with one byte changed (codec-diverged).
 //
-// The parser, memo, deciders and codec under test are injectable
-// (FuzzOptions::parser / memo / rmt_decider / zpp_decider /
+// The parser, key, memo, deciders and codec under test are injectable
+// (FuzzOptions::parser / instance_key / memo / rmt_decider / zpp_decider /
 // two_cover_decider / codec_encode) so the harness can prove it *catches*
 // a deliberately broken one — that self-test is wired as the
 // fuzz_selftest ctest and `rmt_fuzz --self-test`.
@@ -98,6 +103,10 @@ struct FuzzOptions {
   /// Parser under differential test against reference_parse_instance;
   /// null = io::parse_instance_string. The self-test injects a broken one.
   std::function<Instance(const std::string&)> parser;
+  /// Instance key under differential test against svc::key_of_text of
+  /// the reference serializer's text; null = svc::instance_key. The
+  /// self-test injects one that skips a view-edge line.
+  std::function<svc::InstanceKey(const Instance&)> instance_key;
   /// Makes the memo under differential test against parse_request, given
   /// its byte budget; null = svc::InstanceMemo. The self-test injects an
   /// inexact one.
@@ -119,7 +128,7 @@ struct FuzzOptions {
 /// One divergence/contract violation, with everything needed to reproduce.
 struct FuzzFinding {
   std::string kind;    ///< parser-crash | parser-diverged | memo-diverged
-                       ///< | roundtrip-diverged
+                       ///< | roundtrip-diverged | key-diverged
                        ///< | audit-violation | decider-diverged
                        ///< | zcpa-implication-violated
                        ///< | full-implication-violated | analyze-diverged
@@ -139,6 +148,7 @@ struct FuzzReport {
   std::size_t rejected = 0;          ///< clean std::invalid_argument rejections
   std::size_t memo_checks = 0;       ///< mutants resolved through the memo
   std::size_t roundtrip_checks = 0;  ///< serialize∘parse fixed-point checks run
+  std::size_t key_checks = 0;        ///< accepted mutants' text and key vs. the references
   std::size_t audit_checks = 0;      ///< deep-validator passes over accepted mutants
   std::size_t diff_checks = 0;       ///< differential decider/svc checks run
   std::size_t membership_probes = 0;  ///< contains-vs-definition probes compared
@@ -152,7 +162,8 @@ struct FuzzReport {
   bool ok() const { return findings.empty(); }
   /// One-line outcome, e.g.
   /// "fuzz: 10000 parser mutants (812 parsed, 9188 rejected), 10000 memo
-  ///  checks, ..., 500 differential checks, ..., 0 findings".
+  ///  checks, ..., 812 key checks, ..., 500 differential checks, ...,
+  ///  0 findings".
   std::string summary() const;
 };
 

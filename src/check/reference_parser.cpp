@@ -234,4 +234,77 @@ Instance reference_parse_instance(const std::string& text) {
   return reference_parse_stream(ss);
 }
 
+std::string reference_serialize_instance(const Instance& inst) {
+  std::string out;
+  out.reserve(64 + 16 * inst.graph().num_edges());
+  const auto append_num = [&out](std::uint64_t v) { out += std::to_string(v); };
+  out += "rmt-instance v1\n";
+  out += "nodes ";
+  append_num(inst.graph().capacity());
+  out += "\n";
+  for (const Edge& e : inst.graph().edges()) {
+    out += "edge ";
+    append_num(e.a);
+    out += ' ';
+    append_num(e.b);
+    out += '\n';
+  }
+  out += "dealer ";
+  append_num(inst.dealer());
+  out += "\nreceiver ";
+  append_num(inst.receiver());
+  out += "\n";
+  for (const NodeSet& m : inst.adversary().maximal_sets()) {
+    if (m.empty()) continue;
+    out += "corruptible";
+    m.for_each([&](NodeId v) {
+      out += ' ';
+      append_num(v);
+    });
+    out += '\n';
+  }
+  // Emit custom views as extras over the ad hoc floor, the owner's star:
+  // N[v] and the deg(v) edges at v. Every view contains its star
+  // (ViewFunction::set_view enforces it), so a view is the star iff its
+  // nodes are N[v] and it has deg(v) edges, and its extras are the nodes
+  // outside N[v] and the edges not incident to v.
+  const Graph& g = inst.graph();
+  bool is_adhoc = true;
+  g.nodes().for_each([&](NodeId v) {
+    const Graph& view = inst.gamma().view(v);
+    if (!(view.nodes() == g.closed_neighborhood(v) && view.num_edges() == g.degree(v)))
+      is_adhoc = false;
+  });
+  if (is_adhoc) {
+    out += "knowledge adhoc\n";
+  } else {
+    out += "knowledge custom\n";
+    g.nodes().for_each([&](NodeId v) {
+      const Graph& view = inst.gamma().view(v);
+      NodeSet extra_nodes = view.nodes() - g.closed_neighborhood(v);
+      if (!extra_nodes.empty()) {
+        out += "view ";
+        append_num(v);
+        out += " :";
+        extra_nodes.for_each([&](NodeId u) {
+          out += ' ';
+          append_num(u);
+        });
+        out += '\n';
+      }
+      for (const Edge& e : view.edges())
+        if (e.a != v && e.b != v) {
+          out += "view-edge ";
+          append_num(v);
+          out += " : ";
+          append_num(e.a);
+          out += ' ';
+          append_num(e.b);
+          out += '\n';
+        }
+    });
+  }
+  return out;
+}
+
 }  // namespace rmt::propcheck

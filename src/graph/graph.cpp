@@ -58,12 +58,19 @@ NodeSet Graph::boundary(const NodeSet& s) const {
 
 std::vector<Edge> Graph::edges() const {
   std::vector<Edge> out;
-  nodes_.for_each([&](NodeId v) {
-    adj_[v].for_each([&](NodeId u) {
-      if (v < u) out.push_back({v, u});
-    });
-  });
+  for_each_edge([&](NodeId a, NodeId b) { out.push_back({a, b}); });
   return out;
+}
+
+Graph Graph::star(NodeId v, const NodeSet& extra) const {
+  const NodeSet& around = neighbors(v);
+  Graph s;
+  s.nodes_ = around | extra;
+  s.nodes_.insert(v);
+  s.adj_.resize(std::size_t(s.nodes_.max()) + 1);
+  s.adj_[v] = around;
+  around.for_each([&](NodeId u) { s.adj_[u].insert(v); });
+  return s;
 }
 
 Graph Graph::induced(const NodeSet& s) const {

@@ -64,6 +64,28 @@ class Graph {
   /// Edges in canonical (a<b), ascending order.
   std::vector<Edge> edges() const;
 
+  /// f(a, b) for each edge in edges() order, without building the vector.
+  template <typename F>
+  void for_each_edge(F&& f) const {
+    nodes_.for_each([&](NodeId a) {
+      // Only the neighbours b > a: the row's words from a's on, with the
+      // bits up to a cleared.
+      const NodeSet::WordSpan row = adj_[a].word_span();
+      for (std::size_t w = a / 64; w < row.count; ++w) {
+        std::uint64_t bits = row.words[w];
+        if (w == a / 64) bits &= ~0ull << (a % 64) << 1;
+        for (; bits != 0; bits &= bits - 1)
+          f(a, NodeId(w * 64 + std::size_t(__builtin_ctzll(bits))));
+      }
+    });
+  }
+
+  /// v's incident star — N[v] and the deg(v) edges at v — plus the
+  /// isolated nodes `extra`, with the adjacency allocated once, sized for
+  /// the largest of those ids. The star is the ad hoc view γ(v) and the
+  /// floor every view extends. Requires has_node(v).
+  Graph star(NodeId v, const NodeSet& extra = NodeSet{}) const;
+
   /// Node-induced subgraph on `s` (ids in `s` absent from the graph are
   /// dropped — this matches the paper's usage where G_M is "the node-induced
   /// subgraph of γ(V_M) on node set V_M"). One adjacency-row AND per kept

@@ -18,6 +18,10 @@ Instance::Instance(Graph g, AdversaryStructure z, ViewFunction gamma, NodeId dea
   RMT_REQUIRE(!support.contains(receiver_),
               "Instance: receiver must be honest (not in any Z ∈ Z)");
   RMT_REQUIRE(support.is_subset_of(g_.nodes()), "Instance: Z mentions nodes outside G");
+  // A view function grounded on G itself has already held every view to
+  // these conditions (ViewFunction::set_view), so only a view function
+  // built over some other graph is checked view by view.
+  if (gamma_.ground() == g_) return;
   g_.nodes().for_each([&](NodeId v) {
     const Graph& view = gamma_.view(v);  // throws if missing
     RMT_REQUIRE(view.has_node(v), "Instance: view must contain its owner");

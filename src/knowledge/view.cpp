@@ -7,32 +7,18 @@
 namespace rmt {
 
 ViewFunction ViewFunction::full(const Graph& g) {
-  ViewFunction f(g);
-  g.nodes().for_each([&](NodeId v) { f.set_view(v, g); });
-  return f;
+  return from_views(g, [&](NodeId) { return g; });
 }
 
 ViewFunction ViewFunction::ad_hoc(const Graph& g) {
-  ViewFunction f(g);
-  g.nodes().for_each([&](NodeId v) {
-    Graph star;
-    star.add_node(v);
-    g.neighbors(v).for_each([&](NodeId u) { star.add_edge(v, u); });
-    f.set_view(v, std::move(star));
-  });
-  return f;
+  return from_views(g, [&](NodeId v) { return g.star(v); });
 }
 
 ViewFunction ViewFunction::k_hop(const Graph& g, std::size_t k) {
-  ViewFunction f(g);
-  g.nodes().for_each([&](NodeId v) {
-    // Induced ball, floored with the owner's star (the k = 0 ball is just
-    // {v}; a view below the incident star is outside the model).
-    Graph view = g.induced(ball(g, v, k));
-    g.neighbors(v).for_each([&](NodeId u) { view.add_edge(v, u); });
-    f.set_view(v, std::move(view));
-  });
-  return f;
+  // The induced k-ball, floored with the owner's star: a ball of radius
+  // k >= 1 already holds N[v] and so the star's edges, and the k = 0 ball
+  // is just {v}, whose floor is the star itself.
+  return from_views(g, [&](NodeId v) { return k == 0 ? g.star(v) : g.induced(ball(g, v, k)); });
 }
 
 ViewFunction ViewFunction::custom(const Graph& g) { return ad_hoc(g); }

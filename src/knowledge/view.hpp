@@ -51,6 +51,17 @@ class ViewFunction {
   /// set_view for hand-built partial-knowledge scenarios.
   static ViewFunction custom(const Graph& g);
 
+  /// γ(v) = make_view(v) for every node v of g, in ascending order. Each
+  /// view is built once and validated once, by set_view, as it is made, so
+  /// the first invalid view in node order is the one rejected. The
+  /// factories above and io's parser build their views through it.
+  template <typename F>
+  static ViewFunction from_views(const Graph& g, F&& make_view) {
+    ViewFunction f(g);
+    g.nodes().for_each([&](NodeId v) { f.set_view(v, make_view(v)); });
+    return f;
+  }
+
   /// "Social proximity" model, after the paper's motivation (§1: proximity
   /// correlates with available information): each node knows its k-hop
   /// ball, plus — independently with probability p per edge — random

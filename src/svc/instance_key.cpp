@@ -17,10 +17,11 @@ std::uint64_t splitmix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
+InstanceKey key_of_fnv(std::uint64_t lo) { return InstanceKey{splitmix64(lo), lo}; }
+
 }  // namespace
 
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t h) {
   for (unsigned char c : bytes) {
     h ^= c;
     h *= 0x100000001b3ull;
@@ -43,14 +44,13 @@ std::string canonical_instance_text(const Instance& inst) {
 }
 
 InstanceKey key_of_text(const std::string& canonical_text) {
-  InstanceKey key;
-  key.lo = fnv1a64(canonical_text);
-  key.hi = splitmix64(key.lo);
-  return key;
+  return key_of_fnv(fnv1a64(canonical_text));
 }
 
 InstanceKey instance_key(const Instance& inst) {
-  return key_of_text(canonical_instance_text(inst));
+  std::uint64_t h = kFnvOffsetBasis;
+  io::write_canonical(inst, [&h](std::string_view chunk) { h = fnv1a64(chunk, h); });
+  return key_of_fnv(h);
 }
 
 Instance canonicalize(const Instance& inst) {

@@ -50,9 +50,10 @@ bool InstanceHandle::parsed() const { return state_->built; }
 InstanceMemo::InstanceMemo(std::size_t max_bytes) : max_bytes_(max_bytes) {}
 
 InstanceHandle InstanceMemo::resolve(const std::string& text) {
+  const std::size_t hash = std::hash<std::string_view>{}(text);
   {
     std::lock_guard<std::mutex> lock(m_);
-    if (std::optional<Entry> hit = find(text)) {
+    if (std::optional<Entry> hit = find(text, hash)) {
       ++hits_;
       return InstanceHandle(std::move(hit->text), hit->key);
     }
@@ -62,34 +63,34 @@ InstanceHandle InstanceMemo::resolve(const std::string& text) {
   const InstanceKey key = instance_key(inst);
   {
     std::lock_guard<std::mutex> lock(m_);
-    insert(text, key);
+    insert(text, hash, key);
   }
   return InstanceHandle(std::move(inst), key);
 }
 
-std::optional<InstanceMemo::Entry> InstanceMemo::find(const std::string& text) {
-  const auto it = index_.find(std::string_view(text));
+std::optional<InstanceMemo::Entry> InstanceMemo::find(std::string_view text, std::size_t hash) {
+  const auto it = index_.find(Slot{text, hash});
   if (it == index_.end()) return std::nullopt;
   lru_.splice(lru_.begin(), lru_, it->second);
   return *it->second;
 }
 
-void InstanceMemo::insert(const std::string& text, InstanceKey key) {
+void InstanceMemo::insert(const std::string& text, std::size_t hash, InstanceKey key) {
   const std::size_t incoming = entry_bytes(text);
   if (incoming > max_bytes_) return;  // would evict everything for one text
-  if (const auto it = index_.find(std::string_view(text)); it != index_.end()) {
+  if (const auto it = index_.find(Slot{text, hash}); it != index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);  // a concurrent miss stored it first
     return;
   }
   while (bytes_ + incoming > max_bytes_ && !lru_.empty()) {
     const Entry& victim = lru_.back();
     bytes_ -= entry_bytes(*victim.text);
-    index_.erase(std::string_view(*victim.text));
+    index_.erase(Slot{*victim.text, victim.hash});
     lru_.pop_back();
     ++evictions_;
   }
-  lru_.push_front(Entry{std::make_shared<const std::string>(text), key});
-  index_.emplace(std::string_view(*lru_.front().text), lru_.begin());
+  lru_.push_front(Entry{std::make_shared<const std::string>(text), key, hash});
+  index_.emplace(Slot{*lru_.front().text, hash}, lru_.begin());
   bytes_ += incoming;
 }
 

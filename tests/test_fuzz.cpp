@@ -171,22 +171,20 @@ TEST(Fuzz, CatchesATwoCoverThatSkipsTheDiagonal) {
 }
 
 /// Deliberately inexact: entries are indexed by a 4-bit digest of the
-/// text, so any text with the same digest hits — a memo trusting a hash.
+/// text's hash, so any text with the same digest hits — a memo trusting a
+/// hash.
 class HashOnlyMemo : public svc::InstanceMemo {
  public:
   using InstanceMemo::InstanceMemo;
 
  protected:
-  static std::size_t digest(const std::string& text) {
-    return std::hash<std::string>{}(text) % 16;
-  }
-  std::optional<Entry> find(const std::string& text) override {
-    const auto it = entries_.find(digest(text));
+  std::optional<Entry> find(std::string_view, std::size_t hash) override {
+    const auto it = entries_.find(hash % 16);
     if (it == entries_.end()) return std::nullopt;
     return it->second;
   }
-  void insert(const std::string& text, svc::InstanceKey key) override {
-    entries_.emplace(digest(text), Entry{std::make_shared<const std::string>(text), key});
+  void insert(const std::string& text, std::size_t hash, svc::InstanceKey key) override {
+    entries_.emplace(hash % 16, Entry{std::make_shared<const std::string>(text), key, hash});
   }
 
  private:

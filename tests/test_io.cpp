@@ -482,6 +482,100 @@ TEST(IoParse, TokenizerEdgeCasesMatchTheStreamParser) {
   }
 }
 
+// --- Orders the one-pass parser keeps. parse_instance_string checks an id
+// --- read after `nodes` as it is read and keeps only the first failure,
+// --- buckets `view-edge` extras by owner, and builds each custom view once;
+// --- the stream parser defers every check to the end and extends each
+// --- owner's star in turn. Each row runs through both and must give the
+// --- same outcome, message for message; `expected` is the canonical text
+// --- or the rejection message (for an RMT_REQUIRE rejection, a part of it:
+// --- its text names a source line).
+
+constexpr const char* kCycle4 =
+    "rmt-instance v1\nnodes 4\nedge 0 1\nedge 1 2\nedge 2 3\nedge 0 3\ndealer 0\nreceiver 2\n";
+
+struct OrderCase {
+  const char* name;
+  std::string text;
+  bool accepted;
+  std::string expected;  ///< canonical text, or (a part of) the message
+};
+
+std::vector<OrderCase> order_cases() {
+  const std::string c4 = kCycle4;
+  const std::string c4_canonical =
+      "rmt-instance v1\nnodes 4\nedge 0 1\nedge 0 3\nedge 1 2\nedge 2 3\ndealer 0\n"
+      "receiver 2\n";
+  return {
+      {"out-of-range ids before and after nodes: the earlier wins",
+       "rmt-instance v1\ndealer 9\nnodes 3\nedge 0 1\nedge 1 2\nreceiver 7\n", false,
+       "instance parse error at line 2: dealer node id 9 out of range (nodes 3)"},
+      {"two out-of-range ids after nodes: the first wins",
+       "rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 2\ncorruptible 5\n"
+       "view 8 : 1\n",
+       false, "instance parse error at line 7: corruptible set node id 5 out of range (nodes 3)"},
+      {"an out-of-range id, then an unknown directive: the directive wins",
+       "rmt-instance v1\nnodes 3\nedge 0 1\nedge 1 2\ndealer 0\nreceiver 5\nfrobnicate\n", false,
+       "instance parse error at line 7: unknown directive 'frobnicate'"},
+      {"one owner's view-edge lines split around another owner's",
+       c4 + "knowledge custom\nview-edge 1 : 2 3\nview-edge 3 : 0 1\nview-edge 1 : 0 3\n", true,
+       c4_canonical +
+           "knowledge custom\nview 1 : 3\nview-edge 1 : 0 3\nview-edge 1 : 2 3\nview 3 : 1\n"
+           "view-edge 3 : 0 1\n"},
+      {"view lines before knowledge custom",
+       c4 + "view 1 : 3\nview-edge 1 : 2 3\nknowledge custom\n", true,
+       c4_canonical + "knowledge custom\nview 1 : 3\nview-edge 1 : 2 3\n"},
+      {"a self-loop extra of a lower owner beats a non-G extra of a higher one",
+       c4 + "knowledge custom\nview-edge 2 : 0 2\nview-edge 1 : 3 3\n", false,
+       "self-loop edges are not allowed"},
+      {"a non-G extra of a lower owner beats a self-loop extra of a higher one",
+       c4 + "knowledge custom\nview-edge 3 : 1 1\nview-edge 1 : 1 3\n", false,
+       "set_view: view is not a subgraph of G"},
+      {"crlf line ends and comments on view lines",
+       "rmt-instance v1\r\nnodes 4\r\nedge 0 1\r\nedge 1 2\r\nedge 2 3\r\nedge 0 3\r\n"
+       "dealer 0\r\nreceiver 2\r\nknowledge custom # views below\r\n"
+       "view 1 : 3 # one extra node\r\nview-edge 1 : 2 3#and its edge\r\n",
+       true, c4_canonical + "knowledge custom\nview 1 : 3\nview-edge 1 : 2 3\n"},
+      {"view ids are range-checked under adhoc too", c4 + "knowledge adhoc\nview 1 : 9\n", false,
+       "instance parse error at line 10: view node id 9 out of range (nodes 4)"},
+  };
+}
+
+TEST(IoParse, OnePassOrdersMatchTheStreamParser) {
+  for (const OrderCase& c : order_cases()) {
+    SCOPED_TRACE(c.name);
+    const auto [accepted, text] = outcome(&single_pass, c.text);
+    EXPECT_EQ(accepted, c.accepted);
+    EXPECT_EQ(outcome(&propcheck::reference_parse_instance, c.text),
+              std::make_pair(accepted, text));
+    if (accepted || c.expected.rfind("instance parse error", 0) == 0) {
+      EXPECT_EQ(text, c.expected);
+    } else {
+      EXPECT_EQ(text.rfind("precondition failed: ", 0), 0u) << text;
+      EXPECT_NE(text.find(c.expected), std::string::npos) << text;
+    }
+  }
+}
+
+TEST(IoParse, ViewLinesCountOnlyUnderCustomKnowledge) {
+  // Under adhoc, k-hop, full or no knowledge line, view lines are parsed
+  // (and their ids range-checked) and then ignored — even a self-loop or an
+  // edge outside G — in both parsers.
+  const std::string views = "view 1 : 3\nview-edge 1 : 3 3\nview-edge 2 : 0 2\n";
+  for (const std::string knowledge :
+       {"", "knowledge adhoc\n", "knowledge k-hop 1\n", "knowledge k-hop 2\n",
+        "knowledge full\n"}) {
+    SCOPED_TRACE(knowledge);
+    const std::string plain = kCycle4 + knowledge;
+    const auto want = outcome(&single_pass, plain);
+    ASSERT_TRUE(want.first) << want.second;
+    for (const std::string& text : {plain + views, kCycle4 + views + knowledge}) {
+      EXPECT_EQ(outcome(&single_pass, text), want);
+      EXPECT_EQ(outcome(&propcheck::reference_parse_instance, text), want);
+    }
+  }
+}
+
 // Every minimized crash artifact promoted into tests/fuzz_corpus/regressions/
 // must stay *rejected* (cleanly, with std::invalid_argument — never a crash
 // or silent acceptance), with the message the stream parser gave it.

@@ -254,6 +254,33 @@ TEST(SvcWire, ParseLineErrorsCarryParseRequestsMessageAndSalvagedId) {
   EXPECT_EQ(parse_line(R"({"schema":"rmt.bench/1","id":"q2"})").id, "q2");
 }
 
+TEST(SvcWire, PreconditionErrorsCarryNoBuildPath) {
+  // Instances that parse but break a model precondition are answered with
+  // RMT_REQUIRE's text. Its file is relative to the checkout (src/...), so
+  // the answer reads the same from every build and never carries the
+  // build machine's directories.
+  const std::vector<std::string> instances = {
+      // γ(1) gains an edge {0, 2} that is not in the 3-path
+      "rmt-instance v1\\nnodes 3\\nedge 0 1\\nedge 1 2\\ndealer 0\\nreceiver 2\\n"
+      "knowledge custom\\nview-edge 1 : 0 2\\n",
+      // the dealer is the receiver
+      "rmt-instance v1\\nnodes 3\\nedge 0 1\\nedge 1 2\\ndealer 0\\nreceiver 0\\n",
+  };
+  InstanceMemo memo(1 << 20);
+  for (const std::string& text : instances) {
+    SCOPED_TRACE(text);
+    const std::string line =
+        R"({"schema":"rmt.request/1","id":"p","kind":"decide_rmt","instance":")" + text + "\"}";
+    for (InstanceMemo* m : {static_cast<InstanceMemo*>(nullptr), &memo}) {
+      const Envelope env = parse_line(line, m);
+      ASSERT_EQ(env.kind, Envelope::Kind::kError);
+      EXPECT_EQ(env.error.rfind("precondition failed:", 0), 0u) << env.error;
+      EXPECT_EQ(env.error.find(" at /"), std::string::npos) << env.error;
+      EXPECT_NE(env.error.find(" at src/"), std::string::npos) << env.error;
+    }
+  }
+}
+
 TEST(SvcWire, ParseLineNeverParsesAnOversizedLine) {
   // One byte over the limit, otherwise a valid request: the line is
   // refused unread, so no id is salvaged (the TCP framer's answer too).

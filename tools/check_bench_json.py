@@ -233,6 +233,29 @@ def check_bench(doc, problems, args):
             elif accounted > 0 and not (put_ns > 0 and get_ns > 0):
                 problems.add(f"rows[{i}]: a footprint row must time its puts and hits "
                              f"(put_ns {put_ns!r}, get_ns {get_ns!r})")
+    # BENCH_svc.json's io rows: the cost of turning instance text into an
+    # Instance and its key, against the reference parser and the reference
+    # serializer + key_of_text (the gate itself is `identical`, above). A
+    # bench_svc table split into sections must carry its io columns and at
+    # least one io row, and every io row reports a text size and four
+    # positive ns/B cells. Timings are never compared with each other.
+    if name == "bench_svc" and "section" in columns:
+        for col in SVC_IO_COLUMNS:
+            if col not in columns:
+                problems.add(f"columns: bench_svc's io rows require {col!r}")
+        io_rows = 0
+        for i, row in enumerate(rows):
+            if not isinstance(row, dict) or row.get("section") != "io":
+                continue
+            io_rows += 1
+            for col in SVC_IO_COLUMNS:
+                v = row.get(col)
+                if not _is_size(v) or v <= 0:
+                    problems.add(f"rows[{i}].{col}: {v!r} "
+                                 f"(an io row must measure a positive finite number)")
+        if io_rows == 0:
+            problems.add("rows: bench_svc needs io rows (instance parse and key against "
+                         "the references)")
     # BENCH_decider.json: one row per (instance, decider) with a timing
     # column per path; a missing column is schema drift.
     if name == "bench_decider":
@@ -279,6 +302,11 @@ def _is_size(v):
 # The most heap a cached answer may cost per accounted byte
 # (bench_svc_throughput's kMaxHeapRatio).
 MAX_HEAP_RATIO = 0.75
+
+# bench_svc's io rows: mean text size, then ns per text byte of the shipped
+# parser, the reference parser, the streamed key and the reference key.
+SVC_IO_COLUMNS = ("bytes_per_text", "parse_ns_per_b", "parse_ref_ns_per_b", "key_ns_per_b",
+                  "key_ref_ns_per_b")
 
 # bench_decider's rows: the four deciders, and the served `simulate` kind
 # against each sim::make_strategy strategy.
@@ -837,10 +865,20 @@ DECIDER_ROW = {"family": "5-paths h4", "n": 22, "structure": "2-threshold",
                "views": "full", "decider": "rmt", "reference_ms": 7.6,
                "shipped_ms": 0.36, "speedup": 21.0, "identical": True}
 SVC_FOOTPRINT_COLUMNS = ["section", "heap_b_per_entry", "accounted_b_per_entry",
-                         "put_ns", "get_ns", "identical"]
-SVC_FOOTPRINT_ROW = {"section": "footprint", "heap_b_per_entry": 104.2,
-                     "accounted_b_per_entry": 167.1, "put_ns": 1545.0, "get_ns": 802.0,
-                     "identical": True}
+                         "put_ns", "get_ns", "bytes_per_text", "parse_ns_per_b",
+                         "parse_ref_ns_per_b", "key_ns_per_b", "key_ref_ns_per_b", "identical"]
+
+
+def _svc_row(**cells):
+    """One bench_svc row in column order; cells not given read 0 (true for
+    `identical`)."""
+    return {c: cells.get(c, c == "identical" or 0.0) for c in SVC_FOOTPRINT_COLUMNS}
+
+
+SVC_FOOTPRINT_ROW = _svc_row(section="footprint", heap_b_per_entry=104.2,
+                             accounted_b_per_entry=167.1, put_ns=1545.0, get_ns=802.0)
+SVC_IO_ROW = _svc_row(section="io", bytes_per_text=2409.0, parse_ns_per_b=5.8,
+                      parse_ref_ns_per_b=52.8, key_ns_per_b=3.0, key_ref_ns_per_b=5.2)
 NET_COLUMNS = ["section", "clients", "qps_tcp", "ns_per_byte", "identical"]
 NET_TCP_ROW = {"section": "tcp", "clients": 1, "qps_tcp": 21753.0, "ns_per_byte": 0.0,
                "identical": True}
@@ -862,13 +900,10 @@ def _selftest_docs():
          "rows": [dict(DECIDER_ROW, decider="rmt"), dict(DECIDER_ROW, decider="analyze"),
                   dict(DECIDER_ROW, decider="simulate/phantom-world")],
          "metrics": metrics},
-        # bench_svc's footprint row, and a row that measured none.
+        # bench_svc's footprint row, a row that measured none, and an io row.
         {"schema": "rmt.bench/1", "name": "bench_svc", "run": run,
          "columns": SVC_FOOTPRINT_COLUMNS,
-         "rows": [SVC_FOOTPRINT_ROW,
-                  {"section": "latency", "heap_b_per_entry": 0.0,
-                   "accounted_b_per_entry": 0.0, "put_ns": 0.0, "get_ns": 0.0,
-                   "identical": True}],
+         "rows": [SVC_FOOTPRINT_ROW, _svc_row(section="latency"), SVC_IO_ROW],
          "metrics": metrics},
         # bench_net with its tcp rows and its framing row.
         {"schema": "rmt.bench/1", "name": "bench_net", "run": run,
@@ -974,20 +1009,44 @@ def _selftest_docs():
         # untimed footprint row, or a table without the timing columns.
         {"schema": "rmt.bench/1", "name": "bench_svc", "run": run,
          "columns": SVC_FOOTPRINT_COLUMNS,
-         "rows": [dict(SVC_FOOTPRINT_ROW, heap_b_per_entry=233.5)],
+         "rows": [dict(SVC_FOOTPRINT_ROW, heap_b_per_entry=233.5), SVC_IO_ROW],
          "metrics": metrics},
         {"schema": "rmt.bench/1", "name": "bench_svc", "run": run,
          "columns": SVC_FOOTPRINT_COLUMNS,
-         "rows": [dict(SVC_FOOTPRINT_ROW, heap_b_per_entry=-1.0)],
+         "rows": [dict(SVC_FOOTPRINT_ROW, heap_b_per_entry=-1.0), SVC_IO_ROW],
          "metrics": metrics},
         {"schema": "rmt.bench/1", "name": "bench_svc", "run": run,
          "columns": SVC_FOOTPRINT_COLUMNS,
-         "rows": [dict(SVC_FOOTPRINT_ROW, get_ns=0.0)],
+         "rows": [dict(SVC_FOOTPRINT_ROW, get_ns=0.0), SVC_IO_ROW],
          "metrics": metrics},
         {"schema": "rmt.bench/1", "name": "bench_svc", "run": run,
-         "columns": ["section", "heap_b_per_entry", "accounted_b_per_entry", "identical"],
-         "rows": [{"section": "footprint", "heap_b_per_entry": 104.2,
-                   "accounted_b_per_entry": 167.1, "identical": True}],
+         "columns": [c for c in SVC_FOOTPRINT_COLUMNS if c not in ("put_ns", "get_ns")],
+         "rows": [{k: v for k, v in row.items() if k not in ("put_ns", "get_ns")}
+                  for row in (SVC_FOOTPRINT_ROW, SVC_IO_ROW)],
+         "metrics": metrics},
+        # Io rows: a parser or key that diverged from the references, a
+        # row that measured nothing or a NaN, a table without io rows, and
+        # one without an io column.
+        {"schema": "rmt.bench/1", "name": "bench_svc", "run": run,
+         "columns": SVC_FOOTPRINT_COLUMNS,
+         "rows": [SVC_FOOTPRINT_ROW, dict(SVC_IO_ROW, identical=False)],
+         "metrics": metrics},
+        {"schema": "rmt.bench/1", "name": "bench_svc", "run": run,
+         "columns": SVC_FOOTPRINT_COLUMNS,
+         "rows": [SVC_FOOTPRINT_ROW, dict(SVC_IO_ROW, parse_ns_per_b=0.0)],
+         "metrics": metrics},
+        {"schema": "rmt.bench/1", "name": "bench_svc", "run": run,
+         "columns": SVC_FOOTPRINT_COLUMNS,
+         "rows": [SVC_FOOTPRINT_ROW, dict(SVC_IO_ROW, key_ns_per_b=float("nan"))],
+         "metrics": metrics},
+        {"schema": "rmt.bench/1", "name": "bench_svc", "run": run,
+         "columns": SVC_FOOTPRINT_COLUMNS,
+         "rows": [SVC_FOOTPRINT_ROW],
+         "metrics": metrics},
+        {"schema": "rmt.bench/1", "name": "bench_svc", "run": run,
+         "columns": [c for c in SVC_FOOTPRINT_COLUMNS if c != "key_ref_ns_per_b"],
+         "rows": [{k: v for k, v in row.items() if k != "key_ref_ns_per_b"}
+                  for row in (SVC_FOOTPRINT_ROW, SVC_IO_ROW)],
          "metrics": metrics},
         # bench_decider's deciders are a closed vocabulary.
         {"schema": "rmt.bench/1", "name": "bench_decider", "run": run,

@@ -14,14 +14,16 @@
 // differential pass with a deliberately-broken RMT decider (inverts the
 // reference's answer) and expects decider-diverged findings, a parser pass
 // with a deliberately-broken parser (it forgets the '#' comment rule) and
-// expects parser-diverged findings, a parser pass with an inexact memo (it
+// expects parser-diverged findings, a parser pass with a key that skips the
+// last view-edge line of the canonical text and expects key-diverged
+// findings, a parser pass with an inexact memo (it
 // matches texts on their first 32 bytes, as a hash- or prefix-only memo
 // would) and expects memo-diverged findings, a differential pass with a
 // two-cover that scans only pairs j > i (so it misses every cut one maximal
 // set covers alone) and expects decider-diverged findings, a codec pass
 // with a lossy entry encoder (it truncates lowercase hex runs at 254
 // digits) and expects codec-diverged findings, then a clean pass with the
-// real parser, memo, deciders and codec and expects none. Wired as
+// real parser, key, memo, deciders and codec and expects none. Wired as
 // the fuzz_selftest ctest — the fuzz gate is only trustworthy while this
 // stays green.
 #include <algorithm>
@@ -41,6 +43,7 @@
 #include "io/serialize.hpp"
 #include "obs/trace.hpp"
 #include "svc/entry_codec.hpp"
+#include "svc/instance_key.hpp"
 
 namespace {
 
@@ -74,18 +77,28 @@ class PrefixMemo : public rmt::svc::InstanceMemo {
   using InstanceMemo::InstanceMemo;
 
  protected:
-  std::optional<Entry> find(const std::string& text) override {
-    const auto it = entries_.find(text.substr(0, 32));
+  std::optional<Entry> find(std::string_view text, std::size_t) override {
+    const auto it = entries_.find(std::string(text.substr(0, 32)));
     if (it == entries_.end()) return std::nullopt;
     return it->second;
   }
-  void insert(const std::string& text, rmt::svc::InstanceKey key) override {
-    entries_.emplace(text.substr(0, 32), Entry{std::make_shared<const std::string>(text), key});
+  void insert(const std::string& text, std::size_t hash, rmt::svc::InstanceKey key) override {
+    entries_.emplace(text.substr(0, 32),
+                     Entry{std::make_shared<const std::string>(text), key, hash});
   }
 
  private:
   std::map<std::string, Entry> entries_;
 };
+
+/// Deliberately lossy: the key of the canonical text without its last
+/// view-edge line, so two views that differ only there would share a key.
+rmt::svc::InstanceKey key_without_last_view_edge(const rmt::Instance& inst) {
+  std::string text = rmt::io::serialize_instance(inst);
+  if (const std::size_t at = text.rfind("view-edge "); at != std::string::npos)
+    text.erase(at, text.find('\n', at) + 1 - at);
+  return rmt::svc::key_of_text(text);
+}
 
 /// Deliberately wrong: the two-cover scan without its diagonal (j > i only),
 /// blind to every D–R cut a single maximal set covers on its own.
@@ -159,6 +172,17 @@ int self_test(FuzzOptions opts) {
               << ")\n";
     return 1;
   }
+  FuzzOptions broken_key = opts;
+  broken_key.diff_checks = 0;
+  broken_key.store_checks = 0;
+  broken_key.instance_key = key_without_last_view_edge;
+  const FuzzReport key_caught = rmt::propcheck::run_fuzz(broken_key);
+  bool saw_key_finding = false;
+  for (const auto& f : key_caught.findings) saw_key_finding |= f.kind == "key-diverged";
+  if (!saw_key_finding) {
+    std::cerr << "self-test: lossy key was NOT caught (" << key_caught.summary() << ")\n";
+    return 1;
+  }
   FuzzOptions broken_memo = opts;
   broken_memo.diff_checks = 0;
   broken_memo.store_checks = 0;
@@ -199,16 +223,17 @@ int self_test(FuzzOptions opts) {
   }
   const FuzzReport clean = rmt::propcheck::run_fuzz(opts);
   if (!clean.ok()) {
-    std::cerr << "self-test: real parser, memo and deciders produced findings:\n";
+    std::cerr << "self-test: real parser, key, memo, deciders and codec produced findings:\n";
     print_findings(clean);
     return 1;
   }
   std::cout << "self-test: broken decider caught (" << caught.findings.size()
             << " findings), broken parser caught (" << parser_caught.findings.size()
+            << " findings), lossy key caught (" << key_caught.findings.size()
             << " findings), inexact memo caught (" << memo_caught.findings.size()
             << " findings), off-diagonal two-cover caught (" << cover_caught.findings.size()
             << " findings), lossy codec caught (" << codec_caught.findings.size()
-            << " findings), real parser, memo, deciders and codec clean\n";
+            << " findings), real parser, key, memo, deciders and codec clean\n";
   return 0;
 }
 
