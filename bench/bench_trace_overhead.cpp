@@ -1,4 +1,4 @@
-// bench_trace — the tracing-cost acceptance bench: what a RMT_TRACE_SPAN
+// bench_trace — the tracing-cost acceptance bench: what an RMT_PHASE scope
 // costs when tracing is off (the price every decider entry point pays,
 // always) and when it is on (the price of a live flight recorder), plus
 // the end-to-end decider ratio with tracing on vs. off.
@@ -9,10 +9,12 @@
 // are deliberately loose — absolute nanosecond ceilings for the span
 // rows and a generous on/off ratio for the decider row — so the gate
 // catches "tracing became a lock fight", not scheduler noise:
-//   span-idle   — per-span cost with tracing disabled; budget 100 ns
-//                 (the real cost is one relaxed atomic load);
-//   span-live   — per-span cost with tracing enabled; budget 5000 ns
-//                 (clock reads + a batched flush into the ring);
+//   span-idle   — per-scope cost with tracing and obs both off; budget
+//                 100 ns (an out-of-line constructor and destructor, one
+//                 relaxed atomic load per switch, no clock read);
+//   span-live   — per-scope cost with tracing on and obs off; budget
+//                 5000 ns (two id draws, two clock reads, the record built
+//                 at exit and a batched flush into the ring);
 //   decider-off — best-of-kReps find_rmt_cut, tracing off (the baseline);
 //   decider-on  — the same with tracing on; budget: <= 3x decider-off.
 #include <cstddef>
@@ -20,7 +22,7 @@
 
 #include "analysis/rmt_cut.hpp"
 #include "bench_util.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 
 namespace {
 
@@ -53,9 +55,12 @@ int main(int argc, char** argv) {
   rep.columns({"row", "iters", "total_us", "per_span_ns", "ratio", "within_budget"});
 
   // ---- Per-span cost, tracing off -------------------------------------
+  // The span rows time RMT_PHASE as rmt_serve runs it, with obs off; the
+  // Reporter turned obs on for the decider rows' phase histograms.
+  obs::set_enabled(false);
   obs::trace::set_enabled(false);
   const double idle_us = best_us([] {
-    for (std::size_t i = 0; i < kIdleSpans; ++i) { RMT_TRACE_SPAN("svc.batch"); }
+    for (std::size_t i = 0; i < kIdleSpans; ++i) { RMT_PHASE("svc.batch"); }
   });
   const double idle_ns = idle_us * 1000.0 / double(kIdleSpans);
   const bool idle_ok = idle_ns <= kIdleSpanBudgetNs;
@@ -65,16 +70,17 @@ int main(int argc, char** argv) {
   obs::trace::set_enabled(true);
   obs::trace::Recorder::global().clear();
   const double live_us = best_us([] {
-    for (std::size_t i = 0; i < kLiveSpans; ++i) { RMT_TRACE_SPAN("svc.batch"); }
+    for (std::size_t i = 0; i < kLiveSpans; ++i) { RMT_PHASE("svc.batch"); }
   });
   obs::trace::set_enabled(false);
+  obs::set_enabled(true);
   const double live_ns = live_us * 1000.0 / double(kLiveSpans);
   const bool live_ok = live_ns <= kLiveSpanBudgetNs;
   rep.row({"span-live", std::uint64_t(kLiveSpans), live_us, live_ns, 0.0, live_ok});
 
   // ---- End-to-end decider, tracing off vs. on -------------------------
   // A fig_f4 shape with no cut: the decider traverses the whole subset
-  // space, so the RMT_TRACE_SPAN at its entry runs against real work.
+  // space, so the RMT_PHASE at its entry runs against real work.
   const std::size_t n = 18;
   const Graph g = generators::cycle_graph(n);
   const Instance inst = Instance::ad_hoc(g, AdversaryStructure::trivial(), 0, NodeId(n / 2));

@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "obs/timer.hpp"
+#include "obs/phase.hpp"
 #include "util/audit.hpp"
 #include "util/check.hpp"
 
@@ -37,7 +37,7 @@ void RestrictedStructure::debug_validate() const {
 }
 
 RestrictedStructure oplus(const RestrictedStructure& a, const RestrictedStructure& b) {
-  RMT_OBS_SCOPE("adversary.oplus");
+  RMT_PHASE("adversary.oplus");
   RMT_AUDIT_VALIDATE(a);
   RMT_AUDIT_VALIDATE(b);
   // Degenerate operands: an empty *family* joined with anything is the

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "obs/timer.hpp"
+#include "obs/phase.hpp"
 #include "util/audit.hpp"
 #include "util/check.hpp"
 
@@ -62,7 +62,7 @@ bool AdversaryStructure::contains(const NodeSet& x) const {
 }
 
 AdversaryStructure AdversaryStructure::restricted_to(const NodeSet& a) const {
-  RMT_OBS_SCOPE("adversary.restrict");
+  RMT_PHASE("adversary.restrict");
   RMT_AUDIT_VALIDATE(*this);
   AdversaryStructure out;
   if (a.size() <= 8) {

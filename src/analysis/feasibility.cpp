@@ -4,8 +4,7 @@
 #include <cstdint>
 
 #include "graph/connectivity.hpp"
-#include "obs/timer.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 #include "util/audit.hpp"
 #include "util/check.hpp"
 
@@ -109,8 +108,7 @@ bool solvable_by_zcpa(const Instance& inst) { return !rmt_zpp_cut_exists(inst); 
 
 std::optional<TwoCoverWitness> find_two_cover_cut(const Graph& g, const AdversaryStructure& z,
                                                   NodeId dealer, NodeId receiver) {
-  RMT_OBS_SCOPE("feasibility.two_cover");
-  RMT_TRACE_SPAN("feasibility.two_cover");
+  RMT_PHASE("feasibility.two_cover");
   RMT_REQUIRE(g.has_node(dealer) && g.has_node(receiver) && dealer != receiver,
               "find_two_cover_cut: bad endpoints");
   RMT_AUDIT_VALIDATE(g);

@@ -1,7 +1,7 @@
 #include "analysis/minimal_knowledge.hpp"
 
 #include "analysis/rmt_cut.hpp"
-#include "obs/timer.hpp"
+#include "obs/phase.hpp"
 #include "util/audit.hpp"
 
 namespace rmt::analysis {
@@ -20,7 +20,7 @@ bool sufficient(const Instance& base, const ViewFunction& gamma) {
 }  // namespace
 
 std::optional<MinimalKnowledge> find_minimal_sufficient_view(const Instance& inst) {
-  RMT_OBS_SCOPE("minimal_knowledge.search");
+  RMT_PHASE("minimal_knowledge.search");
   RMT_AUDIT_VALIDATE(inst);
   if (rmt_cut_exists(inst)) return std::nullopt;
 

@@ -4,8 +4,7 @@
 
 #include "analysis/feasibility.hpp"
 #include "graph/cuts.hpp"
-#include "obs/timer.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 #include "util/audit.hpp"
 #include "util/check.hpp"
 
@@ -54,8 +53,7 @@ bool solvable_by_two_cover_gate(const Instance& inst) {
 }  // namespace
 
 std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst) {
-  RMT_OBS_SCOPE("rmt_cut.find");
-  RMT_TRACE_SPAN("rmt_cut.find");
+  RMT_PHASE("rmt_cut.find");
   RMT_REQUIRE(inst.num_players() <= kMaxExactNodes,
               "find_rmt_cut: instance too large for the exact decider");
   RMT_AUDIT_VALIDATE(inst);
@@ -69,8 +67,7 @@ std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst) {
 }
 
 std::optional<RmtCutWitness> find_rmt_cut_reference(const Instance& inst) {
-  RMT_OBS_SCOPE("rmt_cut.find");
-  RMT_TRACE_SPAN("rmt_cut.find");
+  RMT_PHASE("rmt_cut.find");
   RMT_REQUIRE(inst.num_players() <= kMaxExactNodes,
               "find_rmt_cut: instance too large for the exact decider");
   RMT_AUDIT_VALIDATE(inst);

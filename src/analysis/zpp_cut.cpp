@@ -6,8 +6,7 @@
 #include "adversary/bit_matrix.hpp"
 #include "analysis/rmt_cut.hpp"
 #include "graph/cuts.hpp"
-#include "obs/timer.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 #include "util/audit.hpp"
 #include "util/check.hpp"
 
@@ -94,8 +93,7 @@ struct IncrementalScan {
 }  // namespace
 
 std::optional<ZppCutWitness> find_rmt_zpp_cut(const Instance& inst) {
-  RMT_OBS_SCOPE("zpp_cut.find");
-  RMT_TRACE_SPAN("zpp_cut.find");
+  RMT_PHASE("zpp_cut.find");
   RMT_REQUIRE(inst.num_players() <= kMaxExactNodes,
               "find_rmt_zpp_cut: instance too large for the exact decider");
   RMT_AUDIT_VALIDATE(inst);
@@ -110,8 +108,7 @@ std::optional<ZppCutWitness> find_rmt_zpp_cut(const Instance& inst) {
 }
 
 std::optional<ZppCutWitness> find_rmt_zpp_cut_reference(const Instance& inst) {
-  RMT_OBS_SCOPE("zpp_cut.find");
-  RMT_TRACE_SPAN("zpp_cut.find");
+  RMT_PHASE("zpp_cut.find");
   RMT_REQUIRE(inst.num_players() <= kMaxExactNodes,
               "find_rmt_zpp_cut: instance too large for the exact decider");
   RMT_AUDIT_VALIDATE(inst);

@@ -5,7 +5,7 @@
 #include <mutex>
 
 #include "obs/json.hpp"
-#include "obs/timer.hpp"
+#include "obs/phase.hpp"
 #include "util/audit.hpp"
 #include "util/check.hpp"
 
@@ -189,7 +189,7 @@ bool load_manifest(const Campaign& c, const std::string& path, Campaign::Result&
 
 Campaign::Result Campaign::run(ThreadPool& pool, const ShardFn& fn,
                                const RunOptions& opts) const {
-  RMT_OBS_SCOPE("exec.campaign");
+  RMT_PHASE("exec.campaign");
   RMT_REQUIRE(fn != nullptr, "Campaign::run: null shard function");
   RMT_REQUIRE(opts.subset_count >= 1 && opts.subset_index < opts.subset_count,
               "Campaign::run: subset index/count out of range");
@@ -224,7 +224,7 @@ Campaign::Result Campaign::run(ThreadPool& pool, const ShardFn& fn,
     const auto t0 = std::chrono::steady_clock::now();
     std::string payload;
     {
-      RMT_OBS_SCOPE("exec.shard");
+      RMT_PHASE("exec.shard");
       payload = fn(shard);
     }
     const auto t1 = std::chrono::steady_clock::now();

@@ -4,7 +4,7 @@
 #include <exception>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 
 namespace rmt::exec {
 
@@ -47,7 +47,7 @@ void ThreadPool::submit(std::function<void()> task) {
     if (const obs::trace::TraceContext ctx = obs::trace::current(); ctx.valid()) {
       task = [ctx, inner = std::move(task)] {
         obs::trace::ContextGuard guard(ctx);
-        obs::trace::Span span(RMT_TRACE_NAME("exec.task"));
+        RMT_PHASE("exec.task");
         inner();
       };
     }

@@ -23,7 +23,6 @@
 
 #include "exec/thread_pool.hpp"
 #include "net/framing.hpp"
-#include "net/metric_names.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"

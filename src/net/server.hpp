@@ -45,7 +45,7 @@
 // it): stop accepting and reading, finish every in-flight batch, flush
 // every write queue, then serve() returns.
 //
-// Observability: net.* counters (src/net/metric_names.hpp) mirror the
+// Observability: net.* counters (src/obs/names.hpp) mirror the
 // "net" section of the TCP "stats" probe — inline_hits and batches count
 // the two paths; "net.conn" / "net.read" / "net.write" spans land in the
 // flight recorder when tracing is on, with each engine-backed net.write

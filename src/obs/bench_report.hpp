@@ -14,7 +14,7 @@
 //     "rows":    [{"n": 6, "time_us": 12.5, ...}, ...],
 //     "metrics": <obs::snapshot_json of the global registry — includes
 //                 "phases" (per-phase timing histograms recorded by
-//                 RMT_OBS_SCOPE) and "counters" (the "sim.*" simulator
+//                 RMT_PHASE) and "counters" (the "sim.*" simulator
 //                 totals the protocol runner accumulates)>
 //   }
 //

@@ -8,7 +8,7 @@
 //   * Summary   — the existing OnlineStats (util/stats.hpp) under a name.
 //
 // Metrics live in a Registry keyed by (name, labels). The global()
-// registry is what the RMT_OBS_SCOPE timers and the simulator feed;
+// registry is what the RMT_PHASE scopes and the simulator feed;
 // drivers snapshot it (obs/json.hpp) into machine-readable reports.
 //
 // Cost model: observability is *globally disabled by default*. Every

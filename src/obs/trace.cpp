@@ -84,6 +84,7 @@ std::uint64_t next_id() {
 std::string id_hex(std::uint64_t id) { return hex16(id); }
 
 TraceContext current() { return t_context; }
+void set_current(TraceContext ctx) { t_context = ctx; }
 
 ContextGuard::ContextGuard(TraceContext ctx) {
   if (!ctx.valid()) return;
@@ -281,23 +282,18 @@ ThreadBuffer& local_buffer(Recorder::Impl& impl) {
 void Recorder::record(const SpanRecord& rec) {
   if (rec.span_id == 0) return;
   ThreadBuffer& tb = local_buffer(*impl_);
-  SpanRecord batch[kFlushBatch];
-  std::size_t pending = 0;
+  std::vector<SpanRecord> full;
   {
     std::lock_guard<std::mutex> lock(tb.m);
     tb.buf.push_back(rec);
-    if (tb.buf.size() >= kFlushBatch) {
-      pending = tb.buf.size() < kFlushBatch ? tb.buf.size() : kFlushBatch;
-      for (std::size_t i = 0; i < pending; ++i) batch[i] = tb.buf[i];
-      tb.buf.clear();
-    }
+    if (tb.buf.size() < kFlushBatch) return;
+    full.swap(tb.buf);
+    tb.buf.reserve(kFlushBatch);
   }
   // The buffer lock is released before the ring lock is taken, so the
   // snapshot path (ring lock, then buffer locks) can never deadlock us.
-  if (pending > 0) {
-    std::lock_guard<std::mutex> lock(impl_->m);
-    for (std::size_t i = 0; i < pending; ++i) impl_->append_locked(batch[i]);
-  }
+  std::lock_guard<std::mutex> lock(impl_->m);
+  for (const SpanRecord& r : full) impl_->append_locked(r);
 }
 
 std::vector<SpanRecord> Recorder::snapshot() const {
@@ -386,45 +382,6 @@ void Recorder::dump_now(const char* reason) {
 
 // ---------------------------------------------------------------------------
 // Spans
-
-Span::Span(const char* name) {
-  if (!enabled()) return;
-  armed_ = true;
-  prev_ = t_context;
-  rec_.trace_id = prev_.valid() ? prev_.trace_id : next_id();
-  rec_.parent_span_id = prev_.valid() ? prev_.span_id : 0;
-  rec_.span_id = next_id();
-  rec_.set_name(name);
-  rec_.set_kind("span");
-  rec_.start_ns = now_ns();
-  t_context = TraceContext{rec_.trace_id, rec_.span_id};
-}
-
-Span::~Span() { finish(); }
-
-void Span::finish() {
-  if (!armed_ || finished_) return;
-  finished_ = true;
-  rec_.end_ns = now_ns();
-  t_context = prev_;
-  Recorder::global().record(rec_);
-}
-
-void Span::attr(std::string_view key, std::string_view value) {
-  if (armed_ && !finished_) rec_.add_attr(key, value);
-}
-void Span::attr(std::string_view key, std::uint64_t value) {
-  if (armed_ && !finished_) rec_.add_attr(key, value);
-}
-void Span::attr(std::string_view key, bool value) {
-  if (armed_ && !finished_) rec_.add_attr(key, value);
-}
-
-void Span::set_join(std::uint64_t target_span_id) {
-  if (!armed_ || finished_) return;
-  rec_.join_span_id = target_span_id;
-  rec_.set_kind("join");
-}
 
 void emit(const SpanRecord& rec) {
   if (!enabled() || rec.span_id == 0) return;

@@ -22,15 +22,18 @@
 //                            torn in-flight slot may be garbled; see
 //                            DESIGN §13).
 //
+// Spans come from two places: RMT_PHASE scopes (obs/phase.hpp), which
+// record themselves at exit, and hand-built SpanRecords passed to emit
+// (request roots, coalescing joins, transport reads and writes).
+//
 // Context propagation: the current TraceContext is thread-local;
 // exec::ThreadPool::submit captures the submitting thread's context and
-// re-enters it in the worker (wrapped in an "exec.task" span), so decider
+// re-enters it in the worker (inside an "exec.task" phase), so decider
 // phases nest under the owning request even across the pool boundary.
 //
 // Cost model: like obs::enabled(), tracing is off by default and every
-// entry point guards on one relaxed atomic load — bench_trace_overhead
-// hard-checks that an idle RMT_TRACE_SPAN stays within its per-site
-// budget, so the macros are safe to leave in the deciders' entry points.
+// entry point guards on one relaxed atomic load; bench_trace_overhead
+// hard-checks what an idle and a live RMT_PHASE cost.
 #pragma once
 
 #include <cstddef>
@@ -40,10 +43,7 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/phase_names.hpp"
-#include "obs/span_names.hpp"
-#include "obs/timer.hpp"  // RMT_OBS_CONCAT
-#include "util/audit.hpp"
+#include "obs/names.hpp"
 
 namespace rmt::obs::trace {
 
@@ -75,6 +75,9 @@ struct TraceContext {
 
 /// This thread's active context ({0,0} when none).
 TraceContext current();
+/// Replace this thread's context. An RMT_PHASE scope makes its span
+/// current at entry and restores the parent at exit.
+void set_current(TraceContext ctx);
 
 /// RAII: make `ctx` current until destruction (no-op for invalid ctx).
 /// This is what the pool's task wrapper uses to re-enter the submitter's
@@ -129,48 +132,6 @@ struct SpanRecord {
 /// No-op while tracing is disabled.
 void emit(const SpanRecord& rec);
 
-/// RAII span: starts on construction, becomes the thread's current
-/// context, records itself into the flight recorder on finish()/
-/// destruction. Inert (no clock read, nothing recorded) while tracing is
-/// disabled. `name` must outlive the span (pass a string literal).
-class Span {
- public:
-  /// Tag for RMT_TRACE_SPAN: audited builds enforce the phase registry,
-  /// exactly like RMT_OBS_SCOPE's ScopedTimer.
-  struct Phase {};
-
-  explicit Span(const char* name);
-  Span(Phase, const char* name) : Span(name) {
-    if constexpr (audit::kEnabled) {
-      if (!is_known_phase(name))
-        audit::detail::fail("obs", std::string("unregistered trace phase name: ") + name);
-    }
-  }
-  ~Span();
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
-  /// End the span early (idempotent); restores the previous context.
-  void finish();
-
-  void attr(std::string_view key, std::string_view value);
-  void attr(std::string_view key, const char* value) { attr(key, std::string_view(value)); }
-  void attr(std::string_view key, std::uint64_t value);
-  void attr(std::string_view key, bool value);
-  /// Mark as a coalescing join referencing `target_span_id`.
-  void set_join(std::uint64_t target_span_id);
-
-  bool armed() const { return armed_; }
-  std::uint64_t trace_id() const { return rec_.trace_id; }
-  std::uint64_t span_id() const { return rec_.span_id; }
-
- private:
-  SpanRecord rec_;
-  TraceContext prev_;
-  bool armed_ = false;
-  bool finished_ = false;
-};
-
 /// Dump header: enough to align this dump with other artifacts from the
 /// same process (rmt.bench/1 carries the same two anchors).
 struct DumpHeader {
@@ -217,7 +178,7 @@ class Recorder {
   /// deadline_exceeded.
   void dump_now(const char* reason);
 
-  // Internal producer API (Span / emit): append one finished record via
+  // Internal producer API (RMT_PHASE / emit): append one finished record via
   // the calling thread's buffer.
   void record(const SpanRecord& rec);
 
@@ -242,12 +203,6 @@ void install_crash_handler();
 
 }  // namespace rmt::obs::trace
 
-/// Marks a span-name literal for tools/rmt_lint.py's span registry rule;
-/// expands to the literal itself.
-#define RMT_TRACE_NAME(name) name
-
-/// Span-emitting sibling of RMT_OBS_SCOPE: trace the enclosing scope as a
-/// span named `name` (a phase-registry literal).
-#define RMT_TRACE_SPAN(name)                                    \
-  ::rmt::obs::trace::Span RMT_OBS_CONCAT(rmt_trace_span_, __LINE__)( \
-      ::rmt::obs::trace::Span::Phase{}, name)
+/// A span name for a hand-built SpanRecord: the literal itself, checked at
+/// compile time against the span entries of obs/names.hpp.
+#define RMT_TRACE_NAME(name) ::rmt::obs::checked_name(name, ::rmt::obs::NameKind::span)

@@ -1,7 +1,6 @@
 #include "protocols/runner.hpp"
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/audit.hpp"
 #include "util/check.hpp"
 
@@ -55,8 +54,7 @@ Outcome run_rmt(const Instance& inst, const Protocol& proto, Value dealer_value,
   Outcome out;
   {
     obs::ScopedCollector collect(out.phases);
-    RMT_OBS_SCOPE("runner.run_rmt");
-    RMT_TRACE_SPAN("runner.run_rmt");
+    RMT_PHASE("runner.run_rmt");
     sim::Network net(inst, build_nodes(inst, proto, dealer_value, corruption, inst.receiver()),
                      corruption, strategy, dealer_value);
     net.set_observer(observer);
@@ -83,8 +81,7 @@ BroadcastOutcome run_broadcast(const Instance& inst, const Protocol& proto, Valu
   BroadcastOutcome out;
   {
     obs::ScopedCollector collect(out.phases);
-    RMT_OBS_SCOPE("runner.run_broadcast");
-    RMT_TRACE_SPAN("runner.run_broadcast");
+    RMT_PHASE("runner.run_broadcast");
     const NodeId no_receiver = NodeId(inst.graph().capacity());
     sim::Network net(inst, build_nodes(inst, proto, dealer_value, corruption, no_receiver),
                      corruption, strategy, dealer_value);

@@ -7,7 +7,7 @@
 // instance I against adversary S?" questions.
 #pragma once
 
-#include "obs/timer.hpp"
+#include "obs/phase.hpp"
 #include "protocols/protocol.hpp"
 
 namespace rmt::protocols {
@@ -17,7 +17,7 @@ struct Outcome {
   bool correct = false;               ///< decided and equal to x_D
   bool wrong = false;                 ///< decided and ≠ x_D — a safety violation
   sim::NetworkStats stats;
-  /// Per-phase wall-time breakdown of this run (RMT_OBS_SCOPE sites hit
+  /// Per-phase wall-time breakdown of this run (RMT_PHASE sites hit
   /// while it executed). Empty unless obs::set_enabled(true).
   obs::PhaseProfile phases;
 };

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/timer.hpp"
+#include "obs/phase.hpp"
 #include "sim/trace.hpp"
 #include "util/audit.hpp"
 #include "util/check.hpp"
@@ -51,7 +51,7 @@ const ProtocolNode& Network::node(NodeId v) const {
 }
 
 std::vector<Message> Network::collect_honest_sends() {
-  RMT_OBS_SCOPE("sim.honest_round");
+  RMT_PHASE("sim.honest_round");
   std::vector<Message> out;
   instance_.graph().nodes().for_each([&](NodeId v) {
     if (!nodes_[v]) return;
@@ -71,7 +71,7 @@ std::vector<Message> Network::collect_honest_sends() {
 }
 
 void Network::route(std::vector<Message>&& honest, std::vector<Message>&& adversarial) {
-  RMT_OBS_SCOPE("sim.route");
+  RMT_PHASE("sim.route");
   const std::size_t delivered = honest.size() + adversarial.size();
   stats_.peak_round_messages = std::max(stats_.peak_round_messages, delivered);
   if (delivered == 0) ++stats_.quiet_rounds;
@@ -98,7 +98,7 @@ void Network::step() {
 
   std::vector<Message> adversarial;
   if (strategy_ && !corrupted_.empty()) {
-    RMT_OBS_SCOPE("sim.adversary_act");
+    RMT_PHASE("sim.adversary_act");
     // The corrupted inbox for this round was populated by the previous
     // route(); gather it for the strategy.
     std::vector<Message> corrupted_inbox;

@@ -16,9 +16,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
-#include "obs/trace.hpp"
-#include "store/metric_names.hpp"
+#include "obs/phase.hpp"
 #include "util/audit.hpp"
 
 namespace rmt::store {
@@ -106,8 +104,7 @@ Store::~Store() {
 }
 
 void Store::load_locked() {
-  RMT_OBS_SCOPE("store.load");
-  RMT_TRACE_SPAN("store.load");
+  RMT_PHASE("store.load");
   std::string image = read_all(fd_, path_);
   if (image.empty()) {
     // Fresh store: durable identity line before the first record.
@@ -218,8 +215,7 @@ std::optional<std::string> Store::get(const std::string& key) {
 }
 
 void Store::append_locked(const std::string& key, const std::string& value) {
-  RMT_OBS_SCOPE("store.append");
-  RMT_TRACE_SPAN("store.append");
+  RMT_PHASE("store.append");
   const std::string frame = encode_record(key, value, next_seq_);
   write_all(fd_, frame.data(), frame.size(), path_);
   if (opts_.fsync_each_append) fsync_or_throw(fd_, path_);
@@ -270,8 +266,7 @@ void Store::maybe_compact_locked() {
 }
 
 void Store::compact_locked() {
-  RMT_OBS_SCOPE("store.compact");
-  RMT_TRACE_SPAN("store.compact");
+  RMT_PHASE("store.compact");
   // Live records in seq order, so the rewritten log replays the history
   // of surviving writes.
   std::vector<std::pair<std::string, Entry>> live(index_.begin(), index_.end());

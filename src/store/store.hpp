@@ -121,7 +121,7 @@ class Store {
   const std::string& path() const { return path_; }
   Stats stats() const;
   /// Push counters (as deltas) and gauges into obs::Registry::global()
-  /// under the store.* names (store/metric_names.hpp).
+  /// under the store.* names (obs/names.hpp).
   void publish_stats();
 
  private:

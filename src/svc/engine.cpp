@@ -10,7 +10,7 @@
 #include "exec/thread_pool.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
 #include "protocols/rmt_pka.hpp"
 #include "protocols/runner.hpp"
@@ -233,8 +233,7 @@ std::optional<Response> Engine::lookup(const Request& req) {
 }
 
 std::vector<Response> Engine::run(const std::vector<Request>& requests) {
-  RMT_OBS_SCOPE("svc.batch");
-  RMT_TRACE_SPAN("svc.batch");
+  RMT_PHASE("svc.batch");
   const Clock::time_point t0 = Clock::now();
   const auto elapsed_ms = [&t0] {
     return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
@@ -357,8 +356,7 @@ std::vector<Response> Engine::run(const std::vector<Request>& requests) {
     Response::Status status = Response::Status::kOk;
     std::uint64_t compute_span = 0;
     if (any_live) {
-      RMT_OBS_SCOPE("svc.compute");
-      RMT_TRACE_SPAN("svc.compute");
+      RMT_PHASE("svc.compute");
       compute_span = obs::trace::current().span_id;
       try {
         result = compute(req, job.ikey);

@@ -6,7 +6,7 @@
 #include "instance/instance.hpp"
 #include "knowledge/local_knowledge.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
+#include "obs/phase.hpp"
 #include "sim/network.hpp"
 
 namespace rmt::audit {
@@ -27,49 +27,49 @@ void passed(const char* component) {
 }  // namespace detail
 
 void validate(const NodeSet& s) {
-  RMT_OBS_SCOPE("audit.validate");
+  RMT_PHASE("audit.validate");
   s.debug_validate();
   detail::passed("node_set");
 }
 
 void validate(const Graph& g) {
-  RMT_OBS_SCOPE("audit.validate");
+  RMT_PHASE("audit.validate");
   g.debug_validate();
   detail::passed("graph");
 }
 
 void validate(const AdversaryStructure& z) {
-  RMT_OBS_SCOPE("audit.validate");
+  RMT_PHASE("audit.validate");
   z.debug_validate();
   detail::passed("adversary");
 }
 
 void validate(const RestrictedStructure& r) {
-  RMT_OBS_SCOPE("audit.validate");
+  RMT_PHASE("audit.validate");
   r.debug_validate();
   detail::passed("restricted");
 }
 
 void validate(const ViewFunction& gamma) {
-  RMT_OBS_SCOPE("audit.validate");
+  RMT_PHASE("audit.validate");
   gamma.debug_validate();
   detail::passed("view");
 }
 
 void validate(const Instance& inst) {
-  RMT_OBS_SCOPE("audit.validate");
+  RMT_PHASE("audit.validate");
   inst.debug_validate();
   detail::passed("instance");
 }
 
 void validate(const LocalKnowledge& lk, const AdversaryStructure& z, const ViewFunction& gamma) {
-  RMT_OBS_SCOPE("audit.validate");
+  RMT_PHASE("audit.validate");
   debug_validate(lk, z, gamma);
   detail::passed("knowledge");
 }
 
 void validate(const sim::Network& net) {
-  RMT_OBS_SCOPE("audit.validate");
+  RMT_PHASE("audit.validate");
   net.debug_validate();
   detail::passed("sim");
 }

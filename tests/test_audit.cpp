@@ -24,7 +24,6 @@
 #include "knowledge/local_knowledge.hpp"
 #include "knowledge/view.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
 #include "sim/network.hpp"
 #include "tests/test_util.hpp"
 
@@ -305,16 +304,6 @@ TEST(AuditHook, EntryPointHooksMatchBuildMode) {
   } else {
     EXPECT_NO_THROW(static_cast<void>(z.restricted_to(NodeSet{1, 2})));
   }
-}
-
-TEST(AuditHook, ScopedTimerEnforcesPhaseRegistryUnderAudit) {
-  if constexpr (audit::kEnabled) {
-    EXPECT_EQ(failing_component([] { RMT_OBS_SCOPE("bogus.unregistered"); }), "obs");
-  } else {
-    EXPECT_NO_THROW({ RMT_OBS_SCOPE("bogus.unregistered"); });
-  }
-  // The "test." prefix is reserved for unit tests in every build mode.
-  EXPECT_NO_THROW({ RMT_OBS_SCOPE("test.audit_probe"); });
 }
 
 TEST(AuditHook, KEnabledAgreesWithMacro) {

@@ -1,4 +1,4 @@
-// Tests for the observability core (obs/metrics.hpp, obs/timer.hpp):
+// Tests for the observability core (obs/metrics.hpp, obs/phase.hpp):
 // metric kinds, the registry, histogram percentiles against known
 // distributions, and the scoped phase timers feeding run profiles.
 #include "obs/metrics.hpp"
@@ -8,10 +8,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string_view>
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "obs/timer.hpp"
+#include "obs/phase.hpp"
 #include "protocols/runner.hpp"
 #include "protocols/zcpa.hpp"
 
@@ -298,12 +299,31 @@ TEST(ObsMerge, RegistrySelfMergeIsAnError) {
   EXPECT_THROW(r.merge_from(r), std::invalid_argument);
 }
 
+// RMT_PHASE and RMT_TRACE_NAME pass their literal through checked_name,
+// which throws, and so fails the build, exactly where is_registered is
+// false. The compile-fail ctests obs_names_* check the throw itself.
+static_assert(!is_registered("bogus.unregistered", NameKind::phase));
+static_assert(!is_registered("bogus.unregistered", NameKind::span));
+static_assert(!is_registered("svc.request", NameKind::phase));  // a span, not a phase
+static_assert(!is_registered("exec.task", NameKind::span));     // a phase, not a span
+static_assert(!is_registered("test.audit_probe", NameKind::span));
+static_assert(is_registered("test.audit_probe", NameKind::phase));
+static_assert(std::string_view(checked_name("test.audit_probe", NameKind::phase)) ==
+              "test.audit_probe");
+static_assert([] {
+  for (std::size_t i = 0; i < kNames.size(); ++i) {
+    if (!is_registered(kNames[i].name, kNames[i].kind)) return false;
+    if (i > 0 && !(kNames[i - 1].name < kNames[i].name)) return false;  // sorted, unique
+  }
+  return true;
+}());
+
 TEST(ObsTimer, DisabledScopeRecordsNothing) {
   set_enabled(false);
   PhaseProfile profile;
   {
     ScopedCollector collect(profile);
-    RMT_OBS_SCOPE("test.disabled_phase");
+    RMT_PHASE("test.disabled_phase");
   }
   EXPECT_TRUE(profile.empty());
 }
@@ -315,7 +335,7 @@ TEST(ObsTimer, EnabledScopeFeedsProfileAndRegistry) {
   {
     ScopedCollector collect(profile);
     for (int i = 0; i < 3; ++i) {
-      RMT_OBS_SCOPE("test.enabled_phase");
+      RMT_PHASE("test.enabled_phase");
     }
   }
   ASSERT_EQ(profile.phases().count("test.enabled_phase"), 1u);

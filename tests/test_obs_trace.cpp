@@ -1,6 +1,7 @@
-// Tests for obs/trace.hpp: span lifecycle and parent links, deterministic
-// ids, the flight-recorder ring accounting, context propagation across the
-// exec::ThreadPool boundary, and the rmt.trace/1 dump shape.
+// Tests for obs/trace.hpp and the span half of RMT_PHASE (obs/phase.hpp):
+// span lifecycle and parent links, deterministic ids, the flight-recorder
+// ring accounting, context propagation across the exec::ThreadPool
+// boundary, and the rmt.trace/1 dump shape.
 #include <cstdio>
 #include <fstream>
 #include <future>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/thread_pool.hpp"
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
 
 namespace rmt::obs::trace {
@@ -42,11 +44,10 @@ class TraceTest : public ::testing::Test {
 TEST_F(TraceTest, DisabledSpansAreInert) {
   set_enabled(false);
   {
-    Span outer("svc.request");
-    EXPECT_FALSE(outer.armed());
-    EXPECT_FALSE(current().valid());  // no context leaks from an inert span
-    Span inner("svc.compute");
-    EXPECT_FALSE(inner.armed());
+    RMT_PHASE("svc.batch");
+    EXPECT_FALSE(current().valid());  // no context leaks from an idle phase
+    RMT_PHASE("svc.compute");
+    EXPECT_FALSE(current().valid());
   }
   EXPECT_EQ(Recorder::global().recorded(), 0u);
   EXPECT_TRUE(Recorder::global().snapshot().empty());
@@ -55,19 +56,17 @@ TEST_F(TraceTest, DisabledSpansAreInert) {
 TEST_F(TraceTest, NestedSpansLinkParentAndTrace) {
   std::uint64_t outer_trace = 0, outer_span = 0, inner_span = 0;
   {
-    Span outer("svc.request");
-    ASSERT_TRUE(outer.armed());
-    outer_trace = outer.trace_id();
-    outer_span = outer.span_id();
-    EXPECT_EQ(current().trace_id, outer_trace);
-    EXPECT_EQ(current().span_id, outer_span);
+    RMT_PHASE("svc.batch");
+    ASSERT_TRUE(current().valid());
+    outer_trace = current().trace_id;
+    outer_span = current().span_id;
     {
-      Span inner("svc.compute");
-      inner_span = inner.span_id();
-      EXPECT_EQ(inner.trace_id(), outer_trace);  // same request
-      EXPECT_EQ(current().span_id, inner_span);
+      RMT_PHASE("svc.compute");
+      inner_span = current().span_id;
+      EXPECT_EQ(current().trace_id, outer_trace);  // same request
+      EXPECT_NE(inner_span, outer_span);
     }
-    EXPECT_EQ(current().span_id, outer_span);  // restored on finish
+    EXPECT_EQ(current().span_id, outer_span);  // restored at exit
   }
   EXPECT_FALSE(current().valid());
 
@@ -77,12 +76,35 @@ TEST_F(TraceTest, NestedSpansLinkParentAndTrace) {
   EXPECT_EQ(name_of(spans[0]), "svc.compute");
   EXPECT_EQ(spans[0].parent_span_id, outer_span);
   EXPECT_EQ(spans[0].trace_id, outer_trace);
-  EXPECT_EQ(name_of(spans[1]), "svc.request");
+  EXPECT_EQ(spans[0].span_id, inner_span);
+  EXPECT_EQ(name_of(spans[1]), "svc.batch");
   EXPECT_EQ(spans[1].parent_span_id, 0u);  // trace root
   // Child interval nests inside the parent's.
   EXPECT_GE(spans[0].start_ns, spans[1].start_ns);
   EXPECT_LE(spans[0].end_ns, spans[1].end_ns);
   EXPECT_GE(spans[0].end_ns, spans[0].start_ns);
+}
+
+TEST_F(TraceTest, PhaseFeedsAllThreeSinksFromOneClockPair) {
+  obs::set_enabled(true);
+  Registry::global().reset();
+  PhaseProfile profile;
+  {
+    ScopedCollector collect(profile);
+    RMT_PHASE("test.x");
+  }
+  obs::set_enabled(false);
+  const Histogram& h = Registry::global().histogram("phase.test.x");
+  ASSERT_EQ(h.count(), 1u);
+  ASSERT_EQ(profile.phases().size(), 1u);
+  EXPECT_EQ(profile.phases().at("test.x").count, 1u);
+  EXPECT_DOUBLE_EQ(profile.phases().at("test.x").total_us, h.max());
+  const std::vector<SpanRecord> spans = Recorder::global().snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(name_of(spans[0]), "test.x");
+  // One pair of clock reads: the span's interval is the observed duration.
+  EXPECT_DOUBLE_EQ(double(spans[0].end_ns - spans[0].start_ns) / 1000.0, h.max());
+  Registry::global().reset();
 }
 
 TEST_F(TraceTest, IdsAreDeterministicUnderSeedAndNeverZero) {
@@ -96,9 +118,11 @@ TEST_F(TraceTest, IdsAreDeterministicUnderSeedAndNeverZero) {
   EXPECT_NE(a, 0u);
 
   set_seed(7);
-  Span s("svc.request");
-  EXPECT_EQ(s.trace_id(), a);  // spans draw from the same stream
-  EXPECT_EQ(s.span_id(), b);
+  {
+    RMT_PHASE("svc.batch");
+    EXPECT_EQ(current().trace_id, a);  // phases draw from the same stream
+    EXPECT_EQ(current().span_id, b);
+  }
 
   EXPECT_EQ(id_hex(0).size(), 16u);
   EXPECT_EQ(id_hex(0x00ff), "00000000000000ff");
@@ -145,26 +169,27 @@ TEST_F(TraceTest, EmitFillsKindAndSkipsNullSpans) {
 }
 
 TEST_F(TraceTest, AttrsAcceptEveryOverloadAndNeverTruncate) {
-  {
-    Span s("svc.request");
-    s.attr("kind", "decide_rmt");  // const char* must not pick the bool overload
-    s.attr("name", std::string_view("abc"));
-    s.attr("bytes", std::uint64_t(52));
-    s.attr("coalesced", false);
-    // Too big to fit: dropped whole, never cut mid-value.
-    s.attr("huge", std::string(SpanRecord::kAttrBytes, 'x'));
-  }
+  SpanRecord rec;
+  rec.trace_id = rec.span_id = next_id();
+  rec.add_attr("kind", "decide_rmt");  // const char* must not pick the bool overload
+  rec.add_attr("name", std::string_view("abc"));
+  rec.add_attr("bytes", std::uint64_t(52));
+  rec.add_attr("coalesced", false);
+  // Too big to fit: dropped whole, never cut mid-value.
+  rec.add_attr("huge", std::string(SpanRecord::kAttrBytes, 'x'));
+  emit(rec);
   const std::vector<SpanRecord> spans = Recorder::global().snapshot();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(attrs_of(spans[0]), "kind=decide_rmt;name=abc;bytes=52;coalesced=false");
 }
 
 TEST_F(TraceTest, SetJoinMarksKindAndTarget) {
-  std::uint64_t leader = next_id();
-  {
-    Span s("svc.join");
-    s.set_join(leader);
-  }
+  const std::uint64_t leader = next_id();
+  SpanRecord rec;
+  rec.trace_id = rec.span_id = next_id();
+  rec.set_name(RMT_TRACE_NAME("svc.join"));
+  rec.join_span_id = leader;
+  emit(rec);
   const std::vector<SpanRecord> spans = Recorder::global().snapshot();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(kind_of(spans[0]), "join");
@@ -177,8 +202,8 @@ TEST_F(TraceTest, ContextGuardEntersAndRestores) {
   {
     ContextGuard guard(root);
     EXPECT_EQ(current().trace_id, root.trace_id);
-    Span child("svc.compute");
-    EXPECT_EQ(child.trace_id(), root.trace_id);
+    RMT_PHASE("svc.compute");
+    EXPECT_EQ(current().trace_id, root.trace_id);
   }
   EXPECT_FALSE(current().valid());
   const std::vector<SpanRecord> spans = Recorder::global().snapshot();
@@ -193,18 +218,18 @@ TEST_F(TraceTest, PoolSubmitPropagatesContextViaExecTaskSpan) {
     // buffers) before the snapshot — the exec.task span finishes on the
     // worker *after* the task body signals completion.
     exec::ThreadPool pool(2);
-    Span root("svc.request");
-    root_trace = root.trace_id();
-    root_span = root.span_id();
+    RMT_PHASE("svc.batch");
+    root_trace = current().trace_id;
+    root_span = current().span_id;
     std::promise<void> done;
     pool.submit([&] {
-      Span inner("svc.compute");  // must nest under the submitter's request
+      RMT_PHASE("svc.compute");  // must nest under the submitter's request
       done.set_value();
     });
     done.get_future().wait();
   }
   const std::vector<SpanRecord> spans = Recorder::global().snapshot();
-  ASSERT_EQ(spans.size(), 3u);  // svc.compute, exec.task, svc.request
+  ASSERT_EQ(spans.size(), 3u);  // svc.compute, exec.task, svc.batch
 
   const SpanRecord* task = nullptr;
   const SpanRecord* inner = nullptr;
@@ -221,8 +246,8 @@ TEST_F(TraceTest, PoolSubmitPropagatesContextViaExecTaskSpan) {
 }
 
 TEST_F(TraceTest, WriteJsonlHeaderAgreesWithSpanLines) {
-  { Span a("svc.request"); }
-  { Span b("svc.batch"); }
+  { RMT_PHASE("svc.batch"); }
+  { RMT_PHASE("svc.compute"); }
   std::ostringstream out;
   Recorder::global().write_jsonl(out);
 
@@ -234,9 +259,9 @@ TEST_F(TraceTest, WriteJsonlHeaderAgreesWithSpanLines) {
   EXPECT_NE(lines[0].find("\"schema\":\"rmt.trace/1\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"recorded\":2"), std::string::npos);
   EXPECT_NE(lines[0].find("\"dropped\":0"), std::string::npos);
-  EXPECT_NE(lines[1].find("\"name\":\"svc.request\""), std::string::npos);
+  EXPECT_NE(lines[1].find("\"name\":\"svc.batch\""), std::string::npos);
   EXPECT_NE(lines[1].find("\"parent\":null"), std::string::npos);
-  EXPECT_NE(lines[2].find("\"name\":\"svc.batch\""), std::string::npos);
+  EXPECT_NE(lines[2].find("\"name\":\"svc.compute\""), std::string::npos);
 }
 
 TEST_F(TraceTest, DumpNowWritesConfiguredPathOnly) {
@@ -245,7 +270,7 @@ TEST_F(TraceTest, DumpNowWritesConfiguredPathOnly) {
 
   const std::string path = ::testing::TempDir() + "rmt_trace_dump_test.jsonl";
   std::remove(path.c_str());
-  { Span s("svc.request"); }
+  { RMT_PHASE("svc.batch"); }
   rec.set_dump_path(path);
   rec.dump_now("test");
 
@@ -256,7 +281,7 @@ TEST_F(TraceTest, DumpNowWritesConfiguredPathOnly) {
   EXPECT_NE(first.find("\"schema\":\"rmt.trace/1\""), std::string::npos);
   std::string span_line;
   ASSERT_TRUE(std::getline(in, span_line));
-  EXPECT_NE(span_line.find("svc.request"), std::string::npos);
+  EXPECT_NE(span_line.find("svc.batch"), std::string::npos);
   std::remove(path.c_str());
 }
 

@@ -32,7 +32,7 @@
 #include "obs/json.hpp"
 #include "obs/jsonl_trace.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
 #include "protocols/rmt_pka.hpp"
 #include "protocols/runner.hpp"

@@ -24,24 +24,6 @@ catch by hand (wired into ctest as lint_project / lint_selftest):
   entry-require     each registered public API entry point contains an
                     RMT_REQUIRE precondition (or an RMT_AUDIT_VALIDATE deep
                     hook) in its body
-  phase-registry    the RMT_OBS_SCOPE phase names used across src/ form a
-                    closed vocabulary: exactly the names listed in
-                    src/obs/phase_names.hpp (both directions checked)
-  svc-metric-registry
-                    every "svc.*" / "cache.*" metric-name string literal in
-                    C++ sources appears in src/svc/metric_names.hpp, and
-                    every registered name keeps an instrumentation site in
-                    src/ (both directions, mirroring phase-registry).
-                    Phase names ("svc.batch", "svc.compute") belong to the
-                    phase registry and span names ("svc.request", "svc.join")
-                    to the span registry; both are exempt here.
-  span-registry     the trace span names used across src/ form a closed
-                    vocabulary: every RMT_TRACE_SPAN name must come from
-                    src/obs/phase_names.hpp (the macro is RMT_OBS_SCOPE's
-                    sibling), every RMT_TRACE_NAME literal must appear in
-                    src/obs/span_names.hpp or the phase registry, and every
-                    span-registry entry keeps an RMT_TRACE_NAME site in src/
-                    (both directions, mirroring phase-registry)
   socket-discipline raw BSD socket / poll / epoll calls (socket, accept,
                     bind, listen, connect, recv, send, setsockopt, ...)
                     only inside src/net/ — every other layer, tests and
@@ -50,13 +32,6 @@ catch by hand (wired into ctest as lint_project / lint_selftest):
                     counters cannot be bypassed (member calls like
                     client.connect(...) are fine; it is the free functions
                     that are fenced)
-  net-metric-registry
-                    every "net.*" metric-name string literal in C++
-                    sources appears in src/net/metric_names.hpp, and every
-                    registered name keeps an instrumentation site in src/
-                    (both directions, mirroring svc-metric-registry). Span
-                    names ("net.conn", "net.read", "net.write") belong to
-                    the span registry and are exempt here.
   io-discipline     raw POSIX file io (::open, ::write, pread, pwrite,
                     fsync, ftruncate, rename, unlink, mkdir, ...) only
                     inside src/store/ — the store owns durability, so its
@@ -70,14 +45,15 @@ catch by hand (wired into ctest as lint_project / lint_selftest):
                     member functions and std::filesystem stay legitimate;
                     the rare POSIX names (pread, fsync, ftruncate, ...)
                     trip bare too.
-  store-metric-registry
-                    every "store.*" metric-name string literal in C++
-                    sources appears in src/store/metric_names.hpp, and
-                    every registered name keeps an instrumentation site in
-                    src/ (both directions, mirroring svc/net-metric-
-                    registry). The store phase names ("store.load",
-                    "store.append", "store.compact") belong to the phase
-                    registry and are exempt here.
+  name-registry     src/obs/names.hpp is the one closed vocabulary of
+                    phase, span and metric names: every "svc.*" /
+                    "cache.*" / "net.*" / "store.*" string literal in C++
+                    sources is registered, every entry keeps a site of its
+                    own kind in src/ (an RMT_PHASE for a phase, an
+                    RMT_TRACE_NAME for a span, a literal for a metric; uses
+                    in tests/ do not count), and src/ uses no "test."
+                    phase. That an RMT_PHASE / RMT_TRACE_NAME literal is
+                    registered under its kind is the compiler's check.
 
 Usage:
   rmt_lint.py [--repo DIR]   lint the repository (default: the linter's
@@ -118,8 +94,6 @@ ENTRY_POINTS = [
     ("src/instance/instance.cpp", "Instance::Instance"),
 ]
 
-PHASE_REGISTRY_FILE = "src/obs/phase_names.hpp"
-OBS_SCOPE_RE = re.compile(r'RMT_OBS_SCOPE\(\s*"([^"]+)"\s*\)')
 USING_NAMESPACE_RE = re.compile(r"^\s*using\s+namespace\b")
 
 
@@ -294,316 +268,63 @@ def check_entry_requires(repo, findings):
                 f"nor RMT_AUDIT_VALIDATE")
 
 
-def parse_phase_registry(text):
-    """Names listed between the lint:phase-registry markers, or None."""
-    m = re.search(r"lint:phase-registry-begin(.*?)lint:phase-registry-end", text, re.S)
+NAMES_FILE = "src/obs/names.hpp"
+NAME_ENTRY_RE = re.compile(r'\{\s*"([^"]+)"\s*,\s*NameKind::(\w+)\s*\}')
+# What marks a site of each kind in a source line. The metric pattern is
+# also the set of literals that must be registered.
+SITE_RES = {
+    "phase": re.compile(r'RMT_PHASE\(\s*"([^"]+)"\s*\)'),
+    "span": re.compile(r'RMT_TRACE_NAME\(\s*"([^"]+)"\s*\)'),
+    "metric": re.compile(r'"((?:svc|cache|net|store)\.[A-Za-z0-9_.]+)"'),
+}
+
+
+def parse_names(text):
+    """name -> kind for the entries between the lint:names markers, or None."""
+    m = re.search(r"lint:names-begin(.*?)lint:names-end", text, re.S)
     if not m:
         return None
-    return set(re.findall(r'"([^"]+)"', m.group(1)))
+    return dict(NAME_ENTRY_RE.findall(m.group(1)))
 
 
-def check_phase_registry(repo, sources, findings):
-    registry_path = repo / PHASE_REGISTRY_FILE
-    if not registry_path.is_file():
-        findings.append(f"{PHASE_REGISTRY_FILE}:1: phase-registry: registry file is missing")
-        return
-    registry = parse_phase_registry(registry_path.read_text(encoding="utf-8"))
-    if registry is None:
-        findings.append(
-            f"{PHASE_REGISTRY_FILE}:1: phase-registry: lint:phase-registry markers not found")
-        return
-    used = {}  # name -> first "file:line"
-    for relpath, text in sources:
-        if not relpath.startswith("src/"):
-            continue
-        for i, line in enumerate(strip_line_comments(text).splitlines(), 1):
-            for name in OBS_SCOPE_RE.findall(line):
-                used.setdefault(name, f"{relpath}:{i}")
-    for name, where in sorted(used.items()):
-        if name.startswith("test."):
-            findings.append(
-                f"{where}: phase-registry: prefix 'test.' is reserved for unit tests, "
-                f"not library code ('{name}')")
-        elif name not in registry:
-            findings.append(
-                f"{where}: phase-registry: phase '{name}' is not in {PHASE_REGISTRY_FILE}")
-    for name in sorted(registry - set(used)):
-        findings.append(
-            f"{PHASE_REGISTRY_FILE}:1: phase-registry: registered phase '{name}' "
-            f"has no RMT_OBS_SCOPE site left")
+def name_findings(names, sources):
+    """The name-registry check as a pure function (self-tested).
 
-
-SPAN_REGISTRY_FILE = "src/obs/span_names.hpp"
-TRACE_SPAN_RE = re.compile(r'RMT_TRACE_SPAN\(\s*"([^"]+)"\s*\)')
-TRACE_NAME_RE = re.compile(r'RMT_TRACE_NAME\(\s*"([^"]+)"\s*\)')
-
-
-def parse_span_registry(text):
-    """Names listed between the lint:span-registry markers, or None."""
-    m = re.search(r"lint:span-registry-begin(.*?)lint:span-registry-end", text, re.S)
-    if not m:
-        return None
-    return set(re.findall(r'"([^"]+)"', m.group(1)))
-
-
-def span_findings(span_registry, phase_names, sources):
-    """The both-direction span-name check as a pure function (self-tested).
-
-    RMT_TRACE_SPAN is RMT_OBS_SCOPE's sibling, so its names must come from
-    the phase registry (the runtime audit enforces the same). RMT_TRACE_NAME
-    marks a free-standing span-name literal; it may use a phase name or a
-    span-registry name. Every span-registry entry must keep an
-    RMT_TRACE_NAME site in src/. `sources` excludes the registry file.
+    `names` maps each registered name to its kind; `sources` excludes the
+    registry file itself.
     """
     findings = []
-    span_used = {}   # RMT_TRACE_SPAN name -> first "file:line"
-    name_used = {}   # RMT_TRACE_NAME name -> first "file:line"
-    name_in_src = set()
+    sites = set()  # (name, kind) with a site in src/
     for relpath, text in sources:
-        if not relpath.startswith("src/"):
-            continue
         for i, line in enumerate(strip_line_comments(text).splitlines(), 1):
-            for name in TRACE_SPAN_RE.findall(line):
-                span_used.setdefault(name, f"{relpath}:{i}")
-            for name in TRACE_NAME_RE.findall(line):
-                name_used.setdefault(name, f"{relpath}:{i}")
-                name_in_src.add(name)
-    for name, where in sorted(span_used.items()):
-        if name.startswith("test."):
-            findings.append(
-                f"{where}: span-registry: prefix 'test.' is reserved for unit tests, "
-                f"not library code ('{name}')")
-        elif name not in phase_names:
-            findings.append(
-                f"{where}: span-registry: RMT_TRACE_SPAN name '{name}' is not in "
-                f"{PHASE_REGISTRY_FILE}")
-    for name, where in sorted(name_used.items()):
-        if name not in span_registry and name not in phase_names:
-            findings.append(
-                f"{where}: span-registry: span name '{name}' is in neither "
-                f"{SPAN_REGISTRY_FILE} nor {PHASE_REGISTRY_FILE}")
-    for name in sorted(span_registry - name_in_src):
-        findings.append(
-            f"{SPAN_REGISTRY_FILE}:1: span-registry: registered span name "
-            f"'{name}' has no RMT_TRACE_NAME site left in src/")
+            found = {kind: rx.findall(line) for kind, rx in SITE_RES.items()}
+            for name in found["metric"]:
+                if name not in names:
+                    findings.append(
+                        f"{relpath}:{i}: name-registry: '{name}' is not in {NAMES_FILE}")
+            if not relpath.startswith("src/"):
+                continue
+            sites |= {(name, kind) for kind, found_names in found.items()
+                      for name in found_names}
+            for name in found["phase"]:
+                if name.startswith("test."):
+                    findings.append(
+                        f"{relpath}:{i}: name-registry: prefix 'test.' is reserved for "
+                        f"unit tests, not library code ('{name}')")
+    for name, kind in sorted(names.items()):
+        if (name, kind) not in sites:
+            findings.append(f"{NAMES_FILE}:1: name-registry: registered {kind} '{name}' "
+                            f"has no site left in src/")
     return findings
 
 
-def check_span_registry(repo, sources, findings):
-    registry_path = repo / SPAN_REGISTRY_FILE
-    if not registry_path.is_file():
-        findings.append(f"{SPAN_REGISTRY_FILE}:1: span-registry: registry file is missing")
+def check_name_registry(repo, sources, findings):
+    path = repo / NAMES_FILE
+    names = parse_names(path.read_text(encoding="utf-8")) if path.is_file() else None
+    if names is None:
+        findings.append(f"{NAMES_FILE}:1: name-registry: file or lint:names markers missing")
         return
-    registry = parse_span_registry(registry_path.read_text(encoding="utf-8"))
-    if registry is None:
-        findings.append(f"{SPAN_REGISTRY_FILE}:1: span-registry: "
-                        f"lint:span-registry markers not found")
-        return
-    phase_path = repo / PHASE_REGISTRY_FILE
-    phase_names = set()
-    if phase_path.is_file():
-        phase_names = parse_phase_registry(phase_path.read_text(encoding="utf-8")) or set()
-    scanned = [(relpath, text) for relpath, text in sources
-               if relpath != SPAN_REGISTRY_FILE]
-    findings.extend(span_findings(registry, phase_names, scanned))
-
-
-SVC_METRIC_REGISTRY_FILE = "src/svc/metric_names.hpp"
-SVC_METRIC_LITERAL_RE = re.compile(r'"((?:svc|cache)\.[A-Za-z0-9_.]+)"')
-
-
-def parse_svc_metric_registry(text):
-    """Names listed between the lint:svc-metric-registry markers, or None."""
-    m = re.search(r"lint:svc-metric-registry-begin(.*?)lint:svc-metric-registry-end",
-                  text, re.S)
-    if not m:
-        return None
-    return set(re.findall(r'"([^"]+)"', m.group(1)))
-
-
-def svc_metric_findings(registry, phase_names, sources):
-    """The both-direction registry check as a pure function (self-tested).
-
-    `sources` excludes the registry file itself; `phase_names` (phase and
-    span names alike) are exempt — the phase/span registry rules own them.
-    """
-    findings = []
-    used = {}  # name -> first "file:line"
-    used_in_src = set()
-    for relpath, text in sources:
-        for i, line in enumerate(strip_line_comments(text).splitlines(), 1):
-            for name in SVC_METRIC_LITERAL_RE.findall(line):
-                used.setdefault(name, f"{relpath}:{i}")
-                if relpath.startswith("src/"):
-                    used_in_src.add(name)
-    for name, where in sorted(used.items()):
-        if name in phase_names:
-            continue
-        if name not in registry:
-            findings.append(
-                f"{where}: svc-metric-registry: metric '{name}' is not in "
-                f"{SVC_METRIC_REGISTRY_FILE}")
-    for name in sorted(registry - used_in_src):
-        findings.append(
-            f"{SVC_METRIC_REGISTRY_FILE}:1: svc-metric-registry: registered metric "
-            f"'{name}' has no instrumentation site left in src/")
-    return findings
-
-
-def check_svc_metric_registry(repo, sources, findings):
-    registry_path = repo / SVC_METRIC_REGISTRY_FILE
-    if not registry_path.is_file():
-        findings.append(
-            f"{SVC_METRIC_REGISTRY_FILE}:1: svc-metric-registry: registry file is missing")
-        return
-    registry = parse_svc_metric_registry(registry_path.read_text(encoding="utf-8"))
-    if registry is None:
-        findings.append(f"{SVC_METRIC_REGISTRY_FILE}:1: svc-metric-registry: "
-                        f"lint:svc-metric-registry markers not found")
-        return
-    phase_path = repo / PHASE_REGISTRY_FILE
-    phase_names = set()
-    if phase_path.is_file():
-        phase_names = parse_phase_registry(phase_path.read_text(encoding="utf-8")) or set()
-    span_path = repo / SPAN_REGISTRY_FILE
-    if span_path.is_file():
-        phase_names |= parse_span_registry(span_path.read_text(encoding="utf-8")) or set()
-    scanned = [(relpath, text) for relpath, text in sources
-               if relpath not in (SVC_METRIC_REGISTRY_FILE, SPAN_REGISTRY_FILE)]
-    findings.extend(svc_metric_findings(registry, phase_names, scanned))
-
-
-NET_METRIC_REGISTRY_FILE = "src/net/metric_names.hpp"
-NET_METRIC_LITERAL_RE = re.compile(r'"(net\.[A-Za-z0-9_.]+)"')
-
-
-def parse_net_metric_registry(text):
-    """Names listed between the lint:net-metric-registry markers, or None."""
-    m = re.search(r"lint:net-metric-registry-begin(.*?)lint:net-metric-registry-end",
-                  text, re.S)
-    if not m:
-        return None
-    return set(re.findall(r'"([^"]+)"', m.group(1)))
-
-
-def net_metric_findings(registry, span_names, sources):
-    """The both-direction net-metric check as a pure function (self-tested).
-
-    `sources` excludes the registry file itself; `span_names` (the span and
-    phase vocabularies) are exempt — "net.conn" / "net.read" / "net.write"
-    are trace spans owned by the span-registry rule, not metrics.
-    """
-    findings = []
-    used = {}  # name -> first "file:line"
-    used_in_src = set()
-    for relpath, text in sources:
-        for i, line in enumerate(strip_line_comments(text).splitlines(), 1):
-            for name in NET_METRIC_LITERAL_RE.findall(line):
-                used.setdefault(name, f"{relpath}:{i}")
-                if relpath.startswith("src/"):
-                    used_in_src.add(name)
-    for name, where in sorted(used.items()):
-        if name in span_names:
-            continue
-        if name not in registry:
-            findings.append(
-                f"{where}: net-metric-registry: metric '{name}' is not in "
-                f"{NET_METRIC_REGISTRY_FILE}")
-    for name in sorted(registry - used_in_src):
-        findings.append(
-            f"{NET_METRIC_REGISTRY_FILE}:1: net-metric-registry: registered metric "
-            f"'{name}' has no instrumentation site left in src/")
-    return findings
-
-
-def check_net_metric_registry(repo, sources, findings):
-    registry_path = repo / NET_METRIC_REGISTRY_FILE
-    if not registry_path.is_file():
-        findings.append(
-            f"{NET_METRIC_REGISTRY_FILE}:1: net-metric-registry: registry file is missing")
-        return
-    registry = parse_net_metric_registry(registry_path.read_text(encoding="utf-8"))
-    if registry is None:
-        findings.append(f"{NET_METRIC_REGISTRY_FILE}:1: net-metric-registry: "
-                        f"lint:net-metric-registry markers not found")
-        return
-    span_names = set()
-    phase_path = repo / PHASE_REGISTRY_FILE
-    if phase_path.is_file():
-        span_names |= parse_phase_registry(phase_path.read_text(encoding="utf-8")) or set()
-    span_path = repo / SPAN_REGISTRY_FILE
-    if span_path.is_file():
-        span_names |= parse_span_registry(span_path.read_text(encoding="utf-8")) or set()
-    scanned = [(relpath, text) for relpath, text in sources
-               if relpath not in (NET_METRIC_REGISTRY_FILE, SPAN_REGISTRY_FILE)]
-    findings.extend(net_metric_findings(registry, span_names, scanned))
-
-
-STORE_METRIC_REGISTRY_FILE = "src/store/metric_names.hpp"
-STORE_METRIC_LITERAL_RE = re.compile(r'"(store\.[A-Za-z0-9_.]+)"')
-
-
-def parse_store_metric_registry(text):
-    """Names listed between the lint:store-metric-registry markers, or None."""
-    m = re.search(r"lint:store-metric-registry-begin(.*?)lint:store-metric-registry-end",
-                  text, re.S)
-    if not m:
-        return None
-    return set(re.findall(r'"([^"]+)"', m.group(1)))
-
-
-def store_metric_findings(registry, phase_names, sources):
-    """The both-direction store-metric check as a pure function (self-tested).
-
-    `sources` excludes the registry file itself; `phase_names` (the phase
-    and span vocabularies) are exempt — "store.load" / "store.append" /
-    "store.compact" are RMT_OBS_SCOPE phases owned by the phase-registry
-    rule, not metrics.
-    """
-    findings = []
-    used = {}  # name -> first "file:line"
-    used_in_src = set()
-    for relpath, text in sources:
-        for i, line in enumerate(strip_line_comments(text).splitlines(), 1):
-            for name in STORE_METRIC_LITERAL_RE.findall(line):
-                used.setdefault(name, f"{relpath}:{i}")
-                if relpath.startswith("src/"):
-                    used_in_src.add(name)
-    for name, where in sorted(used.items()):
-        if name in phase_names:
-            continue
-        if name not in registry:
-            findings.append(
-                f"{where}: store-metric-registry: metric '{name}' is not in "
-                f"{STORE_METRIC_REGISTRY_FILE}")
-    for name in sorted(registry - used_in_src):
-        findings.append(
-            f"{STORE_METRIC_REGISTRY_FILE}:1: store-metric-registry: registered metric "
-            f"'{name}' has no instrumentation site left in src/")
-    return findings
-
-
-def check_store_metric_registry(repo, sources, findings):
-    registry_path = repo / STORE_METRIC_REGISTRY_FILE
-    if not registry_path.is_file():
-        findings.append(
-            f"{STORE_METRIC_REGISTRY_FILE}:1: store-metric-registry: registry file is missing")
-        return
-    registry = parse_store_metric_registry(registry_path.read_text(encoding="utf-8"))
-    if registry is None:
-        findings.append(f"{STORE_METRIC_REGISTRY_FILE}:1: store-metric-registry: "
-                        f"lint:store-metric-registry markers not found")
-        return
-    phase_names = set()
-    phase_path = repo / PHASE_REGISTRY_FILE
-    if phase_path.is_file():
-        phase_names |= parse_phase_registry(phase_path.read_text(encoding="utf-8")) or set()
-    span_path = repo / SPAN_REGISTRY_FILE
-    if span_path.is_file():
-        phase_names |= parse_span_registry(span_path.read_text(encoding="utf-8")) or set()
-    scanned = [(relpath, text) for relpath, text in sources
-               if relpath not in (STORE_METRIC_REGISTRY_FILE, SPAN_REGISTRY_FILE)]
-    findings.extend(store_metric_findings(registry, phase_names, scanned))
+    findings.extend(name_findings(names, [s for s in sources if s[0] != NAMES_FILE]))
 
 
 # --- driver ------------------------------------------------------------------
@@ -634,11 +355,7 @@ def lint_repo(repo):
         for rule in PER_FILE_RULES:
             findings.extend(rule(relpath, text))
     check_entry_requires(repo, findings)
-    check_phase_registry(repo, sources, findings)
-    check_span_registry(repo, sources, findings)
-    check_svc_metric_registry(repo, sources, findings)
-    check_net_metric_registry(repo, sources, findings)
-    check_store_metric_registry(repo, sources, findings)
+    check_name_registry(repo, sources, findings)
     return findings
 
 
@@ -708,119 +425,52 @@ SELFTEST_CASES = [
     (check_io_discipline, "src/x.cpp", "// raw ::write( is banned here\n", False),
 ]
 
-# (span_registry, phase_names, sources, expect_finding) for span_findings.
-SPAN_CASES = [
-    # A phase-registry RMT_TRACE_SPAN plus a registered RMT_TRACE_NAME,
-    # each with a live src/ site: clean in both directions.
-    ({"exec.task"}, {"rmt_cut.find"},
-     [("src/analysis/rmt_cut.cpp", 'RMT_TRACE_SPAN("rmt_cut.find");\n'),
-      ("src/exec/thread_pool.cpp", 'Span s(RMT_TRACE_NAME("exec.task"));\n')], False),
-    # An RMT_TRACE_SPAN name outside the phase registry is a finding even
-    # if it sits in the span registry — the macro is phase-backed.
-    ({"exec.task", "svc.rogue"}, {"rmt_cut.find"},
-     [("src/svc/engine.cpp", 'RMT_TRACE_SPAN("svc.rogue");\n'),
-      ("src/exec/thread_pool.cpp", 'Span s(RMT_TRACE_NAME("exec.task"));\n'),
-      ("src/svc/engine.cpp", 'rec.set_name(RMT_TRACE_NAME("svc.rogue"));\n')], True),
-    # An RMT_TRACE_NAME literal in neither registry is a finding.
-    ({"exec.task"}, set(),
-     [("src/exec/thread_pool.cpp", 'Span s(RMT_TRACE_NAME("exec.task"));\n'),
-      ("src/svc/engine.cpp", 'rec.set_name(RMT_TRACE_NAME("svc.rogue"));\n')], True),
-    # A registered span name with no src/ RMT_TRACE_NAME site left is a
-    # finding — a use in tests/ alone does not keep it alive.
-    ({"exec.task", "svc.join"}, set(),
-     [("src/exec/thread_pool.cpp", 'Span s(RMT_TRACE_NAME("exec.task"));\n'),
-      ("tests/test_x.cpp", 'rec.set_name(RMT_TRACE_NAME("svc.join"));\n')], True),
-    # "test." is reserved for unit tests, not library RMT_TRACE_SPAN sites.
-    ({"exec.task"}, {"test.phase"},
-     [("src/exec/thread_pool.cpp", 'Span s(RMT_TRACE_NAME("exec.task"));\n'),
-      ("src/svc/engine.cpp", 'RMT_TRACE_SPAN("test.phase");\n')], True),
-    # Mentions inside // comments do not count as uses.
-    ({"exec.task"}, set(),
-     [("src/exec/thread_pool.cpp",
-       'Span s(RMT_TRACE_NAME("exec.task"));  // not RMT_TRACE_NAME("x.y")\n')], False),
-]
-
-# (registry, phase_names, sources, expect_finding) for svc_metric_findings.
-SVC_METRIC_CASES = [
-    # A registered metric used in src/: clean in both directions.
-    ({"svc.requests"}, set(),
-     [("src/svc/engine.cpp", 'reg.counter("svc.requests");\n')], False),
-    # An unregistered metric literal anywhere is a finding.
-    ({"svc.requests"}, set(),
-     [("src/svc/engine.cpp", 'reg.counter("svc.requests");\n'),
-      ("src/svc/engine.cpp", 'reg.counter("svc.rogue");\n')], True),
-    ({"svc.requests"}, set(),
-     [("src/svc/engine.cpp", 'reg.counter("svc.requests");\n'),
-      ("tests/test_x.cpp", 'reg.counter("cache.rogue");\n')], True),
-    # A registered metric with no src/ site left is a finding — a use in
-    # tests/ alone does not keep it alive.
-    ({"svc.requests", "svc.stale"}, set(),
-     [("src/svc/engine.cpp", 'reg.counter("svc.requests");\n'),
-      ("tests/test_x.cpp", 'reg.counter("svc.stale");\n')], True),
-    # Phase names are the phase registry's business, not a metric finding.
-    ({"svc.requests"}, {"svc.batch"},
-     [("src/svc/engine.cpp", 'reg.counter("svc.requests");\n'),
-      ("src/svc/engine.cpp", 'RMT_OBS_SCOPE("svc.batch");\n')], False),
-    # Mentions inside // comments do not count as uses.
-    ({"svc.requests"}, set(),
-     [("src/svc/engine.cpp",
-       'reg.counter("svc.requests");  // not "svc.phantom"\n')], False),
-]
-
-# (registry, span_names, sources, expect_finding) for net_metric_findings.
-NET_METRIC_CASES = [
-    # A registered metric used in src/: clean in both directions.
-    ({"net.accepts"}, set(),
-     [("src/net/server.cpp", 'reg.counter("net.accepts");\n')], False),
-    # An unregistered metric literal anywhere is a finding.
-    ({"net.accepts"}, set(),
-     [("src/net/server.cpp", 'reg.counter("net.accepts");\n'),
-      ("src/net/server.cpp", 'reg.counter("net.rogue");\n')], True),
-    ({"net.accepts"}, set(),
-     [("src/net/server.cpp", 'reg.counter("net.accepts");\n'),
-      ("tests/test_x.cpp", 'EXPECT_TRUE(has("net.rogue"));\n')], True),
-    # A registered metric with no src/ site left is a finding — a use in
-    # tests/ alone does not keep it alive.
-    ({"net.accepts", "net.stale"}, set(),
-     [("src/net/server.cpp", 'reg.counter("net.accepts");\n'),
-      ("tests/test_x.cpp", 'reg.counter("net.stale");\n')], True),
-    # Span names are the span registry's business, not a metric finding.
-    ({"net.accepts"}, {"net.conn", "net.read", "net.write"},
-     [("src/net/server.cpp", 'reg.counter("net.accepts");\n'),
-      ("src/net/server.cpp", 'rec.set_name(RMT_TRACE_NAME("net.write"));\n')], False),
-    # Mentions inside // comments do not count as uses.
-    ({"net.accepts"}, set(),
-     [("src/net/server.cpp",
-       'reg.counter("net.accepts");  // not "net.phantom"\n')], False),
+# (names, sources, expect_finding) for name_findings.
+NAME_CASES = [
+    # A phase and a span, each with a live src/ site: clean.
+    ({"rmt_cut.find": "phase", "svc.join": "span"},
+     [("src/analysis/rmt_cut.cpp", 'RMT_PHASE("rmt_cut.find");\n'),
+      ("src/svc/engine.cpp", 'rec.set_name(RMT_TRACE_NAME("svc.join"));\n')], False),
+    # An entry whose only site is in tests/ is dead: a span, a phase.
+    ({"svc.join": "span"},
+     [("tests/test_x.cpp", 'rec.set_name(RMT_TRACE_NAME("svc.join"));\n')], True),
+    ({"svc.batch": "phase", "svc.compute": "phase"},
+     [("src/svc/engine.cpp", 'RMT_PHASE("svc.batch");\n'),
+      ("tests/test_x.cpp", 'RMT_PHASE("svc.compute");\n')], True),
+    # "test." is reserved for unit tests, not library phases.
+    ({"svc.batch": "phase"},
+     [("src/svc/engine.cpp", 'RMT_PHASE("svc.batch");\nRMT_PHASE("test.phase");\n')], True),
+    # A site inside a // comment keeps no entry alive.
+    ({"svc.join": "span"},
+     [("src/svc/engine.cpp", '// rec.set_name(RMT_TRACE_NAME("svc.join"));\n')], True),
 ]
 
 
-# (registry, phase_names, sources, expect_finding) for store_metric_findings.
-STORE_METRIC_CASES = [
-    # A registered metric used in src/: clean in both directions.
-    ({"store.hits"}, set(),
-     [("src/store/store.cpp", 'reg.counter("store.hits");\n')], False),
-    # An unregistered metric literal anywhere is a finding.
-    ({"store.hits"}, set(),
-     [("src/store/store.cpp", 'reg.counter("store.hits");\n'),
-      ("src/store/store.cpp", 'reg.counter("store.rogue");\n')], True),
-    ({"store.hits"}, set(),
-     [("src/store/store.cpp", 'reg.counter("store.hits");\n'),
-      ("tests/test_store.cpp", 'EXPECT_TRUE(has("store.rogue"));\n')], True),
-    # A registered metric with no src/ site left is a finding — a use in
-    # tests/ alone does not keep it alive.
-    ({"store.hits", "store.stale"}, set(),
-     [("src/store/store.cpp", 'reg.counter("store.hits");\n'),
-      ("tests/test_store.cpp", 'reg.counter("store.stale");\n')], True),
-    # Phase names are the phase registry's business, not a metric finding.
-    ({"store.hits"}, {"store.load", "store.append", "store.compact"},
-     [("src/store/store.cpp", 'reg.counter("store.hits");\n'),
-      ("src/store/store.cpp", 'RMT_OBS_SCOPE("store.append");\n')], False),
-    # Mentions inside // comments do not count as uses.
-    ({"store.hits"}, set(),
-     [("src/store/store.cpp",
-       'reg.counter("store.hits");  // not "store.phantom"\n')], False),
-]
+def metric_cases(metric, test_rogue, other, other_kind, other_site):
+    """The six metric cases for one serving prefix: a live metric is clean;
+    an unregistered literal in src/ or in tests/ is a finding; a metric
+    used only in tests/ is dead; a phase or span site is no metric finding;
+    a mention inside a // comment is not a use."""
+    prefix = metric.split(".")[0]
+    use = f'reg.counter("{metric}");'
+    return [
+        ({metric: "metric"}, [("src/x.cpp", use)], False),
+        ({metric: "metric"}, [("src/x.cpp", use + f'reg.counter("{prefix}.rogue");')], True),
+        ({metric: "metric"}, [("src/x.cpp", use), ("tests/test_x.cpp", f'has("{test_rogue}");')],
+         True),
+        ({metric: "metric", f"{prefix}.stale": "metric"},
+         [("src/x.cpp", use), ("tests/test_x.cpp", f'reg.counter("{prefix}.stale");')], True),
+        ({metric: "metric", other: other_kind}, [("src/x.cpp", use + other_site)], False),
+        ({metric: "metric"}, [("src/x.cpp", use + f'  // not "{prefix}.phantom"')], False),
+    ]
+
+
+NAME_CASES += (
+    metric_cases("svc.requests", "cache.rogue", "svc.batch", "phase", 'RMT_PHASE("svc.batch");')
+    + metric_cases("net.accepts", "net.rogue", "net.write", "span",
+                   'rec.set_name(RMT_TRACE_NAME("net.write"));')
+    + metric_cases("store.hits", "store.rogue", "store.append", "phase",
+                   'RMT_PHASE("store.append");'))
 
 
 def self_test():
@@ -835,58 +485,17 @@ def self_test():
         failures.append("function_body: failed to extract g's body")
     if function_body("void h(int);", "h") is not None:
         failures.append("function_body: declaration misread as definition")
-    registry = parse_phase_registry(
-        '// lint:phase-registry-begin\n"a.b",\n"c.d",\n// lint:phase-registry-end\n')
-    if registry != {"a.b", "c.d"}:
-        failures.append(f"parse_phase_registry: got {registry!r}")
-
-    span_registry = parse_span_registry(
-        '// lint:span-registry-begin\n"exec.task",\n"svc.join",\n'
-        '// lint:span-registry-end\n')
-    if span_registry != {"exec.task", "svc.join"}:
-        failures.append(f"parse_span_registry: got {span_registry!r}")
-    for case, (reg, phases, sources, expect) in enumerate(SPAN_CASES):
-        got = bool(span_findings(reg, phases, sources))
-        if got != expect:
-            failures.append(f"span case {case}: expected "
-                            f"{'a finding' if expect else 'clean'}, got the opposite")
-
-    svc_registry = parse_svc_metric_registry(
-        '// lint:svc-metric-registry-begin\n"svc.requests",\n"svc.cache.hits",\n'
-        '// lint:svc-metric-registry-end\n')
-    if svc_registry != {"svc.requests", "svc.cache.hits"}:
-        failures.append(f"parse_svc_metric_registry: got {svc_registry!r}")
-    for case, (reg, phases, sources, expect) in enumerate(SVC_METRIC_CASES):
-        got = bool(svc_metric_findings(reg, phases, sources))
-        if got != expect:
-            failures.append(f"svc-metric case {case}: expected "
-                            f"{'a finding' if expect else 'clean'}, got the opposite")
-
-    net_registry = parse_net_metric_registry(
-        '// lint:net-metric-registry-begin\n"net.accepts",\n"net.shed",\n'
-        '// lint:net-metric-registry-end\n')
-    if net_registry != {"net.accepts", "net.shed"}:
-        failures.append(f"parse_net_metric_registry: got {net_registry!r}")
-    for case, (reg, spans, sources, expect) in enumerate(NET_METRIC_CASES):
-        got = bool(net_metric_findings(reg, spans, sources))
-        if got != expect:
-            failures.append(f"net-metric case {case}: expected "
-                            f"{'a finding' if expect else 'clean'}, got the opposite")
-
-    store_registry = parse_store_metric_registry(
-        '// lint:store-metric-registry-begin\n"store.hits",\n"store.appends",\n'
-        '// lint:store-metric-registry-end\n')
-    if store_registry != {"store.hits", "store.appends"}:
-        failures.append(f"parse_store_metric_registry: got {store_registry!r}")
-    for case, (reg, phases, sources, expect) in enumerate(STORE_METRIC_CASES):
-        got = bool(store_metric_findings(reg, phases, sources))
-        if got != expect:
-            failures.append(f"store-metric case {case}: expected "
+    names = parse_names('// lint:names-begin\n{"a.b", NameKind::phase},\n'
+                        '{"c.d", NameKind::metric},\n// lint:names-end\n')
+    if names != {"a.b": "phase", "c.d": "metric"}:
+        failures.append(f"parse_names: got {names!r}")
+    for case, (names, sources, expect) in enumerate(NAME_CASES):
+        if bool(name_findings(names, sources)) != expect:
+            failures.append(f"name case {case}: expected "
                             f"{'a finding' if expect else 'clean'}, got the opposite")
     for f in failures:
         print(f"self-test: {f}", file=sys.stderr)
-    total = len(SELFTEST_CASES) + len(SPAN_CASES) + len(SVC_METRIC_CASES) \
-        + len(NET_METRIC_CASES) + len(STORE_METRIC_CASES) + 7
+    total = len(SELFTEST_CASES) + len(NAME_CASES) + 3
     print(f"self-test: {total} checks, {len(failures)} failures")
     return 1 if failures else 0
 
