@@ -16,10 +16,14 @@
 // The `simulate/<strategy>` rows are the served `simulate` kind on
 // cold_mix's three simulate cells (4 parallel paths of 3 hops with a
 // 1-threshold and full views, cycle-16 ad hoc, wheel-13 with 1-hop views)
-// against each of the five strategies: one whole RMT-PKA run, whose
-// receiver decides through propcheck::reference_pka_decide (reference_ms)
-// or pka_decide (shipped_ms). Relays and the simulator are the
-// same code in both, so the column isolates the receiver's decision.
+// and on fault-free cycle-17 and cycle-20 with R opposite D, where more
+// than 14 other subjects report before both arcs deliver. Each row runs
+// each of the five strategies: one whole RMT-PKA run, whose receiver
+// decides through propcheck::reference_pka_decide (reference_ms) or
+// pka_decide (shipped_ms). Relays and the simulator are the same code in
+// both, so the column isolates the receiver's decision. Both sides count
+// the V_M they test against one DeciderLimits::max_subsets, and the
+// reference tests all subjects first, so both decide on every row.
 //
 // The `identical` column compares the shipped answer with the reference
 // (witness bit for bit; for `analyze` the witness and both booleans; for
@@ -244,8 +248,10 @@ int main(int argc, char** argv) {
              Instance(g, threshold_structure(g.nodes() - NodeSet{0, r}, 1), ViewFunction::full(g),
                       0, r));
   }
-  simulate("cycle", "trivial", "ad hoc",
-           Instance::ad_hoc(generators::cycle_graph(16), AdversaryStructure::trivial(), 0, 8));
+  for (std::size_t n : {16u, 17u, 20u})
+    simulate("cycle", "trivial", "ad hoc",
+             Instance::ad_hoc(generators::cycle_graph(n), AdversaryStructure::trivial(), 0,
+                              NodeId(n / 2)));
   {
     const Graph g = generators::generalized_wheel(13, 2);
     simulate("wheel", "trivial", "k-hop 1",

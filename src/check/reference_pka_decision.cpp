@@ -79,13 +79,14 @@ bool has_adversary_cover(const Graph& gm, NodeId d, NodeId r, const Snapshot& sn
   bool covered = false;
   std::size_t budget = limits.max_cover_sets;
   enumerate_connected_subsets(gm, r, NodeSet::single(d), [&](const NodeSet& b) {
+    const NodeSet c = gm.boundary(b);
+    if (c.contains(d)) return true;  // not a D-excluding cut for this B
+    // The budget counts the B tested, as pka_decide's cut-candidate scan does.
     if (budget-- == 0) {
       stats.budget_exhausted = true;
       covered = true;  // conservative
       return false;
     }
-    const NodeSet c = gm.boundary(b);
-    if (c.contains(d)) return true;  // not a D-excluding cut for this B
     // Z_B and V(γ(B)) from the claimed reports of B's members.
     JointStructure zb;
     NodeSet gamma_b;
@@ -147,8 +148,16 @@ bool accepts(const Snapshot& snap, const NodeSet& vm, NodeId d, NodeId r,
   return !has_adversary_cover(gm, d, r, snap, limits, stats);
 }
 
+/// The masks one call may still try (DeciderLimits::max_subsets), across
+/// snapshots and values. Once a mask finds it empty, the call abstains.
+struct MaskBudget {
+  std::size_t left;
+  bool spent = false;
+};
+
 std::optional<sim::Value> decide_exhaustive(const DecisionInput& in, const Snapshot& snap,
-                                            const DeciderLimits& limits, DeciderStats& stats) {
+                                            const DeciderLimits& limits, MaskBudget& masks,
+                                            DeciderStats& stats) {
   // Optional subjects: everything except D and R (which any useful M must
   // contain — G_M needs both endpoints).
   if (!snap.count(in.dealer)) return std::nullopt;
@@ -157,19 +166,24 @@ std::optional<sim::Value> decide_exhaustive(const DecisionInput& in, const Snaps
     (void)rep;
     if (u != in.dealer && u != in.receiver) optional_subjects.push_back(u);
   }
-  if (optional_subjects.size() > limits.max_subset_bits) {
-    stats.budget_exhausted = true;
-    return std::nullopt;
-  }
-  const std::size_t combos = std::size_t{1} << optional_subjects.size();
+  // Masks descend from all subjects: the i-th mask tried leaves out the
+  // optional subjects at the set bits of i. Subjects past bit 63 are never
+  // left out, since the mask budget ends long before i could reach them.
+  const std::size_t k = optional_subjects.size();
+  const std::size_t combos = k < 64 ? std::size_t{1} << k : SIZE_MAX;
   for (const auto& [x, delivered] : in.type1) {
-    // Descending masks: the all-subjects candidate first — in benign runs
-    // it is the honest M and the search ends immediately.
-    for (std::size_t mask = combos; mask-- > 0;) {
+    // The all-subjects candidate first — in benign runs it is the honest M
+    // and the search ends immediately.
+    for (std::size_t i = 0; i < combos; ++i) {
+      if (masks.left == 0) {
+        masks.spent = stats.budget_exhausted = true;
+        return std::nullopt;
+      }
+      --masks.left;
       ++stats.subsets_tried;
       NodeSet vm{in.dealer, in.receiver};
-      for (std::size_t i = 0; i < optional_subjects.size(); ++i)
-        if ((mask >> i) & 1) vm.insert(optional_subjects[i]);
+      for (std::size_t j = 0; j < k; ++j)
+        if (j >= 64 || !((i >> j) & 1)) vm.insert(optional_subjects[j]);
       if (accepts(snap, vm, in.dealer, in.receiver, delivered, limits, stats)) {
         stats.decided_vm = vm;
         return x;
@@ -246,12 +260,42 @@ std::optional<sim::Value> reference_pka_decide(const DecisionInput& in, DeciderM
                                      in.receiver_knowledge.local_z}};
 
   std::optional<sim::Value> decision;
+  MaskBudget masks{limits.max_subsets};
   for_each_snapshot(reports, limits, stats, [&](const Snapshot& snap) {
-    decision = (mode == DeciderMode::kExhaustive) ? decide_exhaustive(in, snap, limits, stats)
-                                                  : decide_greedy(in, snap, limits, stats);
-    return !decision.has_value();
+    if (mode == DeciderMode::kGreedy) {
+      decision = decide_greedy(in, snap, limits, stats);
+      return !decision.has_value();
+    }
+    decision = decide_exhaustive(in, snap, limits, masks, stats);
+    return !decision && !masks.spent;
   });
   return decision;
+}
+
+MessageSetJudgement reference_judge(const DecisionInput& in, sim::Value x, const NodeSet& vm) {
+  std::map<NodeId, std::vector<NodeReport>> reports = in.reports;
+  reports[in.receiver] = {NodeReport{in.receiver, in.receiver_knowledge.view,
+                                     in.receiver_knowledge.local_z}};
+  Snapshot snap;
+  for (const auto& [u, versions] : reports) {
+    RMT_CHECK(!versions.empty(), "subject with zero report versions");
+    snap[u] = &versions.front();
+  }
+  const Graph gm = build_gm(snap, vm);
+  MessageSetJudgement out;
+  const auto it = in.type1.find(x);
+  if (gm.has_node(in.dealer) && gm.has_node(in.receiver)) {
+    enumerate_simple_paths(gm, in.dealer, in.receiver, [&](const Path& p) {
+      ++out.paths;
+      out.undelivered += it == in.type1.end() || !it->second.count(p);
+      return true;
+    });
+  }
+  DeciderLimits unlimited;
+  unlimited.max_cover_sets = SIZE_MAX;
+  DeciderStats stats;
+  out.covered = has_adversary_cover(gm, in.dealer, in.receiver, snap, unlimited, stats);
+  return out;
 }
 
 }  // namespace rmt::propcheck

@@ -1,17 +1,23 @@
 // check/reference_pka_decision.hpp — RMT-PKA's receiver decision as it
-// was before the cheaper predicates, kept as a differential oracle.
+// was before the cheaper predicates and the exact search, kept as a
+// differential oracle.
 //
 // protocols::pka_decide pins the receiver's own report without copying
-// the report map, builds G_M in place, and decides each cover test as a
-// per-node conjunction over the claimed structures. This is the decision
-// it replaced, kept verbatim but for G_M: the report map copied on every
-// call, one JointStructure per candidate B, and G_M rebuilt node by node
-// and edge by edge (the per-edge union and induction Graph used before
-// its row-wise operations, inlined so the reference shares neither with
-// pka_decide). Tests and bench_decider_hotpath check that pka_decide
-// returns the same value and the same DeciderStats on every input; RmtPka
-// takes it as its decision function to replay whole simulations against
-// it. Only tests, benches and the fuzzer call it.
+// the report map, builds G_M in place, decides each cover test as a
+// per-node conjunction over the claimed structures, and searches V_M by
+// branching on undelivered paths. This is the decision it replaced, kept
+// verbatim but for G_M and the budgets: the report map copied on every
+// call, one JointStructure per candidate B, every V_M mask counted down
+// from all subjects, and G_M rebuilt node by node and edge by edge (the
+// per-edge union and induction Graph used before its row-wise
+// operations, inlined so the reference shares neither with pka_decide).
+// Its masks count against DeciderLimits::max_subsets, and its cover scan
+// counts only the B whose cut excludes D against max_cover_sets, as
+// pka_decide does. Tests and bench_decider_hotpath check that pka_decide
+// returns the same value and the same DeciderStats in greedy mode, and the
+// same value in exhaustive mode wherever neither side ran out of budget;
+// RmtPka takes it as its decision function to replay whole simulations
+// against it. Only tests, benches and the fuzzer call it.
 #pragma once
 
 #include <optional>
@@ -29,5 +35,16 @@ using protocols::DecisionInput;
 std::optional<sim::Value> reference_pka_decide(const DecisionInput& in, DeciderMode mode,
                                                const DeciderLimits& limits,
                                                DeciderStats* stats = nullptr);
+
+/// Defs. 5 and 6 on one message set, by this file's definitions and with
+/// no budget: the subjects `vm`, each with the first of its versions (R
+/// with the receiver's own knowledge), and value x's delivered trails.
+struct MessageSetJudgement {
+  std::size_t paths = 0;        ///< simple D–R paths of G_M
+  std::size_t undelivered = 0;  ///< of those, the ones missing from x's trails
+  bool covered = false;         ///< some adversary cover exists (Def. 6)
+  bool full() const { return paths > 0 && undelivered == 0; }
+};
+MessageSetJudgement reference_judge(const DecisionInput& in, sim::Value x, const NodeSet& vm);
 
 }  // namespace rmt::propcheck

@@ -97,9 +97,7 @@ class DolevNode final : public sim::ProtocolNode {
         }
         auto& pool = trails_[t1->x];
         if (pool.size() < max_trails_) {
-          Path full = t1->trail;
-          full.push_back(self_);
-          pool.push_back(std::move(full));
+          pool.push_back(t1->trail.path_to(self_));
         }
       } else {
         relay_.relay(m, *t1, neighbors_, out);

@@ -18,8 +18,11 @@
 // adversary created conflicting versions), for each V_M ∋ D, R.
 //
 // Two search modes:
-//   * kExhaustive — tries every V_M (within budgets); matches the tight
-//     characterization: decides whenever no RMT-cut exists (Thm 5).
+//   * kExhaustive — an exact search over V_M (within budgets); matches the
+//     tight characterization: decides whenever no RMT-cut exists (Thm 5).
+//     Fullness and having a cover are both downward closed in V_M, so it
+//     starts from all subjects and branches only on the ways to lose one
+//     undelivered D–R path (DESIGN.md §1).
 //   * kGreedy — starts from V_M = all subjects and peels nodes that break
 //     fullness; fast, may abstain on crafted inputs.
 // Both are *safe unconditionally*: Theorem 4 holds for ANY full cover-free
@@ -65,15 +68,15 @@ struct DecisionInput {
 enum class DeciderMode { kExhaustive, kGreedy };
 
 struct DeciderLimits {
-  std::size_t max_snapshots = 64;      ///< version-combination budget
-  std::size_t max_subset_bits = 14;    ///< enumerate at most 2^bits V_M sets
-  std::size_t max_paths = 4096;        ///< per fullness check
-  std::size_t max_cover_sets = 1u << 16;  ///< connected-B budget per cover check
+  std::size_t max_snapshots = 64;         ///< version-combination budget
+  std::size_t max_subsets = 1u << 14;     ///< V_M candidates tested per call
+  std::size_t max_paths = 4096;           ///< per fullness check
+  std::size_t max_cover_sets = 1u << 16;  ///< cut-candidate B budget per cover check
 };
 
 struct DeciderStats {
   std::size_t snapshots = 0;
-  std::size_t subsets_tried = 0;
+  std::size_t subsets_tried = 0;  ///< V_M candidates tested
   std::size_t fullness_checks = 0;
   std::size_t cover_checks = 0;
   bool budget_exhausted = false;  ///< some branch was abandoned for cost

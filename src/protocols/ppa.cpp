@@ -40,9 +40,7 @@ class PpaNode final : public sim::ProtocolNode {
       if (!t1) continue;
       if (self_ == pub_.receiver) {
         if (relay_.admissible(t1->trail, m.from)) {
-          Path full = t1->trail;
-          full.push_back(self_);
-          delivered_[t1->x].insert(std::move(full));
+          delivered_[t1->x].insert(t1->trail.path_to(self_));
         }
       } else {
         relay_.relay(m, *t1, neighbors_, out);

@@ -1,6 +1,8 @@
 #include "protocols/rmt_pka.hpp"
 
 #include <algorithm>
+#include <map>
+#include <memory>
 
 #include "protocols/flooding.hpp"
 #include "util/check.hpp"
@@ -83,9 +85,7 @@ class PkaNode final : public sim::ProtocolNode {
     // Dealer propagation rule: (x_D, {D}) straight from D over the
     // authenticated channel.
     if (m.from == pub_.dealer && t1.trail == Path{pub_.dealer}) input_.direct_value = t1.x;
-    Path full = t1.trail;
-    full.push_back(self_);
-    input_.type1[t1.x].insert(std::move(full));
+    input_.type1[t1.x].insert(t1.trail.path_to(self_));
   }
 
   void absorb_type2(const Message& m, const KnowledgePayload& t2) {
@@ -93,11 +93,15 @@ class PkaNode final : public sim::ProtocolNode {
     // Reject structurally impossible claims outright: a view must contain
     // its subject (γ(u) ∋ u by definition).
     if (!t2.view().has_node(t2.subject)) return;
-    auto& versions = input_.reports[t2.subject];
-    const bool known = std::any_of(versions.begin(), versions.end(), [&](const NodeReport& r) {
-      return r.view == t2.view() && r.local_z == t2.local_z();
+    // Every honest copy of a report shares its originator's block, so the
+    // address settles most repeats before any contents are compared.
+    auto& blocks = absorbed_[t2.subject];
+    const bool known = std::any_of(blocks.begin(), blocks.end(), [&](const auto& b) {
+      return b == t2.claim || *b == *t2.claim;
     });
-    if (!known) versions.push_back(NodeReport{t2.subject, t2.view(), t2.local_z()});
+    if (known) return;
+    blocks.push_back(t2.claim);
+    input_.reports[t2.subject].push_back(NodeReport{t2.subject, t2.view(), t2.local_z()});
   }
 
   NodeId self_;
@@ -109,6 +113,8 @@ class PkaNode final : public sim::ProtocolNode {
   DeciderLimits limits_;
   RmtPka::DecideFn decide_;
   DecisionInput input_;
+  /// subject → the claim block of each of its versions in input_.reports.
+  std::map<NodeId, std::vector<std::shared_ptr<const sim::KnowledgeClaim>>> absorbed_;
   DeciderStats stats_;
   std::optional<sim::Value> decision_;
 };

@@ -55,14 +55,14 @@ std::vector<Message> PerNodeModeStrategy::act(const AdversaryView& view) {
         if (p.trail.empty() || p.trail.back() != from) return;
         PathValuePayload next = p;
         if (flip) next.x += offset;
-        next.trail.push_back(c);
+        next.trail = p.trail.extended(c);
         g.neighbors(c).for_each([&](NodeId u) { out.push_back({c, u, next}); });
       }
       void operator()(const KnowledgePayload& k) const {
         if (std::find(k.trail.begin(), k.trail.end(), c) != k.trail.end()) return;
         if (k.trail.empty() || k.trail.back() != from) return;
         KnowledgePayload next = k;
-        next.trail.push_back(c);
+        next.trail = k.trail.extended(c);
         g.neighbors(c).for_each([&](NodeId u) { out.push_back({c, u, next}); });
       }
     };

@@ -19,7 +19,9 @@
 // corrupted node).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <variant>
@@ -35,6 +37,46 @@ namespace rmt::sim {
 /// opaquely.
 using Value = std::uint64_t;
 
+/// A propagation trail p, immutable and shared: a relay builds p‖v once,
+/// and every neighbour's copy of the relayed message holds the same block.
+/// Compares by contents, never by block address.
+class Trail {
+ public:
+  using value_type = NodeId;
+  using const_iterator = const NodeId*;
+
+  Trail() = default;
+  Trail(const Path& p);  // implicit: every Path is a trail
+  Trail(std::initializer_list<NodeId> nodes);
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const NodeId* begin() const { return nodes_.get(); }
+  const NodeId* end() const { return nodes_.get() + size_; }
+  NodeId front() const { return nodes_[0]; }
+  NodeId back() const { return nodes_[size_ - 1]; }
+
+  /// p‖v, in a new block for every copy of the relayed message to share.
+  Trail extended(NodeId v) const;
+  /// p‖v as a plain path: the complete trail once v has received it.
+  Path path_to(NodeId v) const;
+  Path path() const { return Path(begin(), end()); }
+
+  friend bool operator==(const Trail& a, const Trail& b) {
+    return a.nodes_ == b.nodes_ ? a.size_ == b.size_
+                                : std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  friend bool operator==(const Trail& a, const Path& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  Trail(const NodeId* first, std::size_t count, std::size_t room);
+
+  std::shared_ptr<NodeId[]> nodes_;
+  std::size_t size_ = 0;
+};
+
 struct ValuePayload {
   Value x = 0;
   friend bool operator==(const ValuePayload&, const ValuePayload&) = default;
@@ -42,34 +84,40 @@ struct ValuePayload {
 
 struct PathValuePayload {
   Value x = 0;
-  Path trail;  ///< propagation trail p, ending at the hop that sent this copy
+  Trail trail;  ///< propagation trail p, ending at the hop that sent this copy
   friend bool operator==(const PathValuePayload&, const PathValuePayload&) = default;
 };
 
 /// The claimed initial knowledge (γ(u), Z_u) of a type-2 report.
 struct KnowledgeClaim {
+  KnowledgeClaim(Graph v, AdversaryStructure z);
+
   Graph view;                  ///< claimed γ(u)
   AdversaryStructure local_z;  ///< claimed Z_u
-  friend bool operator==(const KnowledgeClaim&, const KnowledgeClaim&) = default;
+  std::size_t bytes;           ///< payload_bytes' share for (view, local_z), counted once
+
+  friend bool operator==(const KnowledgeClaim& a, const KnowledgeClaim& b) {
+    return a.view == b.view && a.local_z == b.local_z;
+  }
 };
 
 /// A type-2 report. Its claim lives in one immutable block: whoever
 /// originates the report builds the block once, and every copy (one per
 /// neighbour, one per relay hop) shares it, so a relay copies a pointer and
-/// a trail, not a graph and a structure. Equality and payload_serialize
-/// read the contents, never the block's address: equal claims built twice
-/// compare and serialize equal, which keeps replay suppression exact when
-/// the adversary rebuilds a block.
+/// a trail, not a graph and a structure. Equality compares the block's
+/// address first and its contents only when the addresses differ: equal
+/// claims built twice compare equal, which keeps replay suppression exact
+/// when the adversary rebuilds a block.
 struct KnowledgePayload {
   /// Builds a fresh block holding (view, local_z); copies share it.
-  KnowledgePayload(NodeId u, Graph view, AdversaryStructure local_z, Path p);
+  KnowledgePayload(NodeId u, Graph view, AdversaryStructure local_z, Trail p);
 
   const Graph& view() const { return claim->view; }
   const AdversaryStructure& local_z() const { return claim->local_z; }
 
   NodeId subject = 0;  ///< the node u this report is about
   std::shared_ptr<const KnowledgeClaim> claim;
-  Path trail;
+  Trail trail;
 
   friend bool operator==(const KnowledgePayload& a, const KnowledgePayload& b) {
     return a.subject == b.subject && a.trail == b.trail &&
@@ -100,12 +148,6 @@ struct Message {
 
 /// Approximate serialized size in bytes, for bit-complexity accounting.
 std::size_t payload_bytes(const Payload& p);
-
-/// Exact canonical serialization — two payloads serialize equal iff they
-/// are equal: a kind tag, then length-prefixed varints (binary, not
-/// text). Used for duplicate suppression in the flooding protocols (the
-/// adversary may replay; honest nodes must not amplify replays).
-std::string payload_serialize(const Payload& p);
 
 std::string payload_to_string(const Payload& p);
 

@@ -83,10 +83,13 @@ void Network::route(std::vector<Message>&& honest, std::vector<Message>&& advers
     if (observer_) observer_->on_delivery(m, /*adversarial=*/true);
     inboxes_[m.to].push_back(std::move(m));
   }
-  // Deterministic delivery order regardless of production order.
+  // Deterministic delivery order regardless of production order. Honest
+  // sends arrive in node order, so most inboxes are sorted already.
+  const auto by_sender = [](const Message& a, const Message& b) { return a.from < b.from; };
   instance_.graph().nodes().for_each([&](NodeId v) {
-    std::stable_sort(inboxes_[v].begin(), inboxes_[v].end(),
-                     [](const Message& a, const Message& b) { return a.from < b.from; });
+    std::vector<Message>& inbox = inboxes_[v];
+    if (!std::is_sorted(inbox.begin(), inbox.end(), by_sender))
+      std::stable_sort(inbox.begin(), inbox.end(), by_sender);
   });
 }
 

@@ -163,8 +163,7 @@ std::vector<Message> TwoFacedStrategy::act(const AdversaryView& view) {
       void operator()(const PathValuePayload& p) const {
         if (std::find(p.trail.begin(), p.trail.end(), c) != p.trail.end()) return;
         if (p.trail.empty() || p.trail.back() != from) return;
-        Path next = p.trail;
-        next.push_back(c);
+        const Trail next = p.trail.extended(c);
         g.neighbors(c).for_each(
             [&](NodeId u) { out.push_back({c, u, PathValuePayload{lie, next}}); });
       }
@@ -172,7 +171,7 @@ std::vector<Message> TwoFacedStrategy::act(const AdversaryView& view) {
         if (std::find(k.trail.begin(), k.trail.end(), c) != k.trail.end()) return;
         if (k.trail.empty() || k.trail.back() != from) return;
         KnowledgePayload next = k;
-        next.trail.push_back(c);
+        next.trail = k.trail.extended(c);
         g.neighbors(c).for_each([&](NodeId u) { out.push_back({c, u, next}); });
       }
     };

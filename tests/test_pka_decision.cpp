@@ -11,6 +11,7 @@
 #include "adversary/threshold.hpp"
 #include "check/reference_pka_decision.hpp"
 #include "graph/generators.hpp"
+#include "protocols/rmt_pka.hpp"
 #include "tests/test_util.hpp"
 
 namespace rmt::protocols {
@@ -224,11 +225,19 @@ TEST(PkaDecision, SubsetBudgetAbstains) {
   in.type1[5].insert(Path{0, 1, 2});
   in.reports[0].push_back(f.report(0, z));
   in.reports[1].push_back(f.report(1, z));
+  // The budget counts V_M candidates tested: none abstains, and the first
+  // one — all subjects, the honest M — decides.
   DeciderLimits limits;
-  limits.max_subset_bits = 0;  // 1 optional subject > 0 bits → exhausted
+  limits.max_subsets = 0;
   DeciderStats stats;
   EXPECT_EQ(pka_decide(in, DeciderMode::kExhaustive, limits, &stats), std::nullopt);
   EXPECT_TRUE(stats.budget_exhausted);
+  EXPECT_EQ(stats.subsets_tried, 0u);
+  limits.max_subsets = 1;
+  DeciderStats one;
+  EXPECT_EQ(pka_decide(in, DeciderMode::kExhaustive, limits, &one), 5u);
+  EXPECT_FALSE(one.budget_exhausted);
+  EXPECT_EQ(one.subsets_tried, 1u);
 }
 
 TEST(PkaDecision, SnapshotBudgetAbstains) {
@@ -344,7 +353,7 @@ AdversaryStructure forged_structure(const Graph& view, Rng& rng) {
 /// Structure-aware DecisionInput generator: the honest reports and trails
 /// of a random instance, minus some, plus forged versions (edited honest
 /// views, phantom subjects, lying structures) and forged trails, under
-/// limits set at the max_subset_bits / max_snapshots edges where a branch
+/// limits set at the max_subsets / max_snapshots edges where a branch
 /// flips between search and abstention.
 GeneratedInput generate_input(Rng& rng) {
   const std::size_t n = 4 + rng.index(5);
@@ -406,18 +415,26 @@ GeneratedInput generate_input(Rng& rng) {
   }
   if (rng.index(20) == 0) in.direct_value = x;
 
-  // Limits: at the edges of the two budgets about half the time.
-  std::size_t optional = 0, snapshots = 1;  // R is pinned: never optional, one version
-  for (const auto& [u, versions] : in.reports) {
-    if (u != in.dealer && u != in.receiver) ++optional;
+  // Limits: at the edges of the two budgets about half the time. The V_M
+  // budget's edges are none, one, and what either side's exhaustive search
+  // tests when it is unbounded (or one fewer).
+  std::size_t snapshots = 1;  // R is pinned: one version
+  for (const auto& [u, versions] : in.reports)
     if (u != in.receiver) snapshots *= versions.size();
-  }
-  switch (rng.index(6)) {
-    case 0: out.limits.max_subset_bits = optional; break;
-    case 1: out.limits.max_subset_bits = optional == 0 ? 0 : optional - 1; break;
-    case 2: out.limits.max_snapshots = snapshots; break;
-    case 3: out.limits.max_snapshots = snapshots == 0 ? 0 : snapshots - 1; break;
-    case 4:
+  const auto subsets_needed = [&](RmtPka::DecideFn decide) {
+    DeciderLimits unbounded;
+    unbounded.max_subsets = SIZE_MAX;
+    DeciderStats stats;
+    decide(in, DeciderMode::kExhaustive, unbounded, &stats);
+    return stats.subsets_tried - (stats.subsets_tried > 0 ? rng.index(2) : 0);
+  };
+  switch (rng.index(7)) {
+    case 0: out.limits.max_subsets = rng.index(2); break;
+    case 1: out.limits.max_subsets = subsets_needed(pka_decide); break;
+    case 2: out.limits.max_subsets = subsets_needed(propcheck::reference_pka_decide); break;
+    case 3: out.limits.max_snapshots = snapshots; break;
+    case 4: out.limits.max_snapshots = snapshots == 0 ? 0 : snapshots - 1; break;
+    case 5:
       out.limits.max_paths = 1 + rng.index(4);
       out.limits.max_cover_sets = 1 + rng.index(8);
       break;
@@ -426,12 +443,47 @@ GeneratedInput generate_input(Rng& rng) {
   return out;
 }
 
-/// Same decision and the same DeciderStats, field by field.
-void expect_same_as_reference(const GeneratedInput& gen, DeciderMode mode,
+/// Whether some choice of one version per member of `vm` makes (vm, x) a
+/// full, cover-free message set by the reference's own definitions.
+bool reference_accepts(const DecisionInput& in, sim::Value x, const NodeSet& vm) {
+  std::vector<NodeId> members;
+  vm.for_each([&](NodeId u) {
+    if (u != in.receiver && in.reports.count(u)) members.push_back(u);
+  });
+  std::vector<std::size_t> idx(members.size(), 0);
+  for (;;) {
+    DecisionInput one = in;
+    for (std::size_t i = 0; i < members.size(); ++i)
+      one.reports[members[i]] = {in.reports.at(members[i])[idx[i]]};
+    const auto judged = propcheck::reference_judge(one, x, vm);
+    if (judged.full() && !judged.covered) return true;
+    std::size_t i = 0;
+    while (i < idx.size() && ++idx[i] == in.reports.at(members[i]).size()) idx[i++] = 0;
+    if (i == idx.size()) return false;
+  }
+}
+
+/// Greedy mode: the same decision and the same DeciderStats, field by
+/// field. Exhaustive mode searches differently, so its stats differ; its
+/// decision must equal the reference's wherever neither side ran out of
+/// budget, and a decided V_M must be full and cover-free by the
+/// reference's definitions. Returns whether the decisions were compared.
+bool expect_same_as_reference(const GeneratedInput& gen, DeciderMode mode,
                               const std::string& what) {
   DeciderStats got, want;
   const auto decided = pka_decide(gen.in, mode, gen.limits, &got);
   const auto expected = propcheck::reference_pka_decide(gen.in, mode, gen.limits, &want);
+  if (mode == DeciderMode::kExhaustive) {
+    if (decided && !gen.in.direct_value) {
+      EXPECT_TRUE(got.decided_vm.has_value()) << what;
+      if (got.decided_vm) {
+        EXPECT_TRUE(reference_accepts(gen.in, *decided, *got.decided_vm)) << what;
+      }
+    }
+    if (got.budget_exhausted || want.budget_exhausted) return false;
+    EXPECT_EQ(decided, expected) << what;
+    return true;
+  }
   EXPECT_EQ(decided, expected) << what;
   EXPECT_EQ(got.snapshots, want.snapshots) << what;
   EXPECT_EQ(got.subsets_tried, want.subsets_tried) << what;
@@ -439,17 +491,17 @@ void expect_same_as_reference(const GeneratedInput& gen, DeciderMode mode,
   EXPECT_EQ(got.cover_checks, want.cover_checks) << what;
   EXPECT_EQ(got.budget_exhausted, want.budget_exhausted) << what;
   EXPECT_EQ(got.decided_vm, want.decided_vm) << what;
+  return true;
 }
 
 TEST(PkaDecision, MatchesTheReferenceOnGeneratedInputs) {
   Rng rng(2016);
-  std::size_t decided = 0, abstained = 0, exhausted = 0, forged = 0;
+  std::size_t decided = 0, abstained = 0, exhausted = 0, forged = 0, compared = 0;
   for (int i = 0; i < 1500; ++i) {
     const GeneratedInput gen = generate_input(rng);
     for (const DeciderMode mode : {DeciderMode::kExhaustive, DeciderMode::kGreedy}) {
-      expect_same_as_reference(gen, mode,
-                               "input " + std::to_string(i) + " mode " +
-                                   std::to_string(int(mode)));
+      compared += expect_same_as_reference(
+          gen, mode, "input " + std::to_string(i) + " mode " + std::to_string(int(mode)));
       DeciderStats stats;
       const auto d = pka_decide(gen.in, mode, gen.limits, &stats);
       ++(d ? decided : abstained);
@@ -462,6 +514,45 @@ TEST(PkaDecision, MatchesTheReferenceOnGeneratedInputs) {
   EXPECT_GT(abstained, 50u);
   EXPECT_GT(exhausted, 20u);
   EXPECT_GT(forged, 50u);
+  EXPECT_GT(compared, 2000u);
+}
+
+TEST(PkaDecision, FullnessAndCoversAreDownwardClosed) {
+  // The two lemmas behind the exact search, for V' ⊆ V both holding D and
+  // R: G_M(V') is a subgraph of G_M(V), so every D–R path of G_M(V') was
+  // delivered when V is full; and a cover of G_M(V) restricts to one of
+  // G_M(V').
+  Rng rng(2017);
+  std::size_t full = 0, covered = 0;
+  for (int i = 0; i < 600; ++i) {
+    const GeneratedInput gen = generate_input(rng);
+    const DecisionInput& in = gen.in;
+    NodeSet v{in.dealer, in.receiver};
+    for (const auto& [u, versions] : in.reports)
+      if (rng.index(4) != 0) v.insert(u);
+    for (const auto& [x, trails] : in.type1) {
+      const auto whole = propcheck::reference_judge(in, x, v);
+      full += whole.full();
+      covered += whole.covered;
+      for (int k = 0; k < 4; ++k) {
+        NodeSet sub{in.dealer, in.receiver};
+        v.for_each([&](NodeId u) {
+          if (rng.index(2) == 0) sub.insert(u);
+        });
+        const auto part = propcheck::reference_judge(in, x, sub);
+        const std::string what = "input " + std::to_string(i) + " V=" + v.to_string() +
+                                 " V'=" + sub.to_string();
+        if (whole.full()) {
+          EXPECT_EQ(part.undelivered, 0u) << what;
+        }
+        if (whole.covered) {
+          EXPECT_TRUE(part.covered) << what;
+        }
+      }
+    }
+  }
+  EXPECT_GT(full, 50u);
+  EXPECT_GT(covered, 50u);
 }
 
 TEST(PkaDecision, MatchesTheReferenceOnTheHandBuiltStates) {

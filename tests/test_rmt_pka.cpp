@@ -163,6 +163,22 @@ TEST(RmtPka, SubsumesZcpaOnItsOwnTurf) {
   EXPECT_TRUE(out.correct);
 }
 
+TEST(RmtPka, DecidesOnEveryFaultFreeCycle) {
+  // Thm 5 on cycles of 12–26 nodes with a trivial structure and ad hoc
+  // views: no RMT-cut, so every receiver must decide the dealer's value.
+  // A far receiver hears from more than 14 other subjects before both
+  // arcs have delivered, which a budget on V_M masks could not search.
+  for (std::size_t n = 12; n <= 26; ++n) {
+    const Graph g = generators::cycle_graph(n);
+    for (NodeId r = 1; r < n; ++r) {
+      const Instance inst = Instance::ad_hoc(g, AdversaryStructure::trivial(), 0, r);
+      sim::SilentStrategy silent;
+      const Outcome out = run_rmt(inst, RmtPka{}, 7, NodeSet{}, &silent);
+      EXPECT_TRUE(out.correct) << "n=" << n << " R=" << r;
+    }
+  }
+}
+
 TEST(RmtPka, MessageComplexityIsTracked) {
   const Graph g = generators::cycle_graph(5);
   const Instance inst = Instance::ad_hoc(g, AdversaryStructure::trivial(), 0, 2);
@@ -414,6 +430,31 @@ TEST(RmtPka, RelayForwardsARebuiltClaimOnlyOnce) {
                                     Path{0, 1}};
   relay.relay(sim::Message{1, 2, other}, other, neighbors, out);
   EXPECT_EQ(out.size(), 6u);
+}
+
+TEST(RmtPka, RelayForwardsAReplayedValueOnlyOnce) {
+  // A type-1 payload is its (x, trail): a replayed copy is dropped, and a
+  // copy differing in the value or the trail is news.
+  const sim::PathValuePayload original{7, Path{0, 1}};
+  TrailRelay relay(2);
+  const NodeSet neighbors{1, 3, 4};
+  std::vector<sim::Message> out;
+  relay.relay(sim::Message{1, 2, original}, original, neighbors, out);
+  ASSERT_EQ(out.size(), 3u);
+  for (const sim::Message& m : out) {
+    const auto& t1 = std::get<sim::PathValuePayload>(m.payload);
+    EXPECT_EQ(t1.x, 7u);
+    EXPECT_EQ(t1.trail, (Path{0, 1, 2}));
+  }
+  const sim::PathValuePayload replayed{7, Path{0, 1}};
+  relay.relay(sim::Message{1, 2, replayed}, replayed, neighbors, out);
+  EXPECT_EQ(out.size(), 3u);
+  const sim::PathValuePayload other_value{8, Path{0, 1}};
+  relay.relay(sim::Message{1, 2, other_value}, other_value, neighbors, out);
+  EXPECT_EQ(out.size(), 6u);
+  const sim::PathValuePayload other_trail{7, Path{5, 1}};
+  relay.relay(sim::Message{1, 2, other_trail}, other_trail, neighbors, out);
+  EXPECT_EQ(out.size(), 9u);
 }
 
 }  // namespace

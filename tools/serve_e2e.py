@@ -13,6 +13,10 @@ asserts the serving semantics from the outside:
     wedging the server — the retry right after succeeds;
   * a malformed line gets an "error" response (id "" when unreadable)
     while the rest of the stream is answered normally;
+  * a fault-free `simulate` on a 20-cycle with the receiver opposite the
+    dealer (ad hoc views, trivial structure: no RMT-cut) decides the
+    dealer's value with "correct":true, although 18 other subjects report
+    before both arcs have delivered;
   * the final "stats" probe reports the exact engine/cache/memo counters
     the script implies — including the exact cache byte total derived from
     the response keys/results, and memo misses equal to the distinct
@@ -124,6 +128,9 @@ MAX_CORRUPTED_ENTRIES = 512  # svc::wire::kMaxCorruptedEntries
 MAX_CORRUPTED_ID = 511       # svc::wire::kMaxCorruptedId
 MAX_ROUNDS = 513             # svc::wire::kMaxRounds
 BAD_INSTANCE = "rmt-instance v1\nnodes 2\nedge 0 5\n"  # fails to parse
+CYCLE_20 = ("rmt-instance v1\nnodes 20\n"
+            + "".join(f"edge {v} {(v + 1) % 20}\n" for v in range(20))
+            + "dealer 0\nreceiver 10\n")
 MEMO_KEY_BYTES = 16  # svc::InstanceMemo charges text + sizeof(InstanceKey)
 
 
@@ -151,6 +158,10 @@ def build_input():
     lines.append(request("late", INSTANCE_A, deadline_ms=0))
     lines.append("")
     lines.append(request("retry", INSTANCE_A))
+    lines.append("")
+    # No RMT-cut, so the receiver must decide (Thm 5).
+    lines.append(request("sim20", CYCLE_20, kind="simulate",
+                         params={"value": 7, "strategy": "silent", "seed": 1}))
     lines.append("")
     # A line that is not even JSON still yields a response.
     lines.append("this is not a request")
@@ -416,6 +427,12 @@ def check(responses, failures):
     expect(late and late["result"] is None, "late result not null")
     expect(retry and retry["status"] == "ok", "retry after deadline failed")
 
+    # The 20-cycle simulate decides the dealer's value.
+    sim20 = by_id.get("sim20", [None])[0]
+    expect(sim20 and sim20["status"] == "ok" and sim20["result"]["decision"] == 7
+           and sim20["result"]["correct"] is True,
+           f"sim20 did not decide the dealer's value: {sim20 and sim20['result']}")
+
     # Malformed line: an error response with the empty id.
     bad = by_id.get("", [None])[0]
     expect(bad and bad["status"] == "error" and bad["error"],
@@ -435,35 +452,41 @@ def check(responses, failures):
     if st:
         engine = st["result"]["engine"]
         cache = st["result"]["cache"]
-        expect(engine["requests"] == 8, f"engine.requests={engine['requests']} != 8")
-        expect(engine["computed"] == 3, f"engine.computed={engine['computed']} != 3 "
+        expect(engine["requests"] == 9, f"engine.requests={engine['requests']} != 9")
+        expect(engine["computed"] == 4, f"engine.computed={engine['computed']} != 4 "
                "(dups must share one computation)")
         expect(engine["coalesced"] == 3, f"engine.coalesced={engine['coalesced']} != 3")
         expect(engine["deadline_exceeded"] == 1,
                f"engine.deadline_exceeded={engine['deadline_exceeded']} != 1")
         expect(engine["errors"] == 0, f"engine.errors={engine['errors']} != 0")
         expect(cache["hits"] == 1, f"cache.hits={cache['hits']} != 1")
-        expect(cache["misses"] == 2, f"cache.misses={cache['misses']} != 2")
-        expect(cache["entries"] == 2, f"cache.entries={cache['entries']} != 2")
-        # The memo saw INSTANCE_A (dup1-4, late, retry) and INSTANCE_B
-        # (warm, hit): one miss per text, the rest hits. BAD_INSTANCE
-        # missed twice and was never stored; the non-JSON line never
-        # reached it.
+        expect(cache["misses"] == 3, f"cache.misses={cache['misses']} != 3")
+        expect(cache["entries"] == 3, f"cache.entries={cache['entries']} != 3")
+        # The memo saw INSTANCE_A (dup1-4, late, retry), INSTANCE_B (warm,
+        # hit) and CYCLE_20 (sim20): one miss per text, the rest hits.
+        # BAD_INSTANCE missed twice and was never stored; the non-JSON line
+        # never reached it.
         memo = st["result"]["memo"]
-        want_memo = {"hits": 6, "misses": 2 + 2, "evictions": 0, "entries": 2,
-                     "bytes": len(INSTANCE_A) + len(INSTANCE_B) + 2 * MEMO_KEY_BYTES}
+        want_memo = {"hits": 6, "misses": 3 + 2, "evictions": 0, "entries": 3,
+                     "bytes": len(INSTANCE_A) + len(INSTANCE_B) + len(CYCLE_20)
+                              + 3 * MEMO_KEY_BYTES}
         for field, value in want_memo.items():
             expect(memo[field] == value, f"memo.{field}={memo[field]} != {value}")
-        # Exact byte accounting: the two entries are warm's and retry's.
-        # Each costs its composite cache key ("<instance-key>:<kind>") plus
-        # the compact serialized result — svc::ResultCache charges
-        # key.size() + value.size(), and the server stores results as the
-        # same compact JSON it answers with.
-        if warm and retry:
+        # Exact byte accounting: the three entries are warm's, retry's and
+        # sim20's. Each costs its composite cache key ("<instance-key>|<kind>",
+        # plus the simulate parameters for sim20) plus the compact
+        # serialized result — svc::ResultCache charges key.size() +
+        # value.size(), and the server stores results as the same compact
+        # JSON it answers with.
+        if warm and retry and sim20:
+            res = sim20["result"]
+            sim_key = (f"|corrupt={res['corrupted']};max_rounds=0;seed={res['seed']}"
+                       f";strategy={res['strategy']};value={res['value']}")
             expected_bytes = sum(
-                len(r["key"]) + 1 + len("decide_rmt") +
+                len(r["key"]) + 1 + len(kind) + len(extra) +
                 len(json.dumps(r["result"], separators=(",", ":")))
-                for r in (warm, retry))
+                for r, kind, extra in ((warm, "decide_rmt", ""), (retry, "decide_rmt", ""),
+                                       (sim20, "simulate", sim_key)))
             expect(cache["bytes"] == expected_bytes,
                    f"cache.bytes={cache['bytes']} != {expected_bytes} "
                    "(composite keys + stored result bytes)")
@@ -471,7 +494,7 @@ def check(responses, failures):
     # Trace ids: every request that reached the engine got its own trace;
     # probe and unreadable-line responses carry null.
     tids = {}
-    for rid in [f"dup{i}" for i in range(1, 5)] + ["warm", "hit", "late", "retry"]:
+    for rid in [f"dup{i}" for i in range(1, 5)] + ["warm", "hit", "late", "retry", "sim20"]:
         r = by_id.get(rid, [None])[0]
         tid = r.get("trace_id") if r else None
         expect(isinstance(tid, str) and re.fullmatch(r"[0-9a-f]{16}", tid),
@@ -502,12 +525,12 @@ def check_trace(responses, failures):
     expect(header["dropped"] == 0, "flight recorder dropped spans mid-test")
 
     tid = lambda rid: by_id[rid].get("trace_id")
-    engine_ids = [f"dup{i}" for i in range(1, 5)] + ["warm", "hit", "late", "retry"]
+    engine_ids = [f"dup{i}" for i in range(1, 5)] + ["warm", "hit", "late", "retry", "sim20"]
 
     # One svc.request root per engine request, each on its response's trace.
     roots = {s["trace"]: s for s in spans if s["name"] == "svc.request"}
-    expect(len([s for s in spans if s["name"] == "svc.request"]) == 8,
-           "expected 8 svc.request root spans")
+    expect(len([s for s in spans if s["name"] == "svc.request"]) == 9,
+           "expected 9 svc.request root spans")
     expect(all(s["parent"] is None for s in roots.values()),
            "svc.request spans must be trace roots")
     expect(set(roots) == {tid(r) for r in engine_ids},
@@ -517,8 +540,8 @@ def check_trace(responses, failures):
     # carries the only svc.compute among them, hanging off the leader's
     # root; the three followers each record an svc.join referencing it.
     computes = [s for s in spans if s["name"] == "svc.compute"]
-    expect(len(computes) == 3, f"expected 3 svc.compute spans (dup leader, "
-           f"warm, retry), got {len(computes)}")
+    expect(len(computes) == 4, f"expected 4 svc.compute spans (dup leader, "
+           f"warm, retry, sim20), got {len(computes)}")
     dup_traces = {tid(f"dup{i}") for i in range(1, 5)}
     dup_computes = [s for s in computes if s["trace"] in dup_traces]
     expect(len(dup_computes) == 1,
