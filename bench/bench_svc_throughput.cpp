@@ -106,17 +106,20 @@ std::string expected_result(const Instance& inst) {
 /// Solvable shapes from bench_decider_hotpath's k-parallel-paths rows, where
 /// a cold decide_rmt still has to rule out every cut: under full views the
 /// two-cover gate scans every pair of the 2-threshold's maximal sets, and
-/// under 1-hop or ad hoc views the scan enumerates every connected B. A cold
-/// decide there costs ~0.1–0.5 ms against a warm hit's 5–70 µs (keying a
-/// threshold structure of a few hundred sets is the expensive part of a
-/// hit). The full-view shape keeps its last path honest: with k paths
-/// against a t-threshold over all relays, k > 2t disjoint paths settle the
-/// two-cover without the pair scan (analysis/feasibility.hpp), so 4 paths
-/// with a 2-threshold over the first three keep κ(D, R) = 2t, no two-cover,
-/// and the whole 153-set pair grid to scan. Unsolvable shapes are no use
-/// here: their witness is found within a few B, so a cold decide costs
-/// about what a hit does and the floor would measure the clock, not the
-/// cache.
+/// under 1-hop or ad hoc views the scan walks every connected B whose locked
+/// boundary still passes (graph/cuts.hpp). A cold decide there costs
+/// ~0.1–0.5 ms against a warm hit's 2–70 µs (keying a threshold structure
+/// of a few hundred sets is the expensive part of a hit). The full-view
+/// shape keeps its last path honest: with k paths against a t-threshold
+/// over all relays, k > 2t disjoint paths settle the two-cover without the
+/// pair scan (analysis/feasibility.hpp), so 4 paths with a 2-threshold over
+/// the first three keep κ(D, R) = 2t, no two-cover, and the whole 153-set
+/// pair grid to scan. Shapes whose scan ends at once are no use here: an
+/// unsolvable one finds its witness within a few B, and under a trivial Z
+/// the first locked boundary already fails, so a cold decide costs about
+/// what a hit does and the floor would measure the clock, not the cache.
+/// The 3-paths ad hoc shape therefore puts a 1-threshold on its first two
+/// paths and keeps the third honest.
 std::vector<std::pair<std::string, Instance>> latency_workloads() {
   std::vector<std::pair<std::string, Instance>> out;
   // `honest` trailing paths hold no corruptible relay.
@@ -139,7 +142,7 @@ std::vector<std::pair<std::string, Instance>> latency_workloads() {
   paths(4, 6, 2, "full", 1);
   paths(5, 4, 1, "k-hop1");
   paths(5, 4, 1, "adhoc");
-  paths(3, 8, 0, "adhoc");
+  paths(3, 5, 1, "adhoc", 1);
   return out;
 }
 

@@ -1,13 +1,12 @@
 // adversary/bit_matrix.hpp — compiled forbidden rows for conjunction
 // membership.
 //
-// ConjunctionRows is a LIFO stack of constraint row-groups for joint
-// membership. Constraint ⟨ground, E⟩ tests x ∩ ground ∈ E^ground; with
-// maximal sets M_j of E^ground that is ∃j: x ∩ ground ⊆ M_j, i.e.
+// ConjunctionRows holds the constraint row-groups of joint membership.
+// Constraint ⟨ground, E⟩ tests x ∩ ground ∈ E^ground; with maximal sets
+// M_j of E^ground that is ∃j: x ∩ ground ⊆ M_j, i.e.
 // ∃j: x ∩ (ground ∖ M_j) = ∅. CompiledGroup precomputes those "forbidden
-// rows" R_j = ground ∖ M_j once per constraint, so the DFS push in the
-// deciders is a plain row append — no restriction, no NodeSet temporaries,
-// no allocation after reserve. A group with no rows is an unsatisfiable
+// rows" R_j = ground ∖ M_j once per constraint, so adding a constraint is
+// a plain row append — no restriction, no NodeSet temporaries. A group with no rows is an unsatisfiable
 // constraint (the empty family); a group containing the empty row is
 // always satisfied.
 //
@@ -35,22 +34,11 @@ struct CompiledGroup {
   static CompiledGroup complement(const NodeSet& ground, const std::vector<NodeSet>& antichain);
 };
 
-/// LIFO stack of conjunction groups. Row storage is row-major with a
-/// grow-only stride; every exact-decider workload (kMaxExactNodes = 26)
-/// stays at one word per row.
+/// The conjunction groups of one JointStructure, one per constraint. Row
+/// storage is row-major with a grow-only stride; every exact-decider
+/// workload (kMaxExactNodes = 26) stays at one word per row.
 class ConjunctionRows {
  public:
-  void clear() {
-    rows_.clear();
-    groups_.clear();
-    words_ = 1;
-  }
-
-  void reserve(std::size_t groups, std::size_t rows) {
-    groups_.reserve(groups);
-    rows_.reserve(rows * words_);
-  }
-
   void push_group(const CompiledGroup& g) {
     if (g.row_words == words_) {
       // Matching stride (every exact-decider push): the compiled rows are
@@ -62,16 +50,6 @@ class ConjunctionRows {
     }
     push_group_restride(g);
   }
-
-  void pop_group() {
-    RMT_REQUIRE(!groups_.empty(), "pop_group on empty ConjunctionRows");
-    rows_.resize(static_cast<std::size_t>(groups_.back().begin) * words_);
-    groups_.pop_back();
-  }
-
-  std::size_t num_groups() const { return groups_.size(); }
-  std::size_t num_rows() const { return rows_.size() / words_; }
-  std::size_t words_per_row() const { return words_; }
 
   /// True iff every group has a row disjoint from x — the conjunction
   /// membership ∀i: x ∩ A_i ∈ E_i^{A_i} over the compiled rows.

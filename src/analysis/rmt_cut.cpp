@@ -1,7 +1,6 @@
 #include "analysis/rmt_cut.hpp"
 
-#include <utility>
-
+#include "analysis/cut_scan.hpp"
 #include "analysis/feasibility.hpp"
 #include "graph/cuts.hpp"
 #include "obs/phase.hpp"
@@ -11,26 +10,6 @@
 namespace rmt::analysis {
 
 namespace {
-
-// The per-B test. B is a cut candidate (graph/cuts.hpp), so C = N(B)
-// already excludes D. With C = N(B), the first maximal M (antichain order)
-// whose C₂ = C ∖ M passes Thm 1's per-node conjunction, C₂ ∩ V(γ(v)) ∈ Z_v
-// for every v ∈ B. A slice x lies inside V(γ(v)), and for such x,
-// x ∈ Z_v = Z^{V(γ(v))} iff x ∈ Z (monotonicity), so each slice is tested
-// against Z itself. find_rmt_cut_reference keeps the explicit Z_v.
-std::optional<RmtCutWitness> cut_at(const Instance& inst, const NodeSet& b) {
-  const NodeSet cut = inst.graph().boundary(b);
-  const AdversaryStructure& z = inst.adversary();
-  for (const NodeSet& m : z.maximal_sets()) {
-    NodeSet c2 = cut - m;
-    bool member = true;
-    b.for_each([&](NodeId v) {
-      if (member && !z.contains(c2 & inst.gamma().view_nodes(v))) member = false;
-    });
-    if (member) return RmtCutWitness{cut & m, std::move(c2), b};
-  }
-  return std::nullopt;
-}
 
 // Full views: V(γ(v)) = V for every v. A property of the input, not a flag.
 bool full_views(const Instance& inst) {
@@ -58,12 +37,9 @@ std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst) {
               "find_rmt_cut: instance too large for the exact decider");
   RMT_AUDIT_VALIDATE(inst);
   if (solvable_by_two_cover_gate(inst)) return std::nullopt;
-  std::optional<RmtCutWitness> witness;
-  enumerate_cut_candidates(inst.graph(), inst.dealer(), inst.receiver(), [&](const NodeSet& b) {
-    witness = cut_at(inst, b);
-    return !witness.has_value();
-  });
-  return witness;
+  const ViewFunction& gamma = inst.gamma();
+  return detail::find_first_cut<RmtCutWitness>(
+      inst, [&](NodeId v) -> const NodeSet& { return gamma.view_nodes(v); });
 }
 
 std::optional<RmtCutWitness> find_rmt_cut_reference(const Instance& inst) {

@@ -40,7 +40,9 @@ inline constexpr std::size_t kMaxExactNodes = 26;
 /// Requires num_players() <= kMaxExactNodes.
 ///
 /// The definitional scan: enumerate connected B ∋ R, and per B test each
-/// maximal M with Thm 1's per-node conjunction (one test per M). When every
+/// maximal M with Thm 1's per-node conjunction (one test per M), skipping
+/// every B below a locked boundary that fails that test (graph/cuts.hpp;
+/// no such B can pass, so the first witness is unchanged). When every
 /// view covers all of V, Z_B = Z and an RMT-cut exists iff a two-cover does
 /// (find_two_cover_cut), so the two-cover decides first and the enumeration
 /// runs only to produce an unsolvable instance's witness — the same first

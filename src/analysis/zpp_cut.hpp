@@ -33,10 +33,11 @@ struct ZppCutWitness {
 };
 
 /// Find an RMT Z-pp cut (Def. 7), or nullopt (⇒ Z-CPA succeeds, Thm 7).
-/// Incremental scan (graph/cuts.hpp): N(B) and the per-node compiled rows
-/// follow the connected-subset DFS by push/pop deltas; allocation-free at
-/// kMaxExactNodes. Each slice N(u) ∩ C₂ is tested against Z itself, which
-/// answers as Z_u does because the view floor puts N(u) inside V(γ(u)).
+/// find_rmt_cut's per-B scan (analysis/cut_scan.hpp) with the slice N(u)
+/// in place of V(γ(u)): each slice N(u) ∩ C₂ is tested against Z itself,
+/// which answers as Z_u does because the view floor puts N(u) inside
+/// V(γ(u)), and every subtree whose locked boundary fails is skipped.
+/// Allocation-free at kMaxExactNodes.
 std::optional<ZppCutWitness> find_rmt_zpp_cut(const Instance& inst);
 
 /// The straightforward per-B decider against the explicit local structures

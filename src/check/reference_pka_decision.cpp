@@ -210,7 +210,7 @@ std::optional<sim::Value> decide_greedy(const DecisionInput& in, const Snapshot&
       if (!gm.has_node(in.dealer) || !gm.has_node(in.receiver)) break;
       std::map<NodeId, std::size_t> blame;
       std::size_t found = 0, missing = 0;
-      enumerate_simple_paths(
+      const EnumStatus walked = enumerate_simple_paths(
           gm, in.dealer, in.receiver,
           [&](const Path& p) {
             ++found;
@@ -222,6 +222,11 @@ std::optional<sim::Value> decide_greedy(const DecisionInput& in, const Snapshot&
             return true;
           },
           limits.max_paths);
+      // A truncated walk neither proves V_M full nor says whom to peel.
+      if (walked == EnumStatus::kTruncated) {
+        stats.budget_exhausted = true;
+        return std::nullopt;
+      }
       if (found == 0) break;
       if (missing == 0) {
         if (!has_adversary_cover(gm, in.dealer, in.receiver, snap, limits, stats)) {

@@ -12,10 +12,12 @@
 // per-edge union and induction Graph used before its row-wise
 // operations, inlined so the reference shares neither with pka_decide).
 // Its masks count against DeciderLimits::max_subsets, and its cover scan
-// counts only the B whose cut excludes D against max_cover_sets, as
-// pka_decide does. Tests and bench_decider_hotpath check that pka_decide
-// returns the same value and the same DeciderStats in greedy mode, and the
-// same value in exhaustive mode wherever neither side ran out of budget;
+// counts the B whose cut excludes D against max_cover_sets; pka_decide's
+// scan skips the B below a failing locked boundary and counts only the B
+// it tests, so its cover budget binds no earlier. Tests and
+// bench_decider_hotpath check that pka_decide returns the same value and
+// the same DeciderStats in greedy mode, and the same value in exhaustive
+// mode, wherever neither side ran out of budget;
 // RmtPka takes it as its decision function to replay whole simulations
 // against it. Only tests, benches and the fuzzer call it.
 #pragma once

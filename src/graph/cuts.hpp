@@ -50,6 +50,13 @@ struct ConnectedSubsetDfs {
   bool aborted = false;
 
   void run(const NodeSet& excluded) {
+    // The locked boundary L = N(B) ∩ excluded lies in N(B') for every B'
+    // below (see enumerate_connected_subsets_incremental).
+    if constexpr (requires(const NodeSet& s) { vis.viable(s, s); }) {
+      NodeSet locked = nbrs;
+      locked &= excluded;
+      if (!locked.empty() && !vis.viable(current, locked)) return;
+    }
     if (!vis.visit(current)) {
       aborted = true;
       return;
@@ -95,6 +102,18 @@ struct ConnectedSubsetDfs {
 /// push(seed) precedes the first visit; pop(seed) follows the enumeration
 /// (also after an aborting visit), so pushes and pops always balance.
 /// Returns false iff the enumeration was stopped by the visitor.
+///
+/// A visitor may also offer a dead-branch test
+///
+///   bool viable(const NodeSet& b, const NodeSet& locked);
+///
+/// called before visit(B) with the locked boundary L = N(B) ∩ excluded
+/// whenever L ≠ ∅. Excluded nodes (the forbidden set and the candidates
+/// already tried at an ancestor level) never join a B' below B, so
+/// L ⊆ N(B') for every such B'. A visitor whose per-B test on N(B) is
+/// monotone — passing on (B', N(B')) implies passing on (B, L) — may return
+/// false when L fails; B and every set below it are then skipped, and the
+/// sets left are visited in the unpruned order (DESIGN.md §11).
 template <typename Visitor>
 bool enumerate_connected_subsets_incremental(const Graph& g, NodeId seed,
                                              const NodeSet& forbidden, Visitor&& vis) {
@@ -110,23 +129,21 @@ bool enumerate_connected_subsets_incremental(const Graph& g, NodeId seed,
   return !dfs.aborted;
 }
 
-/// The candidate receiver components of the cut scans (RMT-cut, Z-pp cut):
-/// every connected B ∋ r with B ∩ N[d] = ∅, i.e. every B whose cut N(B)
-/// excludes d. A connected superset of a B with d ∈ N(B) keeps d in its
-/// boundary, so these are exactly the sets of enumerate_connected_subsets
-/// (seed r, forbidden {d}) with d ∉ N(B), in the same order (DESIGN.md §11).
-/// When d and r are adjacent there is no candidate: nothing is pushed or
-/// visited, and the call returns true. Otherwise the visitor contract and
-/// return value are enumerate_connected_subsets_incremental's.
+/// The candidate receiver components of the cut scans (RMT-cut, Z-pp cut,
+/// adversary cover): every connected B ∋ r with B ∩ N[d] = ∅, i.e. every B
+/// whose cut N(B) excludes d. A connected superset of a B with d ∈ N(B)
+/// keeps d in its boundary, so these are exactly the sets of
+/// enumerate_connected_subsets (seed r, forbidden {d}) with d ∉ N(B), in
+/// the same order (DESIGN.md §11). N[d] is forbidden, so a B next to N(d)
+/// has those nodes in its locked boundary. When d and r are adjacent there
+/// is no candidate: nothing is pushed or visited, and the call returns
+/// true. Otherwise the visitor contract (`viable` included) and return
+/// value are enumerate_connected_subsets_incremental's.
 template <typename Visitor>
 bool enumerate_cut_candidates_incremental(const Graph& g, NodeId d, NodeId r, Visitor&& vis) {
   if (g.has_edge(d, r)) return true;
   return enumerate_connected_subsets_incremental(g, r, g.closed_neighborhood(d), vis);
 }
-
-/// enumerate_cut_candidates_incremental for a plain per-set visitor.
-bool enumerate_cut_candidates(const Graph& g, NodeId d, NodeId r,
-                              const std::function<bool(const NodeSet&)>& visit);
 
 /// The minimum number of nodes (excluding s, t) whose removal disconnects
 /// s from t — Menger vertex connectivity via node-splitting max-flow.

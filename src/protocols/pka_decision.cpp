@@ -74,8 +74,8 @@ Fullness check_full(const Graph& gm, NodeId d, NodeId r, const std::set<Path>& d
 /// the snapshot's *claimed* data — exactly what M provides the receiver.
 /// WLOG C = N(B) for connected B ∋ R (monotone structures; see
 /// analysis/rmt_cut.hpp for the argument), and only the B whose cut
-/// excludes D are candidates (enumerate_cut_candidates). A blown
-/// enumeration budget reports "maybe covered" (abstain direction).
+/// excludes D are candidates (enumerate_cut_candidates_incremental). A
+/// blown enumeration budget reports "maybe covered" (abstain direction).
 ///
 /// Z_B = ⊕_{v∈B} Z_v^{V(γ(v))}, so by Thm 1's conjunction form
 /// X ∈ Z_B ⇔ ∀v ∈ B: X ∩ V(γ(v)) ∈ Z_v^{V(γ(v))}, and since
@@ -84,34 +84,46 @@ Fullness check_full(const Graph& gm, NodeId d, NodeId r, const std::set<Path>& d
 /// V(γ(v)) ⊆ V(γ(B)), X ∩ V(γ(v)) = C ∩ V(γ(v)): one membership test per
 /// member of B against its claimed structure, and no joint or restricted
 /// structure built per B (analysis::find_rmt_cut tests the same way).
-bool has_adversary_cover(const Graph& gm, NodeId d, NodeId r, const Snapshot& snap,
-                         const DeciderLimits& limits, DeciderStats& stats) {
-  ++stats.cover_checks;
-  if (!gm.has_node(r) || !gm.has_node(d)) return true;
-  // gm's nodes all lie in V_M, so each has a claim; index them densely.
-  std::vector<const Claim*> claim_of(gm.capacity(), nullptr);
-  gm.nodes().for_each([&](NodeId v) { claim_of[v] = &snap.at(v); });
+/// Every claimed Z_v is monotone, so the same test on a locked boundary
+/// skips each subtree no cover lies in; only the B tested in full count
+/// against max_cover_sets.
+struct CoverScan {
+  const Graph& gm;
+  const Snapshot& snap;  // gm's nodes all lie in V_M, so each has a claim
+  std::size_t budget;
+  DeciderStats& stats;
   bool covered = false;
-  std::size_t budget = limits.max_cover_sets;
-  enumerate_cut_candidates(gm, d, r, [&](const NodeSet& b) {
+
+  bool in_zb(const NodeSet& x, const NodeSet& b) const {
+    bool member = true;
+    b.for_each([&](NodeId v) {
+      if (!member) return;
+      const Claim& claim = snap.at(v);
+      member = claim.local_z->contains(x & claim.view->nodes());
+    });
+    return member;
+  }
+  bool viable(const NodeSet& b, const NodeSet& locked) const { return in_zb(locked, b); }
+  bool visit(const NodeSet& b) {
     if (budget-- == 0) {
       stats.budget_exhausted = true;
       covered = true;  // conservative
       return false;
     }
-    const NodeSet c = gm.boundary(b);
-    bool in_zb = true;
-    b.for_each([&](NodeId v) {
-      const Claim& claim = *claim_of[v];
-      in_zb = in_zb && claim.local_z->contains(c & claim.view->nodes());
-    });
-    if (in_zb) {
-      covered = true;
-      return false;
-    }
-    return true;
-  });
-  return covered;
+    covered = in_zb(gm.boundary(b), b);
+    return !covered;
+  }
+  void push(NodeId) {}
+  void pop(NodeId) {}
+};
+
+bool has_adversary_cover(const Graph& gm, NodeId d, NodeId r, const Snapshot& snap,
+                         const DeciderLimits& limits, DeciderStats& stats) {
+  ++stats.cover_checks;
+  if (!gm.has_node(r) || !gm.has_node(d)) return true;
+  CoverScan scan{gm, snap, limits.max_cover_sets, stats};
+  enumerate_cut_candidates_incremental(gm, d, r, scan);
+  return scan.covered;
 }
 
 /// The versions of one subject: its claimed reports, or the receiver's
@@ -183,7 +195,7 @@ struct CandidateBudget {
 /// interior node of P, or every member whose claimed view supplies one
 /// edge of P (an edge D or R supplies cannot be lost). Every full subset
 /// lies inside one of these branches, so every maximal full V_M is
-/// reached; a covered full V_M is pruned with all its subsets.
+/// reached; a covered V_M, full or not, is pruned with all its subsets.
 std::optional<NodeSet> search_vm(const Snapshot& snap, NodeId d, NodeId r,
                                  const std::set<Path>& delivered, const DeciderLimits& limits,
                                  CandidateBudget& budget, DeciderStats& stats) {
@@ -201,11 +213,9 @@ std::optional<NodeSet> search_vm(const Snapshot& snap, NodeId d, NodeId r,
     stack.pop_back();
     const Graph gm = build_gm(snap, vm);
     const Fullness full = check_full(gm, d, r, delivered, limits, stats, missing);
-    if (full == Fullness::kFull) {
-      if (!has_adversary_cover(gm, d, r, snap, limits, stats)) return vm;
-      continue;  // covered, and so is every subset
-    }
     if (full == Fullness::kDead) continue;
+    if (has_adversary_cover(gm, d, r, snap, limits, stats)) continue;  // so is every subset
+    if (full == Fullness::kFull) return vm;
     for (std::size_t i = 0; i + 1 < missing.size(); ++i) {
       const NodeId a = missing[i], b = missing[i + 1];
       NodeSet suppliers;
@@ -249,7 +259,7 @@ std::optional<sim::Value> decide_greedy(const DecisionInput& in, const Snapshot&
       if (!gm.has_node(in.dealer) || !gm.has_node(in.receiver)) break;
       std::map<NodeId, std::size_t> blame;
       std::size_t found = 0, missing = 0;
-      enumerate_simple_paths(
+      const EnumStatus walked = enumerate_simple_paths(
           gm, in.dealer, in.receiver,
           [&](const Path& p) {
             ++found;
@@ -261,6 +271,11 @@ std::optional<sim::Value> decide_greedy(const DecisionInput& in, const Snapshot&
             return true;
           },
           limits.max_paths);
+      // A truncated walk neither proves V_M full nor says whom to peel.
+      if (walked == EnumStatus::kTruncated) {
+        stats.budget_exhausted = true;
+        return std::nullopt;
+      }
       if (found == 0) break;
       if (missing == 0) {
         if (!has_adversary_cover(gm, in.dealer, in.receiver, snap, limits, stats)) {

@@ -21,10 +21,12 @@
 //   * kExhaustive — an exact search over V_M (within budgets); matches the
 //     tight characterization: decides whenever no RMT-cut exists (Thm 5).
 //     Fullness and having a cover are both downward closed in V_M, so it
-//     starts from all subjects and branches only on the ways to lose one
-//     undelivered D–R path (DESIGN.md §1).
+//     starts from all subjects, drops every covered V_M with its subsets,
+//     and branches only on the ways to lose one undelivered D–R path
+//     (DESIGN.md §1).
 //   * kGreedy — starts from V_M = all subjects and peels nodes that break
-//     fullness; fast, may abstain on crafted inputs.
+//     fullness; fast, may abstain on crafted inputs, and abstains on a
+//     snapshot whose path walk the path budget truncates.
 // Both are *safe unconditionally*: Theorem 4 holds for ANY full cover-free
 // M, so no search order can produce a wrong decision; budgets only ever
 // cause abstention.

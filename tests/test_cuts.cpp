@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "adversary/threshold.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
@@ -167,7 +171,7 @@ TEST(IncrementalEnumeration, Preconditions) {
 TEST(ConnectedSubsets, ForbiddingTheDealersNeighbourhoodDropsOnlyDeadSets) {
   // The cut scans' candidate rule: enumerating with N[d] forbidden must
   // visit exactly the sets the unpruned enumeration (only d forbidden)
-  // visits with d ∉ N(B), in the same order, through both surfaces.
+  // visits with d ∉ N(B), in the same order.
   std::size_t pruned_any = 0, adjacent = 0;
   const auto check = [&](const Graph& g, NodeId d, NodeId r) {
     const std::string what = "d=" + std::to_string(d) + " r=" + std::to_string(r) + " on " +
@@ -179,12 +183,6 @@ TEST(ConnectedSubsets, ForbiddingTheDealersNeighbourhoodDropsOnlyDeadSets) {
       if (!g.boundary(b).contains(d)) filtered.push_back(b);
       return true;
     });
-    std::vector<NodeSet> plain;
-    EXPECT_TRUE(enumerate_cut_candidates(g, d, r, [&](const NodeSet& b) {
-      plain.push_back(b);
-      return true;
-    })) << what;
-    EXPECT_EQ(plain, filtered) << what;
     RecordingVisitor vis;
     EXPECT_TRUE(enumerate_cut_candidates_incremental(g, d, r, vis)) << what;
     EXPECT_EQ(vis.visited, filtered) << what;
@@ -220,6 +218,109 @@ TEST(ConnectedSubsets, ForbiddingTheDealersNeighbourhoodDropsOnlyDeadSets) {
   EXPECT_GT(off_spoke, 0u);
   EXPECT_GT(adjacent, 0u);
   EXPECT_GT(pruned_any, 0u);
+}
+
+TEST(ConnectedSubsets, LockedBoundaryPruningSkipsOnlyFailingSubtrees) {
+  // The dead-branch rule (DESIGN.md §11). Under a monotone per-B test —
+  // here the RMT-cut's form, some maximal M with (X ∖ M) ∩ N[v] ∈ Z for
+  // every v ∈ B — a visitor that offers `viable` must visit, in the
+  // unpruned order, every B whose N(B) passes, and every B it skips must
+  // lie below a DFS node whose locked boundary failed.
+  struct Tracker : RecordingVisitor {
+    std::vector<std::vector<NodeId>> stacks;  // each visited B's push order
+    bool visit(const NodeSet& b) {
+      stacks.push_back(stack);
+      return RecordingVisitor::visit(b);
+    }
+  };
+  struct Pruner : Tracker {
+    std::function<bool(const NodeSet&, const NodeSet&)> passes;
+    std::vector<std::vector<NodeId>> dead;  // push order of each failing node
+    std::vector<NodeSet> locked_seen;
+    bool viable(const NodeSet& b, const NodeSet& locked) {
+      if (rebuilt != b) deltas_match = false;
+      locked_seen.push_back(locked);
+      if (passes(locked, b)) return true;
+      dead.push_back(stack);
+      return false;
+    }
+  };
+  std::size_t skipped = 0, kept_passing = 0;
+  const auto check = [&](const Graph& g, NodeId d, NodeId r, const AdversaryStructure& z,
+                         const std::string& what) {
+    const auto passes = [&](const NodeSet& x, const NodeSet& b) {
+      for (const NodeSet& m : z.maximal_sets()) {
+        const NodeSet c2 = x - m;
+        bool all = true;
+        b.for_each([&](NodeId v) { all = all && z.contains(c2 & g.closed_neighborhood(v)); });
+        if (all) return true;
+      }
+      return false;
+    };
+    Tracker full;
+    enumerate_cut_candidates_incremental(g, d, r, full);
+    Pruner pruned;
+    pruned.passes = passes;
+    enumerate_cut_candidates_incremental(g, d, r, pruned);
+    EXPECT_TRUE(pruned.deltas_match && pruned.lifo_ok && pruned.stack.empty()) << what;
+    // Every candidate B avoids N(D), so D is never in a locked boundary.
+    for (const NodeSet& l : pruned.locked_seen) EXPECT_FALSE(l.contains(d)) << what;
+    // Walk the unpruned preorder: a failing node's subtree is the run of
+    // sets whose push order extends the failing node's.
+    std::vector<NodeSet> kept;
+    std::size_t next_dead = 0;
+    const std::vector<NodeId>* below = nullptr;
+    for (std::size_t i = 0; i < full.visited.size(); ++i) {
+      const std::vector<NodeId>& st = full.stacks[i];
+      const bool in_subtree = below && st.size() >= below->size() &&
+                              std::equal(below->begin(), below->end(), st.begin());
+      if (!in_subtree && next_dead < pruned.dead.size() && pruned.dead[next_dead] == st)
+        below = &pruned.dead[next_dead++];
+      else if (!in_subtree)
+        below = nullptr;
+      const NodeSet& b = full.visited[i];
+      if (below) {
+        EXPECT_FALSE(passes(g.boundary(b), b)) << what << " skipped a passing B";
+        ++skipped;
+      } else {
+        kept.push_back(b);
+        kept_passing += passes(g.boundary(b), b);
+      }
+    }
+    EXPECT_EQ(next_dead, pruned.dead.size()) << what;  // each failing node is a candidate
+    EXPECT_EQ(pruned.visited, kept) << what;
+  };
+  Rng rng(2028);
+  const auto random_z = [&](const Graph& g, NodeId d, NodeId r) {
+    return random_structure(g.nodes(), 1 + rng.index(5), 1 + rng.index(3), NodeSet{d, r}, rng);
+  };
+  // Endpoints that are not adjacent (adjacent ones have no candidate), if
+  // a few draws find such a pair.
+  const auto endpoints = [&](const Graph& g) {
+    const std::size_t n = g.num_nodes();
+    NodeId d = 0, r = 0;
+    for (int draw = 0; draw < 8 && (r == d || g.has_edge(d, r)); ++draw) {
+      d = NodeId(rng.index(n));
+      do r = NodeId(rng.index(n)); while (r == d);
+    }
+    return std::pair{d, r};
+  };
+  for (int trial = 0; trial < 30; ++trial) {
+    std::vector<std::pair<std::string, Graph>> graphs;
+    const std::size_t n = 8 + rng.index(9);  // 8–16 nodes
+    graphs.emplace_back("cycle", generators::cycle_graph(n));
+    graphs.emplace_back("wheel", generators::generalized_wheel(n, 2 + rng.index(2)));
+    graphs.emplace_back("gnp", generators::random_connected_gnp(n, 0.2 + 0.05 * double(rng.index(3)), rng));
+    graphs.emplace_back("paths", generators::parallel_paths(2 + rng.index(3), 1 + rng.index(3)));
+    for (const auto& [family, g] : graphs) {
+      const auto [d, r] = endpoints(g);
+      check(g, d, r, random_z(g, d, r),
+            family + " n=" + std::to_string(g.num_nodes()) + " d=" + std::to_string(d) +
+                " r=" + std::to_string(r) + " trial " + std::to_string(trial));
+    }
+  }
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(kept_passing, 0u);
 }
 
 TEST(MinVertexCut, KnownGraphs) {

@@ -154,8 +154,9 @@ bool same_witness(const std::optional<RmtCutWitness>& a, const std::optional<Rmt
 }
 
 TEST(RmtCut, ShippedMatchesReferenceWitnessExactly) {
-  // The shipped decider tests slices against Z and gates full views by the
-  // two-cover; the reference tests explicit Z_v and never gates. Same
+  // The shipped decider tests slices against Z, gates full views by the
+  // two-cover and skips the B below a failing locked boundary; the
+  // reference tests explicit Z_v, never gates and walks every B. Same
   // witness, bit for bit — not merely the same yes/no — across random
   // instances and every knowledge level.
   Rng rng(61);
@@ -169,6 +170,14 @@ TEST(RmtCut, ShippedMatchesReferenceWitnessExactly) {
     const Instance inst = triple_path(k);
     EXPECT_TRUE(same_witness(find_rmt_cut(inst), find_rmt_cut_reference(inst)));
   }
+  // The wheels where the locked-boundary rule skips the most.
+  std::size_t cuts = 0;
+  for (const Instance& inst : testing::pruning_wheels()) {
+    const auto want = find_rmt_cut_reference(inst);
+    cuts += want.has_value();
+    EXPECT_TRUE(same_witness(find_rmt_cut(inst), want)) << inst.to_string();
+  }
+  EXPECT_GT(cuts, 0u);
 }
 
 TEST(RmtCut, HotPathNeverSpillsAt26Nodes) {

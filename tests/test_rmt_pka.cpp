@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "analysis/rmt_cut.hpp"
 #include "check/reference_pka_decision.hpp"
@@ -175,6 +177,51 @@ TEST(RmtPka, DecidesOnEveryFaultFreeCycle) {
       sim::SilentStrategy silent;
       const Outcome out = run_rmt(inst, RmtPka{}, 7, NodeSet{}, &silent);
       EXPECT_TRUE(out.correct) << "n=" << n << " R=" << r;
+    }
+  }
+}
+
+/// Every receiver call's DeciderStats in the current run, recorded through
+/// RmtPka's DecideFn seam (a plain function pointer, hence the static).
+std::vector<DeciderStats>& recorded_calls() {
+  static std::vector<DeciderStats> calls;
+  return calls;
+}
+
+std::optional<sim::Value> recording_decide(const DecisionInput& in, DeciderMode mode,
+                                           const DeciderLimits& limits, DeciderStats*) {
+  DeciderStats call;
+  const auto decided = pka_decide(in, mode, limits, &call);
+  recorded_calls().push_back(call);
+  return decided;
+}
+
+TEST(RmtPka, UnsolvableWheelsStayUnderTheCandidateBudget) {
+  // Stride-2 wheels under a 1-threshold with 1-hop views, D = 1, R = n/2,
+  // one maximal set corrupted: each has an RMT-cut, so no run may decide,
+  // and the exact search must find every maximal full V_M covered. It
+  // drops each covered V_M, full or not, with all its subsets, so no call
+  // comes near max_subsets (2^14); under `two-faced` no budget runs out.
+  for (const std::size_t n : {20u, 26u}) {
+    const Graph g = generators::generalized_wheel(n, 2);
+    const NodeId d = 1, r = NodeId(n / 2);
+    const Instance inst(g, threshold_structure(g.nodes() - NodeSet{d, r}, 1),
+                        ViewFunction::k_hop(g, 1), d, r);
+    ASSERT_TRUE(analysis::find_rmt_cut(inst).has_value()) << "wheel-" << n;
+    for (const std::string name : {"two-faced", "random-lies"}) {
+      const std::string what = "wheel-" + std::to_string(n) + " " + name;
+      recorded_calls().clear();
+      const auto strategy = sim::make_strategy(name, 2016);
+      const Outcome out = run_rmt(inst, RmtPka(DeciderMode::kExhaustive, {}, recording_decide),
+                                  42, inst.adversary().maximal_sets().back(), strategy.get());
+      EXPECT_FALSE(out.decision.has_value()) << what;
+      EXPECT_FALSE(recorded_calls().empty()) << what;
+      for (const DeciderStats& call : recorded_calls()) {
+        EXPECT_LE(call.subsets_tried, 1024u) << what;
+        if (name == "two-faced") {
+          EXPECT_FALSE(call.budget_exhausted) << what;
+        }
+      }
     }
   }
 }

@@ -46,4 +46,24 @@ inline NodeSet from_mask(std::size_t mask, std::size_t n) {
   return s;
 }
 
+/// The cut scans' pruning instances: stride-2 generalized wheels of 16 and
+/// 20 nodes (hub 0) with a random 5×3 antichain, R = n/2 + 2, D on a spoke
+/// (1) and off one (2), at every knowledge level (ad hoc, 1-hop, 2-hop,
+/// full). Most candidate B there sit below a locked boundary.
+inline std::vector<Instance> pruning_wheels() {
+  std::vector<Instance> out;
+  for (const std::size_t n : {16u, 20u}) {
+    const Graph g = generators::generalized_wheel(n, 2);
+    const NodeId r = NodeId(n / 2 + 2);
+    for (const NodeId d : {NodeId(1), NodeId(2)}) {
+      Rng rng(4242 + n + d);
+      const AdversaryStructure z = random_structure(g.nodes(), 5, 3, NodeSet{d, r}, rng);
+      for (const ViewFunction& gamma : {ViewFunction::ad_hoc(g), ViewFunction::k_hop(g, 1),
+                                        ViewFunction::k_hop(g, 2), ViewFunction::full(g)})
+        out.emplace_back(g, z, gamma, d, r);
+    }
+  }
+  return out;
+}
+
 }  // namespace rmt::testing

@@ -89,12 +89,13 @@ bool same_witness(const std::optional<ZppCutWitness>& a, const std::optional<Zpp
   return !a || (a->c1 == b->c1 && a->c2 == b->c2 && a->b == b->b);
 }
 
-TEST(ZppCut, IncrementalMatchesReferenceWitnessExactly) {
-  // The shipped decider tests each slice N(u) ∩ C₂ against Z; the
-  // reference tests it against the explicit Z_u = Z^{V(γ(u))}. The view
-  // floor makes the two agree under any γ, so the witness must be the
-  // same bit for bit at every knowledge level — most of all where views
-  // are wide and Z_u keeps more of Z.
+TEST(ZppCut, ShippedMatchesReferenceWitnessExactly) {
+  // The shipped decider tests each slice N(u) ∩ C₂ against Z and skips the
+  // B below a failing locked boundary; the reference tests it against the
+  // explicit Z_u = Z^{V(γ(u))} and walks every B. The view floor makes
+  // the two agree under any γ, so the witness must be the same bit for bit
+  // at every knowledge level — most of all where views are wide and Z_u
+  // keeps more of Z.
   Rng rng(71);
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t k = std::size_t(trial % 4);
@@ -123,6 +124,14 @@ TEST(ZppCut, IncrementalMatchesReferenceWitnessExactly) {
   const Instance big =
       Instance::ad_hoc(generators::cycle_graph(26), AdversaryStructure::trivial(), 0, 13);
   EXPECT_TRUE(same_witness(find_rmt_zpp_cut(big), find_rmt_zpp_cut_reference(big)));
+  // The wheels where the locked-boundary rule skips the most.
+  std::size_t cuts = 0;
+  for (const Instance& inst : testing::pruning_wheels()) {
+    const auto want = find_rmt_zpp_cut_reference(inst);
+    cuts += want.has_value();
+    EXPECT_TRUE(same_witness(find_rmt_zpp_cut(inst), want)) << inst.to_string();
+  }
+  EXPECT_GT(cuts, 0u);
 }
 
 TEST(ZppCut, AdjacentEndpointsHaveNoCut) {
