@@ -3,14 +3,17 @@
 //
 // One row per (instance, decider), with one timing column per path:
 //   reference_ms — the oracle: find_rmt_cut_reference (explicit Z_v, no
-//                  gate), find_rmt_zpp_cut_reference (per-B rebuild),
-//                  find_two_cover_cut_reference (the full row-major NodeSet
-//                  scan), or for `analyze` all three shipped deciders run
-//                  unconditionally (analysis::analyze_reference);
+//                  gate), find_rmt_zpp_cut_reference (explicit Z_u, every
+//                  candidate B tested), find_two_cover_cut_reference (the
+//                  full row-major NodeSet scan), or for `analyze` all three
+//                  shipped deciders run unconditionally
+//                  (analysis::analyze_reference);
 //   shipped_ms   — what the library serves: find_rmt_cut (definitional scan
 //                  behind the full-view two-cover gate), find_rmt_zpp_cut
-//                  (incremental), find_two_cover_cut (pairs i ≤ j, one-word
-//                  BFS), analysis::analyze (skips the implied decider).
+//                  (the same per-B scan with slices N(u), skipping every
+//                  subtree below a failing locked boundary),
+//                  find_two_cover_cut (pairs i ≤ j, one-word BFS),
+//                  analysis::analyze (skips the implied decider).
 // speedup = reference_ms / shipped_ms.
 //
 // The `simulate/<strategy>` rows are the served `simulate` kind on
@@ -32,7 +35,10 @@
 // the run, not just the schema check. Timings are reported, never asserted
 // — CI runs this as a perf *smoke* (identity), and tools/check_bench_json.py
 // enforces the identity column on BENCH_decider.json. Wall times are
-// best-of-kReps to damp scheduler noise.
+// best-of-kReps to damp scheduler noise; a sanitizer build takes one
+// sample per cell (its timings carry no information, and five samples of
+// every row take most of ctest's 300 s there), and still runs every row
+// and every identity check.
 #include <optional>
 #include <string>
 
@@ -47,7 +53,19 @@ namespace {
 
 using namespace rmt;
 
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define RMT_BENCH_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define RMT_BENCH_SANITIZED 1
+#endif
+#endif
+
+#ifdef RMT_BENCH_SANITIZED
+inline constexpr int kReps = 1;
+#else
 inline constexpr int kReps = 5;
+#endif
 
 template <typename W>
 bool same_cut(const std::optional<W>& a, const std::optional<W>& b) {

@@ -7,7 +7,7 @@
 
 #include <vector>
 
-#include "adversary/joint.hpp"
+#include "adversary/oplus.hpp"
 #include "adversary/threshold.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/metrics.hpp"
@@ -93,32 +93,14 @@ void BM_OplusMaterialize(benchmark::State& state) {
 }
 BENCHMARK(BM_OplusMaterialize)->Arg(4)->Arg(16)->Arg(64);
 
-void BM_JointLazyMembership(benchmark::State& state) {
-  Rng rng(6);
-  JointStructure joint;
-  for (int i = 0; i < state.range(0); ++i) {
-    NodeSet ground;
-    for (std::size_t v = 0; v < 32; ++v)
-      if (rng.chance(0.4)) ground.insert(NodeId(v));
-    joint.add_constraint(ground,
-                         AdversaryStructure::from_sets(random_sets(6, 32, rng)));
-  }
-  const auto probes = random_sets(64, 32, rng);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(joint.contains(probes[i++ % 64]));
-  }
-}
-BENCHMARK(BM_JointLazyMembership)->Arg(2)->Arg(8)->Arg(32);
-
 // ---- decider-hot-path shapes (n = 26, the exact-decider cap) -------------
 //
-// The next three benchmarks probe the structures at the exact deciders'
-// shapes: the antichain is a 2-threshold (276 maximal sets) or a random
-// general structure over 26 nodes, and the probes are boundary-sized sets
-// (|C| ≈ 2..4). They exercise the support/popcount prefilters on
-// AdversaryStructure::contains (find_rmt_cut's per-node slice test) and
-// the lazy conjunction in JointStructure::contains.
+// The next benchmark probes the structure at the exact deciders' shapes:
+// the antichain is a 2-threshold (276 maximal sets) or a random general
+// structure over 26 nodes, and the probes are boundary-sized sets
+// (|C| ≈ 2..4). It exercises the support/popcount prefilters on
+// AdversaryStructure::contains, the per-node test every cut scan and the
+// receiver's cover test run once per member of B.
 
 std::vector<NodeSet> cut_shaped_probes(std::size_t count, std::size_t n, Rng& rng) {
   std::vector<NodeSet> out;
@@ -146,27 +128,6 @@ void BM_StructureContains26(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StructureContains26)->Arg(0)->Arg(1);
-
-void BM_JointContains26(benchmark::State& state) {
-  Rng rng(8);
-  const NodeSet players = NodeSet::full(26) - NodeSet{0, 13};
-  const AdversaryStructure z = state.range(0) == 0
-                                   ? threshold_structure(players, 2)
-                                   : random_structure(players, 8, 3, NodeSet{0, 13}, rng);
-  // Z_B for a |B| = 8 component under 3-node views: one restricted
-  // constraint per member, as pka_decision's cover check joins them.
-  JointStructure joint;
-  for (std::size_t v = 13; v < 21; ++v) {
-    const NodeSet view{NodeId(v == 0 ? 25 : v - 1), NodeId(v), NodeId((v + 1) % 26)};
-    joint.add_constraint(RestrictedStructure(z, view));
-  }
-  const auto probes = cut_shaped_probes(64, 26, rng);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(joint.contains(probes[i++ % 64]));
-  }
-}
-BENCHMARK(BM_JointContains26)->Arg(0)->Arg(1);
 
 void BM_StructureAdd(benchmark::State& state) {
   // Incremental antichain maintenance: stream range(0) random sets through

@@ -9,9 +9,7 @@
 namespace rmt {
 
 RestrictedStructure::RestrictedStructure(const AdversaryStructure& z, NodeSet ground)
-    : family_(z.restricted_to(ground)),
-      ground_(std::move(ground)),
-      compiled_(CompiledGroup::complement(ground_, family_.maximal_sets())) {}
+    : family_(z.restricted_to(ground)), ground_(std::move(ground)) {}
 
 std::string RestrictedStructure::to_string() const {
   return family_.to_string() + "^" + ground_.to_string();
@@ -25,15 +23,6 @@ void RestrictedStructure::debug_validate() const {
     audit::detail::fail("restricted", "family mentions nodes outside its ground set: " +
                                           (support - ground_).to_string() + " ⊄ " +
                                           ground_.to_string());
-  // The compiled forbidden rows are a derived cache of (family, ground);
-  // re-derive and compare, or conjunction probes silently diverge from
-  // family_.contains.
-  const CompiledGroup expect = CompiledGroup::complement(ground_, family_.maximal_sets());
-  if (expect.count != compiled_.count || expect.row_words != compiled_.row_words ||
-      expect.rows != compiled_.rows)
-    audit::detail::fail("restricted",
-                        "compiled complement rows out of sync with (family, ground) in " +
-                            to_string());
 }
 
 RestrictedStructure oplus(const RestrictedStructure& a, const RestrictedStructure& b) {

@@ -17,13 +17,14 @@
 // M₂ ∈ F^B, are X(M₁,M₂) = (M₁∖B) ∪ (M₂∖A) ∪ (M₁∩M₂): inside A∩B a node
 // must sit in both, inside A∖B in M₁, inside B∖A in M₂. The antichain of
 // the join is the pruned set of all such X(M₁,M₂) — an O(|E|·|F|) exact
-// materialization used by the algebra tests. Protocol code uses the lazy
-// conjunction form instead (joint.hpp) which never materializes.
+// materialization used by the algebra tests. The deciders never
+// materialize: for a k-way join ⊕_i E_i^{A_i} the same argument gives
+// X ∈ ⊕_i E_i^{A_i} ⇔ ∀i: X ∩ A_i ∈ E_i^{A_i}, one membership test per
+// part (analysis/cut_scan.hpp, protocols/pka_decision.cpp).
 #pragma once
 
 #include <string>
 
-#include "adversary/bit_matrix.hpp"
 #include "adversary/structure.hpp"
 
 namespace rmt {
@@ -43,12 +44,6 @@ class RestrictedStructure {
 
   bool contains(const NodeSet& x) const { return family_.contains(x); }
 
-  /// The constraint's precompiled forbidden rows ground ∖ M (see
-  /// adversary/bit_matrix.hpp): x ∩ ground ∈ family ⇔ some row is disjoint
-  /// from x. Built once at construction; JointStructure appends these rows
-  /// instead of re-deriving them per membership test.
-  const CompiledGroup& compiled() const { return compiled_; }
-
   /// Semilattice equality: same ground set and same family.
   friend bool operator==(const RestrictedStructure& a, const RestrictedStructure& b) {
     return a.ground_ == b.ground_ && a.family_ == b.family_;
@@ -65,7 +60,6 @@ class RestrictedStructure {
 
   AdversaryStructure family_;
   NodeSet ground_;
-  CompiledGroup compiled_;  // derived cache; debug_validate re-derives it
 };
 
 /// The ⊕ join of Definition 2, materialized exactly on antichains.

@@ -66,10 +66,12 @@ AdversaryStructure AdversaryStructure::restricted_to(const NodeSet& a) const {
   RMT_AUDIT_VALIDATE(*this);
   AdversaryStructure out;
   if (a.size() <= 8) {
-    // Small ground (the per-node views the deciders restrict to): the
-    // intersections collapse onto a few distinct sets, so an incremental
-    // antichain insert dedupes as it goes — no collect-then-sort over the
-    // full source antichain. Same maximal family, same canonical order.
+    // Small ground (per-node views: derive_local_knowledge for the
+    // simulate kind, Instance::local_structure and the references'
+    // explicit Z_v): the intersections collapse onto a few distinct sets,
+    // so an incremental antichain insert dedupes as it goes — no
+    // collect-then-sort over the full source antichain. Same maximal
+    // family, same canonical order.
     std::vector<NodeSet>& kept = out.maximal_;
     kept.reserve(16);
     for (const NodeSet& m : maximal_) {

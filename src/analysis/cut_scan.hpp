@@ -55,15 +55,13 @@ struct CutScan {
     if (m) witness = Witness{cut & *m, cut - *m, b};
     return m == nullptr;
   }
-  void push(NodeId) {}
-  void pop(NodeId) {}
 };
 
 /// The first witness over the cut candidates, in enumeration order.
 template <typename Witness, typename Slice>
 std::optional<Witness> find_first_cut(const Instance& inst, Slice slice) {
   CutScan<Witness, Slice> scan{inst.graph(), inst.adversary(), std::move(slice), {}};
-  enumerate_cut_candidates_incremental(inst.graph(), inst.dealer(), inst.receiver(), scan);
+  enumerate_cut_candidates(inst.graph(), inst.dealer(), inst.receiver(), scan);
   return std::move(scan.witness);
 }
 

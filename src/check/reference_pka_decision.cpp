@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <vector>
 
-#include "adversary/joint.hpp"
+#include "adversary/oplus.hpp"
 #include "graph/cuts.hpp"
 #include "util/check.hpp"
 
@@ -87,15 +88,20 @@ bool has_adversary_cover(const Graph& gm, NodeId d, NodeId r, const Snapshot& sn
       covered = true;  // conservative
       return false;
     }
-    // Z_B and V(γ(B)) from the claimed reports of B's members.
-    JointStructure zb;
+    // Z_B = ⊕_{v∈B} Z_v^{V(γ(v))} and V(γ(B)) from the claimed reports of
+    // B's members, each part restricted explicitly. By Thm 1's conjunction
+    // form X ∈ Z_B iff every part holds X ∩ its ground.
+    std::vector<RestrictedStructure> parts;
     NodeSet gamma_b;
     b.for_each([&](NodeId v) {
       const NodeReport& rep = *snap.at(v);
-      zb.add_constraint(rep.view.nodes(), rep.local_z);
+      parts.emplace_back(rep.local_z, rep.view.nodes());
       gamma_b |= rep.view.nodes();
     });
-    if (zb.contains(c & gamma_b)) {
+    const NodeSet x = c & gamma_b;
+    if (std::all_of(parts.begin(), parts.end(), [&](const RestrictedStructure& part) {
+          return part.contains(x & part.ground());
+        })) {
       covered = true;
       return false;
     }

@@ -6,11 +6,12 @@
 // the report map, builds G_M in place, decides each cover test as a
 // per-node conjunction over the claimed structures, and searches V_M by
 // branching on undelivered paths. This is the decision it replaced, kept
-// verbatim but for G_M and the budgets: the report map copied on every
-// call, one JointStructure per candidate B, every V_M mask counted down
-// from all subjects, and G_M rebuilt node by node and edge by edge (the
-// per-edge union and induction Graph used before its row-wise
-// operations, inlined so the reference shares neither with pka_decide).
+// as it was but for G_M and the budgets: the report map copied on every
+// call, each candidate B's Z_B tested on the explicit restrictions
+// Z_v^{V(γ(v))} of its members, every V_M mask counted down from all
+// subjects, and G_M rebuilt node by node and edge by edge (the per-edge
+// union and induction Graph used before its row-wise operations, inlined
+// so the reference shares neither with pka_decide).
 // Its masks count against DeciderLimits::max_subsets, and its cover scan
 // counts the B whose cut excludes D against max_cover_sets; pka_decide's
 // scan skips the B below a failing locked boundary and counts only the B

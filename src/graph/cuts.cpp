@@ -10,13 +10,11 @@ namespace rmt {
 
 namespace {
 
-// The std::function API is a thin adapter over the incremental template —
+// The std::function API is a thin adapter over the visitor template —
 // one enumerator, two surfaces, identical order by construction.
 struct FnVisitor {
   const std::function<bool(const NodeSet&)>& visit_fn;
   bool visit(const NodeSet& b) const { return visit_fn(b); }
-  void push(NodeId) const {}
-  void pop(NodeId) const {}
 };
 
 }  // namespace
@@ -24,7 +22,7 @@ struct FnVisitor {
 bool enumerate_connected_subsets(const Graph& g, NodeId seed, const NodeSet& forbidden,
                                  const std::function<bool(const NodeSet&)>& visit) {
   FnVisitor vis{visit};
-  return enumerate_connected_subsets_incremental(g, seed, forbidden, vis);
+  return enumerate_connected_subsets(g, seed, forbidden, vis);
 }
 
 namespace {

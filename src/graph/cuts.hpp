@@ -9,6 +9,7 @@
 // adversary structures. This file provides that enumeration.
 #pragma once
 
+#include <concepts>
 #include <functional>
 #include <type_traits>
 #include <vector>
@@ -31,6 +32,17 @@ namespace rmt {
 bool enumerate_connected_subsets(const Graph& g, NodeId seed, const NodeSet& forbidden,
                                  const std::function<bool(const NodeSet&)>& visit);
 
+/// A visitor of the template enumerators below:
+///
+///   bool visit(const NodeSet& b); // return false to stop the enumeration
+///
+/// and, optionally, the dead-branch test `viable` (see
+/// enumerate_connected_subsets below).
+template <typename V>
+concept SubsetVisitor = requires(V& vis, const NodeSet& b) {
+  { vis.visit(b) } -> std::convertible_to<bool>;
+};
+
 namespace detail {
 
 template <typename Visitor>
@@ -51,7 +63,7 @@ struct ConnectedSubsetDfs {
 
   void run(const NodeSet& excluded) {
     // The locked boundary L = N(B) ∩ excluded lies in N(B') for every B'
-    // below (see enumerate_connected_subsets_incremental).
+    // below (see the visitor form of enumerate_connected_subsets).
     if constexpr (requires(const NodeSet& s) { vis.viable(s, s); }) {
       NodeSet locked = nbrs;
       locked &= excluded;
@@ -76,9 +88,7 @@ struct ConnectedSubsetDfs {
       current.insert(x);
       nbrs_save.push_back(nbrs);
       nbrs |= g.neighbors(x);
-      vis.push(x);
       run(banned);
-      vis.pop(x);
       nbrs = std::move(nbrs_save.back());
       nbrs_save.pop_back();
       current.erase(x);
@@ -90,18 +100,9 @@ struct ConnectedSubsetDfs {
 
 }  // namespace detail
 
-/// Incremental (push/pop) variant of enumerate_connected_subsets: the same
-/// sets in the same order, but the visitor additionally observes the DFS as
-/// single-node deltas, so per-B state (joint structures, boundary unions)
-/// can be maintained instead of rebuilt. Visitor requirements:
-///
-///   void push(NodeId v);          // v entered B; called before visit(B)
-///   bool visit(const NodeSet& b); // return false to stop the enumeration
-///   void pop(NodeId v);           // v is leaving B (reverse push order)
-///
-/// push(seed) precedes the first visit; pop(seed) follows the enumeration
-/// (also after an aborting visit), so pushes and pops always balance.
-/// Returns false iff the enumeration was stopped by the visitor.
+/// The visitor form of enumerate_connected_subsets: the same sets in the
+/// same order, each passed to `vis.visit` (SubsetVisitor). Returns false
+/// iff the enumeration was stopped by the visitor.
 ///
 /// A visitor may also offer a dead-branch test
 ///
@@ -114,18 +115,16 @@ struct ConnectedSubsetDfs {
 /// monotone — passing on (B', N(B')) implies passing on (B, L) — may return
 /// false when L fails; B and every set below it are then skipped, and the
 /// sets left are visited in the unpruned order (DESIGN.md §11).
-template <typename Visitor>
-bool enumerate_connected_subsets_incremental(const Graph& g, NodeId seed,
-                                             const NodeSet& forbidden, Visitor&& vis) {
+template <SubsetVisitor Visitor>
+bool enumerate_connected_subsets(const Graph& g, NodeId seed, const NodeSet& forbidden,
+                                 Visitor&& vis) {
   RMT_REQUIRE(g.has_node(seed), "enumerate_connected_subsets: absent seed");
   RMT_REQUIRE(!forbidden.contains(seed), "enumerate_connected_subsets: seed is forbidden");
   detail::ConnectedSubsetDfs<std::remove_reference_t<Visitor>> dfs{
       g, vis, NodeSet::single(seed), g.neighbors(seed), {}, {}, false};
   dfs.arena.reserve(g.capacity());
   dfs.nbrs_save.reserve(g.capacity() + 1);
-  vis.push(seed);
   dfs.run(forbidden);
-  vis.pop(seed);
   return !dfs.aborted;
 }
 
@@ -136,13 +135,13 @@ bool enumerate_connected_subsets_incremental(const Graph& g, NodeId seed,
 /// enumerate_connected_subsets (seed r, forbidden {d}) with d ∉ N(B), in
 /// the same order (DESIGN.md §11). N[d] is forbidden, so a B next to N(d)
 /// has those nodes in its locked boundary. When d and r are adjacent there
-/// is no candidate: nothing is pushed or visited, and the call returns
-/// true. Otherwise the visitor contract (`viable` included) and return
-/// value are enumerate_connected_subsets_incremental's.
-template <typename Visitor>
-bool enumerate_cut_candidates_incremental(const Graph& g, NodeId d, NodeId r, Visitor&& vis) {
+/// is no candidate: nothing is visited, and the call returns true.
+/// Otherwise the visitor contract (`viable` included) and return value
+/// are the visitor form of enumerate_connected_subsets's.
+template <SubsetVisitor Visitor>
+bool enumerate_cut_candidates(const Graph& g, NodeId d, NodeId r, Visitor&& vis) {
   if (g.has_edge(d, r)) return true;
-  return enumerate_connected_subsets_incremental(g, r, g.closed_neighborhood(d), vis);
+  return enumerate_connected_subsets(g, r, g.closed_neighborhood(d), vis);
 }
 
 /// The minimum number of nodes (excluding s, t) whose removal disconnects

@@ -158,9 +158,8 @@ class NodeSet {
     std::size_t count;
   };
 
-  /// Bulk word export for the compiled conjunction rows, the inline
-  /// membership scan and the audit cross-checks, replacing per-bit
-  /// iteration. Reads of words [0, count) are value-defined. Canonical
+  /// Bulk word export for the inline membership scan, the graph's edge
+  /// walk and the two-cover, replacing per-bit iteration. Reads of words [0, count) are value-defined. Canonical
   /// form guarantees count == 0 or words[count-1] != 0.
   WordSpan word_span() const { return {words(), nwords_}; }
 

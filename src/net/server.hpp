@@ -14,11 +14,10 @@
 //    a hit is written in the same loop iteration, with no runner task
 //    and no wake-up. Everything else joins a shared pending batch. It
 //    never computes and never blocks on a socket;
-//  * a dedicated one-thread runner pool executes engine batches in
-//    submission order (Engine::run may block on cross-batch inflight
-//    joins and must not run on the engine's own compute pool — see
-//    svc/engine.hpp). Completions come back through a mutex-guarded
-//    queue plus a self-pipe wake-up.
+//  * a dedicated one-thread runner pool executes engine batches one at a
+//    time, in submission order: the loop thread must not compute, and
+//    completions must arrive in batch order. They come back through a
+//    mutex-guarded queue plus a self-pipe wake-up.
 //
 // Batching: misses, no_cache and deadline requests (and disk-tier hits)
 // from all connections accumulate into one pending batch; a blank line

@@ -28,7 +28,7 @@ struct Name {
 };
 
 // lint:names-begin (sorted, one entry per name)
-inline constexpr std::array<Name, 68> kNames = {{
+inline constexpr std::array<Name, 67> kNames = {{
     {"adversary.oplus", NameKind::phase},
     {"adversary.restrict", NameKind::phase},
     {"audit.validate", NameKind::phase},
@@ -86,7 +86,6 @@ inline constexpr std::array<Name, 68> kNames = {{
     {"svc.deadline_exceeded", NameKind::metric},
     {"svc.disk_hits", NameKind::metric},
     {"svc.errors", NameKind::metric},
-    {"svc.inflight_joins", NameKind::metric},
     {"svc.join", NameKind::span},
     {"svc.memo.bytes", NameKind::metric},
     {"svc.memo.entries", NameKind::metric},

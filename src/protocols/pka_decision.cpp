@@ -74,7 +74,7 @@ Fullness check_full(const Graph& gm, NodeId d, NodeId r, const std::set<Path>& d
 /// the snapshot's *claimed* data — exactly what M provides the receiver.
 /// WLOG C = N(B) for connected B ∋ R (monotone structures; see
 /// analysis/rmt_cut.hpp for the argument), and only the B whose cut
-/// excludes D are candidates (enumerate_cut_candidates_incremental). A
+/// excludes D are candidates (enumerate_cut_candidates). A
 /// blown enumeration budget reports "maybe covered" (abstain direction).
 ///
 /// Z_B = ⊕_{v∈B} Z_v^{V(γ(v))}, so by Thm 1's conjunction form
@@ -113,8 +113,6 @@ struct CoverScan {
     covered = in_zb(gm.boundary(b), b);
     return !covered;
   }
-  void push(NodeId) {}
-  void pop(NodeId) {}
 };
 
 bool has_adversary_cover(const Graph& gm, NodeId d, NodeId r, const Snapshot& snap,
@@ -122,7 +120,7 @@ bool has_adversary_cover(const Graph& gm, NodeId d, NodeId r, const Snapshot& sn
   ++stats.cover_checks;
   if (!gm.has_node(r) || !gm.has_node(d)) return true;
   CoverScan scan{gm, snap, limits.max_cover_sets, stats};
-  enumerate_cut_candidates_incremental(gm, d, r, scan);
+  enumerate_cut_candidates(gm, d, r, scan);
   return scan.covered;
 }
 

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <exception>
+#include <unordered_map>
 
 #include "analysis/feasibility.hpp"
 #include "analysis/rmt_cut.hpp"
@@ -43,7 +44,7 @@ std::uint64_t begin_response(const InstanceKey& key, bool tracing, Response& res
 
 /// Emit `resp`'s "svc.request" root span, begun at `start_ns`. cache_tag:
 /// "hit" / "disk" / "miss" / "bypass" (no_cache) / "none" (rejected before
-/// lookup); join_tag: "batch" / "inflight" / null (owned leader).
+/// lookup); join_tag: "batch" (in-batch follower) / null.
 void emit_root(const Request& req, const Response& resp, std::uint64_t start_ns,
                const char* cache_tag, const char* join_tag) {
   obs::trace::SpanRecord rec;
@@ -112,18 +113,6 @@ std::optional<QueryKind> parse_query_kind(const std::string& name) {
   if (name == "simulate") return QueryKind::kSimulate;
   return std::nullopt;
 }
-
-struct Engine::Inflight {
-  std::mutex m;
-  std::condition_variable cv;
-  bool done = false;
-  Response::Status status = Response::Status::kOk;
-  std::string result;
-  std::string error;
-  /// The owner's "svc.compute" span id (0 when tracing was off or the
-  /// computation never started); joiners' "svc.join" spans reference it.
-  std::uint64_t compute_span = 0;
-};
 
 Engine::Engine(exec::ThreadPool* pool) : Engine(pool, Options{}) {}
 
@@ -251,25 +240,28 @@ std::vector<Response> Engine::run(const std::vector<Request>& requests) {
   bool any_deadline = false;
 
   // A unit of computation: the first request of each composite key leads;
-  // in-batch duplicates follow; a key another batch is already computing
-  // is joined instead of claimed.
+  // in-batch duplicates follow. parallel_for writes each job's outcome,
+  // and the fill phase reads it after the pool has joined.
   struct Job {
     std::size_t leader = 0;
     std::vector<std::size_t> followers;
-    std::shared_ptr<Inflight> slot;
     InstanceKey ikey;        ///< computed once in the pre-pass
     std::string ckey;        ///< composite cache key, ditto
-    bool owner = false;      ///< this batch computes the slot
     bool store = false;      ///< any attached request allows caching
-    double start_ms = -1;    ///< compute start (owner jobs; -1 = never ran)
-    double claim_ms = 0;     ///< when the key was claimed/joined
+    double start_ms = -1;    ///< compute start
     obs::trace::TraceContext ctx;  ///< leader's root context (tracing only)
+    Response::Status status = Response::Status::kOk;
+    std::string result;
+    std::string error;
+    /// The "svc.compute" span id (0 when tracing was off or the
+    /// computation never started); followers' "svc.join" spans reference it.
+    std::uint64_t compute_span = 0;
   };
   std::vector<Job> jobs;
   std::unordered_map<std::string, std::size_t> job_of_key;
 
   // Pre-pass (caller thread): reject expired, serve cache hits, group the
-  // rest by composite key and claim/join the in-flight slot per group.
+  // rest by composite key.
   for (std::size_t i = 0; i < n; ++i) {
     const Request& req = requests[i];
     const InstanceKey key = req.instance.key();
@@ -284,7 +276,7 @@ std::vector<Response> Engine::run(const std::vector<Request>& requests) {
       }
       continue;
     }
-    const std::string ckey = composite_key(req, key);
+    std::string ckey = composite_key(req, key);
     if (!req.no_cache) {
       if (answer_hit(req, ckey, /*count_miss=*/true, t0, start_ns[i], out[i])) continue;
       // Memory missed: consult the disk tier. A verified disk hit is
@@ -308,38 +300,22 @@ std::vector<Response> Engine::run(const std::vector<Request>& requests) {
       coalesced_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    Job job;
+    job_of_key.emplace(ckey, jobs.size());
+    Job& job = jobs.emplace_back();
     job.leader = i;
     job.ikey = key;
-    job.ckey = ckey;
+    job.ckey = std::move(ckey);
     job.store = !req.no_cache;
-    job.claim_ms = elapsed_ms();
     if (tracing) job.ctx = obs::trace::TraceContext{out[i].trace_id, out[i].root_span};
-    {
-      std::lock_guard<std::mutex> lock(inflight_m_);
-      if (const auto inflight_it = inflight_.find(ckey); inflight_it != inflight_.end()) {
-        job.slot = inflight_it->second;  // join the other batch's computation
-        inflight_joins_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        job.slot = std::make_shared<Inflight>();
-        job.owner = true;
-        inflight_.emplace(ckey, job.slot);
-      }
-    }
-    job_of_key.emplace(ckey, jobs.size());
-    jobs.push_back(std::move(job));
   }
 
-  // Owned jobs run on the pool, one task each (requests are the batching
-  // unit; each computation is itself sequential and deterministic).
-  std::vector<std::size_t> owned;
-  for (std::size_t j = 0; j < jobs.size(); ++j)
-    if (jobs[j].owner) owned.push_back(j);
-  exec::parallel_for(pool_, 0, owned.size(), 1, [&](std::size_t k) {
-    Job& job = jobs[owned[k]];
+  // Jobs run on the pool, one task each (requests are the batching unit;
+  // each computation is itself sequential and deterministic).
+  exec::parallel_for(pool_, 0, jobs.size(), 1, [&](std::size_t j) {
+    Job& job = jobs[j];
     const Request& req = requests[job.leader];
     // Compute under the leader's root context so the "svc.compute" span —
-    // and every decider phase span inside it — nests under the owning
+    // and every decider phase span inside it — nests under the leading
     // request even when this task landed on a pool worker.
     obs::trace::ContextGuard trace_guard(job.ctx);
     job.start_ms = elapsed_ms();
@@ -351,72 +327,53 @@ std::vector<Response> Engine::run(const std::vector<Request>& requests) {
     };
     bool any_live = live_at_start(job.leader);
     for (std::size_t f : job.followers) any_live = any_live || live_at_start(f);
-    Inflight& slot = *job.slot;
-    std::string result, error;
-    Response::Status status = Response::Status::kOk;
-    std::uint64_t compute_span = 0;
-    if (any_live) {
-      RMT_PHASE("svc.compute");
-      compute_span = obs::trace::current().span_id;
-      try {
-        result = compute(req, job.ikey);
-        computed_.fetch_add(1, std::memory_order_relaxed);
-      } catch (const std::exception& e) {
-        status = Response::Status::kError;
-        error = e.what();
-      }
-    } else {
-      status = Response::Status::kDeadlineExceeded;
+    if (!any_live) {
+      job.status = Response::Status::kDeadlineExceeded;
+      return;
     }
     {
-      std::lock_guard<std::mutex> lock(slot.m);
-      slot.status = status;
-      slot.result = result;
-      slot.error = error;
-      slot.compute_span = compute_span;
-      slot.done = true;
+      RMT_PHASE("svc.compute");
+      job.compute_span = obs::trace::current().span_id;
+      try {
+        job.result = compute(req, job.ikey);
+        computed_.fetch_add(1, std::memory_order_relaxed);
+      } catch (const std::exception& e) {
+        job.status = Response::Status::kError;
+        job.error = e.what();
+      }
     }
-    slot.cv.notify_all();
-    if (status == Response::Status::kOk && job.store) {
-      cache_.put(job.ckey, result);
+    if (job.status == Response::Status::kOk && job.store) {
+      cache_.put(job.ckey, job.result);
       if (store_) {
         // Write-back through the disk tier too (runs on a pool worker;
         // the store is internally locked). A full or failing disk must
         // not poison an answer that was already computed and served.
         try {
-          store_->put(job.ckey, result);
+          store_->put(job.ckey, job.result);
         } catch (const std::exception&) {
         }
       }
     }
   });
 
-  // Fill phase: joined slots may still be computing in another batch —
-  // the caller thread waits for them here (never a pool worker, see the
-  // header contract).
+  // Fill phase (caller thread, after the pool has joined).
   for (Job& job : jobs) {
-    Inflight& slot = *job.slot;
-    {
-      std::unique_lock<std::mutex> lock(slot.m);
-      slot.cv.wait(lock, [&slot] { return slot.done; });
-    }
-    const double start_ms = job.owner ? job.start_ms : job.claim_ms;
     const auto fill = [&](std::size_t idx, bool is_leader) {
       const Request& req = requests[idx];
       Response& resp = out[idx];
-      if (slot.status == Response::Status::kDeadlineExceeded ||
-          (req.deadline_ms && start_ms >= double(*req.deadline_ms))) {
+      if (job.status == Response::Status::kDeadlineExceeded ||
+          (req.deadline_ms && job.start_ms >= double(*req.deadline_ms))) {
         resp.status = Response::Status::kDeadlineExceeded;
         deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
         any_deadline = true;
-      } else if (slot.status == Response::Status::kError) {
+      } else if (job.status == Response::Status::kError) {
         resp.status = Response::Status::kError;
-        resp.error = slot.error;
+        resp.error = job.error;
         errors_.fetch_add(1, std::memory_order_relaxed);
       } else {
         resp.status = Response::Status::kOk;
-        resp.result = slot.result;
-        resp.coalesced = !(job.owner && is_leader);
+        resp.result = job.result;
+        resp.coalesced = !is_leader;
       }
       resp.wall_us = us_since(t0);
     };
@@ -424,42 +381,30 @@ std::vector<Response> Engine::run(const std::vector<Request>& requests) {
     for (std::size_t f : job.followers) fill(f, false);
 
     if (tracing) {
-      // Coalescing is explicit in the trace: every request that shared
-      // the computation gets a "svc.join" span (child of its own root)
-      // referencing the leader's compute span — in-batch followers and
-      // cross-batch inflight joiners alike. Joins close before roots so
-      // intervals nest.
+      // Coalescing is explicit in the trace: every follower gets a
+      // "svc.join" span (child of its own root) referencing the leader's
+      // compute span. Joins close before roots so intervals nest.
       const std::uint64_t leader_target =
-          slot.compute_span != 0 ? slot.compute_span : out[job.leader].root_span;
-      const auto emit_join = [&](std::size_t idx) {
+          job.compute_span != 0 ? job.compute_span : out[job.leader].root_span;
+      for (std::size_t f : job.followers) {
         obs::trace::SpanRecord rec;
-        rec.trace_id = out[idx].trace_id;
+        rec.trace_id = out[f].trace_id;
         rec.span_id = obs::trace::next_id();
-        rec.parent_span_id = out[idx].root_span;
+        rec.parent_span_id = out[f].root_span;
         rec.set_name(RMT_TRACE_NAME("svc.join"));
         rec.join_span_id = leader_target;
-        rec.start_ns = start_ns[idx];
+        rec.start_ns = start_ns[f];
         rec.end_ns = obs::trace::now_ns();
         obs::trace::emit(rec);
-      };
-      if (!job.owner) emit_join(job.leader);
-      for (std::size_t f : job.followers) emit_join(f);
+      }
       const auto cache_tag = [&](std::size_t idx) {
         return requests[idx].no_cache ? "bypass" : "miss";
       };
       emit_root(requests[job.leader], out[job.leader], start_ns[job.leader],
-                cache_tag(job.leader), job.owner ? nullptr : "inflight");
+                cache_tag(job.leader), nullptr);
       for (std::size_t f : job.followers)
         emit_root(requests[f], out[f], start_ns[f], cache_tag(f), "batch");
     }
-  }
-
-  // Release owned slots only after their results are filled everywhere;
-  // a future batch then starts fresh (and will hit the cache instead).
-  {
-    std::lock_guard<std::mutex> lock(inflight_m_);
-    for (const auto& [ckey, j] : job_of_key)
-      if (jobs[j].owner) inflight_.erase(ckey);
   }
 
   if (obs::enabled()) {
@@ -479,7 +424,6 @@ Engine::Stats Engine::stats() const {
   s.requests = requests_.load(std::memory_order_relaxed);
   s.computed = computed_.load(std::memory_order_relaxed);
   s.coalesced = coalesced_.load(std::memory_order_relaxed);
-  s.inflight_joins = inflight_joins_.load(std::memory_order_relaxed);
   s.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
   s.errors = errors_.load(std::memory_order_relaxed);
   s.disk_hits = disk_hits_.load(std::memory_order_relaxed);
@@ -496,7 +440,6 @@ void Engine::publish_stats() {
   reg.counter("svc.requests").inc(now.requests - published_.requests);
   reg.counter("svc.computed").inc(now.computed - published_.computed);
   reg.counter("svc.coalesced").inc(now.coalesced - published_.coalesced);
-  reg.counter("svc.inflight_joins").inc(now.inflight_joins - published_.inflight_joins);
   reg.counter("svc.deadline_exceeded").inc(now.deadline_exceeded - published_.deadline_exceeded);
   reg.counter("svc.errors").inc(now.errors - published_.errors);
   reg.counter("svc.disk_hits").inc(now.disk_hits - published_.disk_hits);

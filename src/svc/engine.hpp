@@ -37,28 +37,25 @@
 // Hits without a batch: lookup() answers one request from the memory
 // result cache — counted, traced and timed exactly as run() answers a hit,
 // and run()'s own pre-pass goes through the same code. It takes only a
-// cache shard mutex and never computes, reads the store or joins another
-// batch, so the TCP event loop calls it on every admitted request and
-// hands only what it returns nothing for to run().
+// cache shard mutex and never computes or reads the store, so the TCP
+// event loop calls it on every admitted request and hands only what it
+// returns nothing for to run().
 //
 // Coalescing: within one run() batch, duplicate keys share one
-// computation (svc.coalesced). Across concurrent run() calls, a key
-// already being computed by another batch is joined, not recomputed
-// (svc.inflight_joins) — the joining *caller thread* blocks until the
-// owning batch publishes. Consequently run() must not be called from the
-// engine's own pool workers (the join could wait on a task queued behind
-// itself); callers are external threads — tools, servers, tests.
+// computation (svc.coalesced). Batches share nothing else: every shipped
+// transport runs one batch at a time. run() is still safe to call from
+// several threads at once — the cache shards, the store and the counters
+// carry their own locks — and two concurrent batches that miss one key
+// both compute it and both put the same bytes.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/feasibility.hpp"
@@ -179,7 +176,6 @@ class Engine {
     std::uint64_t requests = 0;
     std::uint64_t computed = 0;           ///< unique computations executed
     std::uint64_t coalesced = 0;          ///< in-batch duplicates served
-    std::uint64_t inflight_joins = 0;     ///< cross-batch joins served
     std::uint64_t deadline_exceeded = 0;
     std::uint64_t errors = 0;
     std::uint64_t disk_hits = 0;          ///< served from the store tier
@@ -187,8 +183,8 @@ class Engine {
   Stats stats() const;
 
   /// Push counter deltas into the global obs registry (svc.requests,
-  /// svc.computed, svc.coalesced, svc.inflight_joins,
-  /// svc.deadline_exceeded, svc.errors, svc.disk_hits, and the memo's
+  /// svc.computed, svc.coalesced, svc.deadline_exceeded, svc.errors,
+  /// svc.disk_hits, and the memo's
   /// svc.memo.{hits,misses,evictions} with svc.memo.{bytes,entries}
   /// gauges) and forward to cache().publish_stats() and the store tier's
   /// publish_stats().
@@ -196,8 +192,6 @@ class Engine {
   void publish_stats();
 
  private:
-  struct Inflight;
-
   /// The cache/coalescing identity of a request:
   /// "<key-hex>|<kind>|<canonical params>".
   std::string composite_key(const Request& req, const InstanceKey& key) const;
@@ -220,13 +214,9 @@ class Engine {
   InstanceMemo memo_;
   std::unique_ptr<store::Store> store_;  ///< null = no disk tier
 
-  std::mutex inflight_m_;
-  std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight_;
-
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> computed_{0};
   std::atomic<std::uint64_t> coalesced_{0};
-  std::atomic<std::uint64_t> inflight_joins_{0};
   std::atomic<std::uint64_t> deadline_exceeded_{0};
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> disk_hits_{0};

@@ -239,7 +239,6 @@ std::string format_stats_response(const std::string& id, Engine& engine,
   w.field("requests", e.requests);
   w.field("computed", e.computed);
   w.field("coalesced", e.coalesced);
-  w.field("inflight_joins", e.inflight_joins);
   w.field("deadline_exceeded", e.deadline_exceeded);
   w.field("errors", e.errors);
   w.field("disk_hits", e.disk_hits);

@@ -93,44 +93,16 @@ TEST(ConnectedSubsets, Preconditions) {
   EXPECT_THROW(collect_connected(g, 1, NodeSet{1}), std::invalid_argument);
 }
 
-// ---- incremental (push/pop) enumeration ----------------------------------
+// ---- the visitor form -----------------------------------------------------
 
-/// Records the full visitor event stream and rebuilds B from the deltas.
+/// Records every visited B, in visit order.
 struct RecordingVisitor {
-  NodeSet rebuilt;                    // maintained from push/pop only
-  std::vector<NodeId> stack;          // push order, for LIFO checking
-  std::vector<NodeSet> visited;       // every B, in visit order
-  bool lifo_ok = true;
-  bool deltas_match = true;
-  std::size_t stop_after = std::size_t(-1);
-
-  void push(NodeId v) {
-    rebuilt.insert(v);
-    stack.push_back(v);
-  }
-  void pop(NodeId v) {
-    if (stack.empty() || stack.back() != v) lifo_ok = false;
-    if (!stack.empty()) stack.pop_back();
-    rebuilt.erase(v);
-  }
+  std::vector<NodeSet> visited;
   bool visit(const NodeSet& b) {
-    if (rebuilt != b) deltas_match = false;
     visited.push_back(b);
-    return visited.size() < stop_after;
+    return true;
   }
 };
-
-TEST(IncrementalEnumeration, DeltasReconstructEveryVisitedSet) {
-  Rng rng(11);
-  const Graph g = generators::random_connected_gnp(9, 0.3, rng);
-  RecordingVisitor vis;
-  const bool completed = enumerate_connected_subsets_incremental(g, 3, NodeSet{}, vis);
-  EXPECT_TRUE(completed);
-  EXPECT_TRUE(vis.deltas_match);  // push/pop stream always equals the visited B
-  EXPECT_TRUE(vis.lifo_ok);
-  EXPECT_TRUE(vis.stack.empty());   // pushes and pops balance (incl. the seed)
-  EXPECT_TRUE(vis.rebuilt.empty());
-}
 
 TEST(IncrementalEnumeration, SameSetsSameOrderAsClassicApi) {
   Rng rng(12);
@@ -143,29 +115,16 @@ TEST(IncrementalEnumeration, SameSetsSameOrderAsClassicApi) {
       return true;
     });
     RecordingVisitor vis;
-    enumerate_connected_subsets_incremental(g, 0, forbidden, vis);
+    enumerate_connected_subsets(g, 0, forbidden, vis);
     EXPECT_EQ(vis.visited, classic);  // identical sequence, not just same sets
   }
-}
-
-TEST(IncrementalEnumeration, EarlyStopStillBalancesPushesAndPops) {
-  const Graph g = generators::complete_graph(5);
-  RecordingVisitor vis;
-  vis.stop_after = 3;
-  const bool completed = enumerate_connected_subsets_incremental(g, 0, NodeSet{}, vis);
-  EXPECT_FALSE(completed);
-  EXPECT_EQ(vis.visited.size(), 3u);
-  EXPECT_TRUE(vis.stack.empty());  // pop(seed) fires even on abort
-  EXPECT_TRUE(vis.rebuilt.empty());
 }
 
 TEST(IncrementalEnumeration, Preconditions) {
   const Graph g = generators::path_graph(3);
   RecordingVisitor vis;
-  EXPECT_THROW(enumerate_connected_subsets_incremental(g, 9, NodeSet{}, vis),
-               std::invalid_argument);
-  EXPECT_THROW(enumerate_connected_subsets_incremental(g, 1, NodeSet{1}, vis),
-               std::invalid_argument);
+  EXPECT_THROW(enumerate_connected_subsets(g, 9, NodeSet{}, vis), std::invalid_argument);
+  EXPECT_THROW(enumerate_connected_subsets(g, 1, NodeSet{1}, vis), std::invalid_argument);
 }
 
 TEST(ConnectedSubsets, ForbiddingTheDealersNeighbourhoodDropsOnlyDeadSets) {
@@ -184,9 +143,8 @@ TEST(ConnectedSubsets, ForbiddingTheDealersNeighbourhoodDropsOnlyDeadSets) {
       return true;
     });
     RecordingVisitor vis;
-    EXPECT_TRUE(enumerate_cut_candidates_incremental(g, d, r, vis)) << what;
+    EXPECT_TRUE(enumerate_cut_candidates(g, d, r, vis)) << what;
     EXPECT_EQ(vis.visited, filtered) << what;
-    EXPECT_TRUE(vis.deltas_match && vis.lifo_ok && vis.stack.empty()) << what;
     if (g.has_edge(d, r)) {
       EXPECT_TRUE(filtered.empty()) << what;  // no candidate, nothing visited
       ++adjacent;
@@ -226,22 +184,14 @@ TEST(ConnectedSubsets, LockedBoundaryPruningSkipsOnlyFailingSubtrees) {
   // every v ∈ B — a visitor that offers `viable` must visit, in the
   // unpruned order, every B whose N(B) passes, and every B it skips must
   // lie below a DFS node whose locked boundary failed.
-  struct Tracker : RecordingVisitor {
-    std::vector<std::vector<NodeId>> stacks;  // each visited B's push order
-    bool visit(const NodeSet& b) {
-      stacks.push_back(stack);
-      return RecordingVisitor::visit(b);
-    }
-  };
-  struct Pruner : Tracker {
+  struct Pruner : RecordingVisitor {
     std::function<bool(const NodeSet&, const NodeSet&)> passes;
-    std::vector<std::vector<NodeId>> dead;  // push order of each failing node
+    std::vector<NodeSet> dead;  // the B of each failing node, in visit order
     std::vector<NodeSet> locked_seen;
     bool viable(const NodeSet& b, const NodeSet& locked) {
-      if (rebuilt != b) deltas_match = false;
       locked_seen.push_back(locked);
       if (passes(locked, b)) return true;
-      dead.push_back(stack);
+      dead.push_back(b);
       return false;
     }
   };
@@ -257,28 +207,24 @@ TEST(ConnectedSubsets, LockedBoundaryPruningSkipsOnlyFailingSubtrees) {
       }
       return false;
     };
-    Tracker full;
-    enumerate_cut_candidates_incremental(g, d, r, full);
+    RecordingVisitor full;
+    enumerate_cut_candidates(g, d, r, full);
     Pruner pruned;
     pruned.passes = passes;
-    enumerate_cut_candidates_incremental(g, d, r, pruned);
-    EXPECT_TRUE(pruned.deltas_match && pruned.lifo_ok && pruned.stack.empty()) << what;
+    enumerate_cut_candidates(g, d, r, pruned);
     // Every candidate B avoids N(D), so D is never in a locked boundary.
     for (const NodeSet& l : pruned.locked_seen) EXPECT_FALSE(l.contains(d)) << what;
     // Walk the unpruned preorder: a failing node's subtree is the run of
-    // sets whose push order extends the failing node's.
+    // supersets of its B that follows it. The run ends at the first set
+    // that is not one: a later sibling, or a later sibling of an ancestor,
+    // excludes a node that B holds, and so does everything below it.
     std::vector<NodeSet> kept;
     std::size_t next_dead = 0;
-    const std::vector<NodeId>* below = nullptr;
-    for (std::size_t i = 0; i < full.visited.size(); ++i) {
-      const std::vector<NodeId>& st = full.stacks[i];
-      const bool in_subtree = below && st.size() >= below->size() &&
-                              std::equal(below->begin(), below->end(), st.begin());
-      if (!in_subtree && next_dead < pruned.dead.size() && pruned.dead[next_dead] == st)
+    const NodeSet* below = nullptr;
+    for (const NodeSet& b : full.visited) {
+      if (below && !below->is_subset_of(b)) below = nullptr;
+      if (!below && next_dead < pruned.dead.size() && pruned.dead[next_dead] == b)
         below = &pruned.dead[next_dead++];
-      else if (!in_subtree)
-        below = nullptr;
-      const NodeSet& b = full.visited[i];
       if (below) {
         EXPECT_FALSE(passes(g.boundary(b), b)) << what << " skipped a passing B";
         ++skipped;

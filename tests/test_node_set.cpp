@@ -251,8 +251,8 @@ TEST(NodeSetProperty, MatchesReferenceImplementation) {
   EXPECT_EQ(s.to_vector(), std::vector<NodeId>(ref.begin(), ref.end()));
 }
 
-// word_span is the bulk export the compiled rows and the membership scan
-// read words from: it must expose exactly the canonical
+// word_span is the bulk export the membership scan, the graph's edge walk
+// and the two-cover read words from: it must expose exactly the canonical
 // no-trailing-zero-word form, inline and spilled alike, and round-trip bit
 // for bit.
 TEST(NodeSet, WordSpanIsCanonicalAndRoundTrips) {

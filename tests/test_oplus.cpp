@@ -1,13 +1,14 @@
-// Tests for the ⊕ joint-view operation (adversary/oplus.hpp, joint.hpp) —
-// the algebra of paper §2 and Appendix A, checked both on hand cases and
+// Tests for the ⊕ joint-view operation (adversary/oplus.hpp) — the
+// algebra of paper §2 and Appendix A, checked both on hand cases and
 // against a brute-force implementation of Definition 2.
 #include "adversary/oplus.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
-#include "adversary/joint.hpp"
 #include "tests/test_util.hpp"
 #include "util/rng.hpp"
 
@@ -157,7 +158,7 @@ TEST(OplusProperty, Theorem1Maximality) {
   }
 }
 
-// The conjunction characterization used by the lazy JointStructure:
+// The conjunction characterization the deciders test instead of a join:
 // X ∈ E^A ⊕ F^B  ⇔  X∩A ∈ E^A ∧ X∩B ∈ F^B.
 TEST(OplusProperty, ConjunctionCharacterization) {
   Rng rng(41);
@@ -202,10 +203,26 @@ TEST(OplusProperty, Lemma12Equivalence) {
   }
 }
 
-TEST(JointStructure, LazyMatchesMaterialized) {
+/// The k-way join of `parts`, folded with oplus.
+RestrictedStructure fold_oplus(const std::vector<RestrictedStructure>& parts) {
+  RestrictedStructure acc = parts.front();
+  for (std::size_t i = 1; i < parts.size(); ++i) acc = oplus(acc, parts[i]);
+  return acc;
+}
+
+/// Thm 1's per-part conjunction: X ∈ ⊕_i E_i^{A_i} iff X ∩ A_i ∈ E_i^{A_i}
+/// for every part.
+bool in_every_part(const std::vector<RestrictedStructure>& parts, const NodeSet& x) {
+  return std::all_of(parts.begin(), parts.end(), [&](const RestrictedStructure& part) {
+    return part.contains(x & part.ground());
+  });
+}
+
+// The conjunction form of a k-way join, as the deciders evaluate Z_B, equals
+// the join folded with oplus (associativity, Thm 13).
+TEST(OplusProperty, KWayConjunctionMatchesFoldedJoin) {
   Rng rng(43);
   for (int trial = 0; trial < 40; ++trial) {
-    JointStructure joint;
     std::vector<RestrictedStructure> parts;
     const int k = 1 + int(rng.index(4));
     NodeSet ground;
@@ -213,44 +230,40 @@ TEST(JointStructure, LazyMatchesMaterialized) {
       const NodeSet gi = testing::from_mask(rng.uniform(1, 255), 8);
       const auto zi = AdversaryStructure::from_sets(
           {testing::from_mask(rng.uniform(0, 255), 8) & gi, NodeSet{}});
-      joint.add_constraint(gi, zi);
+      parts.emplace_back(zi, gi);
       ground |= gi;
     }
-    const RestrictedStructure mat = joint.materialize();
+    const RestrictedStructure mat = fold_oplus(parts);
     EXPECT_EQ(mat.ground(), ground);
     for (std::size_t mask = 0; mask < 256; ++mask) {
       const NodeSet x = testing::from_mask(mask, 8);
       if (!x.is_subset_of(ground)) continue;
-      ASSERT_EQ(joint.contains(x), mat.contains(x)) << x.to_string();
+      ASSERT_EQ(in_every_part(parts, x), mat.contains(x)) << x.to_string();
     }
   }
 }
 
-TEST(JointStructure, EmptyJoinIsPermissive) {
-  const JointStructure joint;
-  EXPECT_TRUE(joint.contains(NodeSet{}));
-  EXPECT_EQ(joint.ground(), NodeSet{});
-  EXPECT_EQ(joint.materialize().family(), AdversaryStructure::trivial());
-}
-
-TEST(JointStructure, CorollaryTwoLowerBound) {
+TEST(OplusProperty, CorollaryTwoLowerBound) {
   // Z^{V(γ(B))} ⊆ Z_B: whatever the true structure admits, the joint view
-  // of B admits too — the receiver can never rule out the truth.
+  // of B admits too — the receiver can never rule out the truth. Checked
+  // on the folded join and on the per-part conjunction.
   Rng rng(47);
   for (int trial = 0; trial < 40; ++trial) {
     std::vector<NodeSet> gen;
     for (int i = 0; i < 3; ++i) gen.push_back(testing::from_mask(rng.uniform(0, 255), 8));
     const auto z = AdversaryStructure::from_sets(gen);
-    JointStructure joint;
+    std::vector<RestrictedStructure> parts;
     NodeSet total_ground;
     for (int i = 0; i < 3; ++i) {
       const NodeSet gi = testing::from_mask(rng.uniform(1, 255), 8);
-      joint.add_constraint(gi, z.restricted_to(gi));
+      parts.emplace_back(z.restricted_to(gi), gi);
       total_ground |= gi;
     }
+    const RestrictedStructure join = fold_oplus(parts);
     const auto truth = z.restricted_to(total_ground);
     truth.enumerate_members([&](const NodeSet& x) {
-      EXPECT_TRUE(joint.contains(x)) << x.to_string();
+      EXPECT_TRUE(join.contains(x)) << x.to_string();
+      EXPECT_TRUE(in_every_part(parts, x)) << x.to_string();
       return true;
     });
   }

@@ -36,15 +36,6 @@ std::unique_ptr<protocols::Protocol> make_protocol(const std::string& name) {
   return std::make_unique<protocols::Ppa>();
 }
 
-std::unique_ptr<sim::AdversaryStrategy> make_strategy(const std::string& name,
-                                                      std::uint64_t seed) {
-  if (name == "silent") return std::make_unique<sim::SilentStrategy>();
-  if (name == "value-flip") return std::make_unique<sim::ValueFlipStrategy>();
-  if (name == "random-lies") return std::make_unique<sim::RandomLieStrategy>(Rng{seed}, 3);
-  if (name == "phantom-world") return std::make_unique<sim::FictitiousWorldStrategy>();
-  return std::make_unique<sim::TwoFacedStrategy>();
-}
-
 // ---------------------------------------------------------------------------
 // Safety matrix: protocol × strategy × knowledge.
 
@@ -60,7 +51,7 @@ TEST_P(ProtocolSafetyP, NeverDecidesWrong) {
   for (int trial = 0; trial < 6; ++trial) {
     const Instance inst = testing::random_instance(6, 0.35, 2, 2, knowledge, rng);
     for (const NodeSet& t : inst.adversary().maximal_sets()) {
-      auto strategy = make_strategy(strategy_name, 31 + salt++);
+      auto strategy = sim::make_strategy(strategy_name, 31 + salt++);
       const protocols::Outcome out = protocols::run_rmt(inst, *proto, 9, t, strategy.get());
       ASSERT_FALSE(out.wrong) << proto_name << " × " << strategy_name << " on "
                               << inst.to_string() << " T=" << t.to_string();
@@ -113,7 +104,7 @@ TEST_P(CpaSafetyP, NeverDecidesWrongUnderTLocalAdversaries) {
         testing::shielding(t_local_structure(g, 1), g.nodes(), NodeSet{0, 5});
     const Instance inst = Instance::ad_hoc(g, z, 0, 5);
     for (const NodeSet& t : inst.adversary().maximal_sets()) {
-      auto strategy = make_strategy(GetParam(), 13 + salt++);
+      auto strategy = sim::make_strategy(GetParam(), 13 + salt++);
       const protocols::Outcome out =
           protocols::run_rmt(inst, protocols::Cpa{1}, 9, t, strategy.get());
       ASSERT_FALSE(out.wrong) << GetParam() << " on " << inst.to_string()
@@ -148,7 +139,7 @@ TEST_P(BaselineSafetyP, NeverDecidesWrongInGuaranteeZone) {
     const Instance inst = testing::random_instance(6, 0.4, 2, 1, SIZE_MAX, rng);
     if (!analysis::solvable(inst)) continue;
     for (const NodeSet& t : inst.adversary().maximal_sets()) {
-      auto strategy = make_strategy(strategy_name, 77 + salt++);
+      auto strategy = sim::make_strategy(strategy_name, 77 + salt++);
       const protocols::Outcome out = protocols::run_rmt(inst, *proto, 9, t, strategy.get());
       ASSERT_FALSE(out.wrong) << proto_name << " × " << strategy_name << " on "
                               << inst.to_string();
@@ -288,7 +279,7 @@ TEST_P(DeterminismP, RunsAreReproducible) {
   const auto proto = make_protocol(GetParam());
   const NodeSet t = inst.adversary().maximal_sets().back();
   auto run_once = [&] {
-    auto strategy = make_strategy("random-lies", 99);  // fixed seed
+    auto strategy = sim::make_strategy("random-lies", 99);  // fixed seed
     return protocols::run_rmt(inst, *proto, 5, t, strategy.get());
   };
   const protocols::Outcome a = run_once();

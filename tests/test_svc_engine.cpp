@@ -4,9 +4,9 @@
 // cached / coalesced / fresh paths).
 //
 // The SvcEngineRace tests belong to the TSan CI suite (regex `Svc`): they
-// hammer one engine from several external threads so the inflight-join
-// handshake, the stats atomics and lookup() against concurrent batches run
-// under the race detector.
+// hammer one engine from several external threads so concurrent batches
+// (which share the cache shards, the store and the stats atomics), and
+// lookup() against them, run under the race detector.
 #include "svc/engine.hpp"
 
 #include <gtest/gtest.h>

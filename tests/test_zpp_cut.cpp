@@ -82,7 +82,7 @@ TEST(ZppCut, AdHocStrictlyWeakerThanFullKnowledge) {
   EXPECT_FALSE(rmt_cut_exists(Instance::full_knowledge(g, z, 0, r)));
 }
 
-// ---- incremental hot path vs. reference ----------------------------------
+// ---- shipped scan vs. reference -------------------------------------------
 
 bool same_witness(const std::optional<ZppCutWitness>& a, const std::optional<ZppCutWitness>& b) {
   if (a.has_value() != b.has_value()) return false;

@@ -399,6 +399,10 @@ MAX_ID_BYTES = 256
 MAX_CORRUPTED_ENTRIES = MAX_PARSE_NODES
 MAX_CORRUPTED_ID = MAX_PARSE_NODES - 1
 MAX_ROUNDS = MAX_PARSE_NODES + 1
+# The "engine" section of a stats probe's result (svc::Engine::Stats):
+# exactly these fields, each a non-negative integer.
+ENGINE_STAT_FIELDS = ["requests", "computed", "coalesced", "deadline_exceeded",
+                      "errors", "disk_hits"]
 # The "memo" section of a stats probe's result (svc::InstanceMemo::Stats).
 MEMO_STAT_FIELDS = ["hits", "misses", "evictions", "bytes", "entries"]
 # The TCP stats probe's "net" section (net::NetStats): every field is a
@@ -468,6 +472,16 @@ def check_response(doc, problems, args):
         if not isinstance(result, dict):
             problems.add("result: missing or not an object although status is ok")
         elif result.get("kind") == "stats":
+            engine = result.get("engine")
+            if not isinstance(engine, dict):
+                problems.add("result.engine: missing or not an object in a stats probe")
+            else:
+                for field in ENGINE_STAT_FIELDS:
+                    if not _is_uint(engine.get(field)):
+                        problems.add(f"result.engine.{field}: missing or not a "
+                                     "non-negative integer")
+                for field in sorted(set(engine) - set(ENGINE_STAT_FIELDS)):
+                    problems.add(f"result.engine.{field}: unknown field")
             memo = result.get("memo")
             if not isinstance(memo, dict):
                 problems.add("result.memo: missing or not an object in a stats probe")
@@ -952,14 +966,14 @@ def _selftest_docs():
          "params": {"corrupted": [MAX_CORRUPTED_ID] * MAX_CORRUPTED_ENTRIES,
                     "max_rounds": MAX_ROUNDS}},
         {"schema": "rmt.response/1", "id": "st", "status": "ok", "key": None,
-         "result": {"kind": "stats", "engine": {}, "cache": {},
-                    "memo": {f: 3 for f in MEMO_STAT_FIELDS}},
+         "result": {"kind": "stats", "engine": {f: 4 for f in ENGINE_STAT_FIELDS},
+                    "cache": {}, "memo": {f: 3 for f in MEMO_STAT_FIELDS}},
          "error": None, "cached": False, "coalesced": False, "wall_us": 0.0,
          "trace_id": None},
         # The TCP server's stats probe adds its "net" section.
         {"schema": "rmt.response/1", "id": "st", "status": "ok", "key": None,
-         "result": {"kind": "stats", "engine": {}, "cache": {},
-                    "memo": {f: 3 for f in MEMO_STAT_FIELDS},
+         "result": {"kind": "stats", "engine": {f: 4 for f in ENGINE_STAT_FIELDS},
+                    "cache": {}, "memo": {f: 3 for f in MEMO_STAT_FIELDS},
                     "net": {f: 2 for f in NET_STAT_FIELDS}},
          "error": None, "cached": False, "coalesced": False, "wall_us": 0.0,
          "trace_id": None},
@@ -1141,22 +1155,35 @@ def _selftest_docs():
          "instance": "rmt-instance v1\n",
          "params": {"corrupted": [1] * (MAX_CORRUPTED_ENTRIES + 1)}},  # list one past
         {"schema": "rmt.response/1", "id": "st", "status": "ok", "key": None,
-         "result": {"kind": "stats", "engine": {}, "cache": {}},
+         "result": {"kind": "stats", "engine": {f: 0 for f in ENGINE_STAT_FIELDS},
+                    "cache": {}},
          "error": None, "cached": False, "coalesced": False, "wall_us": 0,
          "trace_id": None},                                      # stats without memo
         {"schema": "rmt.response/1", "id": "st", "status": "ok", "key": None,
-         "result": {"kind": "stats", "memo": dict({f: 0 for f in MEMO_STAT_FIELDS},
-                                                  hits=-1)},
+         "result": {"kind": "stats", "engine": {f: 0 for f in ENGINE_STAT_FIELDS},
+                    "memo": dict({f: 0 for f in MEMO_STAT_FIELDS}, hits=-1)},
          "error": None, "cached": False, "coalesced": False, "wall_us": 0,
          "trace_id": None},                                      # negative memo count
         {"schema": "rmt.response/1", "id": "st", "status": "ok", "key": None,
-         "result": {"kind": "stats", "memo": dict({f: 0 for f in MEMO_STAT_FIELDS},
-                                                  bytes=1.5)},
+         "result": {"kind": "stats", "engine": {f: 0 for f in ENGINE_STAT_FIELDS},
+                    "memo": dict({f: 0 for f in MEMO_STAT_FIELDS}, bytes=1.5)},
          "error": None, "cached": False, "coalesced": False, "wall_us": 0,
          "trace_id": None},                                      # non-integer memo bytes
     ] + [
         {"schema": "rmt.response/1", "id": "st", "status": "ok", "key": None,
-         "result": {"kind": "stats", "memo": {f: 0 for f in MEMO_STAT_FIELDS}, "net": net},
+         "result": {"kind": "stats", "engine": engine, "cache": {},
+                    "memo": {f: 0 for f in MEMO_STAT_FIELDS}},
+         "error": None, "cached": False, "coalesced": False, "wall_us": 0,
+         "trace_id": None}
+        for engine in (
+            {f: 0 for f in ENGINE_STAT_FIELDS if f != "computed"},  # a field missing
+            # The cross-batch join's counter, gone from Engine::Stats.
+            dict({f: 0 for f in ENGINE_STAT_FIELDS}, inflight_joins=0),
+        )
+    ] + [
+        {"schema": "rmt.response/1", "id": "st", "status": "ok", "key": None,
+         "result": {"kind": "stats", "engine": {f: 0 for f in ENGINE_STAT_FIELDS},
+                    "memo": {f: 0 for f in MEMO_STAT_FIELDS}, "net": net},
          "error": None, "cached": False, "coalesced": False, "wall_us": 0,
          "trace_id": None}
         for net in (
